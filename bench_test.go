@@ -1,7 +1,7 @@
 // Package repro's root benchmark suite regenerates every paper artifact
-// (Fig. 1, Fig. 2, Table 1) and every DESIGN.md extension experiment
-// (E4-E8) as a testing.B benchmark, plus micro-benchmarks for the hot
-// paths of the scoring algebra and the measurement substrate.
+// (Fig. 1, Fig. 2, Table 1; see PAPER.md) and the extension experiments
+// of README.md (E4-E8) as testing.B benchmarks, plus micro-benchmarks for
+// the hot paths of the scoring algebra and the measurement substrate.
 //
 // Run everything with:
 //
@@ -193,6 +193,45 @@ func BenchmarkScoreRegionWindow(b *testing.B) {
 		if _, err := cfg.ScoreRegion(store, "XA-01", start.Add(24*time.Hour), start.Add(4*24*time.Hour)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkScoreRegionCells measures unbounded county, state and country
+// scores, the uncached /v1/score path: one walk of the cell index answers
+// all eleven (dataset, requirement) percentiles. Every county holds 1500
+// tests per dataset, so its cells have promoted to sketches and the scope
+// merges them.
+func BenchmarkScoreRegionCells(b *testing.B) {
+	cfg := iqb.DefaultConfig()
+	store := dataset.NewStore()
+	src := rng.New(5)
+	ts := time.Date(2025, 6, 2, 0, 0, 0, 0, time.UTC)
+	var batch []dataset.Record
+	for _, county := range []string{"XA-01-001", "XA-01-002", "XA-01-003", "XA-02-001", "XA-02-002", "XA-02-003"} {
+		for _, ds := range []string{iqb.DatasetNDT, iqb.DatasetCloudflare, iqb.DatasetOokla} {
+			for i := 0; i < 1500; i++ {
+				rec := dataset.NewRecord(county+"-"+itoa(i), ds, county, ts)
+				rec.SetValue(dataset.Download, src.LogNormalFromMoments(100, 0.8))
+				rec.SetValue(dataset.Upload, src.LogNormalFromMoments(20, 0.8))
+				rec.SetValue(dataset.Latency, src.LogNormalFromMoments(40, 0.5))
+				if ds != iqb.DatasetOokla {
+					rec.SetValue(dataset.Loss, src.Float64()*0.01)
+				}
+				batch = append(batch, rec)
+			}
+		}
+	}
+	if err := store.AddBatch(batch); err != nil {
+		b.Fatal(err)
+	}
+	for _, scope := range []struct{ name, region string }{{"county", "XA-01-002"}, {"state", "XA-02"}, {"country", "XA"}} {
+		b.Run(scope.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := cfg.ScoreRegion(store, scope.region, time.Time{}, time.Time{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,5 +1,6 @@
 // Command experiments regenerates the paper's tables and figures plus
-// the extension experiments (DESIGN.md E1-E13).
+// the extension experiments E1-E13 (README.md gives the tour of the
+// repository, PAPER.md the paper they extend).
 //
 // Usage:
 //

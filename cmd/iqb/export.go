@@ -76,7 +76,7 @@ func cmdTimeSeries(args []string, out *os.File) error {
 	data := fs.String("data", "", "comma-separated dataset files (.ndjson or .csv)")
 	configPath := fs.String("config", "", "framework configuration JSON (default: built-in)")
 	region := fs.String("region", "", "region code to score")
-	window := fs.Duration("window", 24*time.Hour, "window width")
+	window := fs.Duration("window", 24*time.Hour, fmt.Sprintf("window width; the data's time span may hold at most %d windows", iqb.MaxWindows))
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -281,3 +281,33 @@ func TestTimeSeriesSubcommand(t *testing.T) {
 		t.Error("region without records should error")
 	}
 }
+
+// TestTimeSeriesWindowCap: one record an hour after the rest makes a
+// 1ms-window series 3.6e6 points long, past iqb.MaxWindows, so the
+// subcommand refuses it; hourly windows still work.
+func TestTimeSeriesWindowCap(t *testing.T) {
+	late := dataset.NewRecord("late", "ndt", "XA-01-001", time.Date(2025, 6, 1, 13, 0, 0, 0, time.UTC))
+	late.SetValue(dataset.Download, 200)
+	path := filepath.Join(t.TempDir(), "late.ndjson")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dataset.WriteNDJSON(f, []dataset.Record{late}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := writeTestData(t) + "," + path
+	if _, err := capture(t, "timeseries", "-data", data, "-region", "XA-01-001", "-window", "1ms"); err == nil || !strings.Contains(err.Error(), "too many windows") {
+		t.Errorf("window=1ms: err = %v, want the window limit", err)
+	}
+	out, err := capture(t, "timeseries", "-data", data, "-region", "XA-01-001", "-window", "1h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(strings.TrimSpace(out), "\n"); lines != 2 {
+		t.Errorf("window=1h: %d points, want 2:\n%s", lines, out)
+	}
+}

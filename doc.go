@@ -1,10 +1,10 @@
 // Package repro is the root of the Internet Quality Barometer (IQB)
-// reproduction. The implementation lives under internal/ (see DESIGN.md
-// for the system inventory); the runnable tools live under cmd/ and
-// examples/; this package holds the repository-level benchmark suite
-// (bench_test.go) that regenerates every table and figure plus
-// micro-benchmarks for the sharded dataset store's write and
-// streaming-aggregation paths.
+// reproduction. The implementation lives under internal/ (README.md
+// gives the tour, PAPER.md the source paper); the runnable tools live
+// under cmd/ and examples/; this package holds the repository-level
+// benchmark suite (bench_test.go) that regenerates every table and
+// figure plus micro-benchmarks for the sharded dataset store's write
+// and streaming-aggregation paths.
 //
 // Durability: internal/persist backs the store with a segmented,
 // CRC-framed write-ahead log and atomic snapshots, so cmd/iqbserver

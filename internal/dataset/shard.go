@@ -204,8 +204,9 @@ func (c *metricCell) merge(other *metricCell, cutover int, alpha float64) error 
 // cellAccum accumulates matching metric cells for one quantile answer:
 // exact values while every contributing cell is below the cutover, a
 // merged DDSketch as soon as any has promoted. It is the shared read
-// side of the cell design, used by Store.AggregateCount,
-// Store.groupAggregateCells, and Sketcher.Quantile.
+// side of the cell design, used by Store.AggregateCells,
+// Store.groupAggregateCells, and Sketcher.Quantile. The exact values are
+// the accumulator's own copies, which quantile reorders.
 type cellAccum struct {
 	count  int
 	exact  []float64
@@ -232,8 +233,8 @@ func (a *cellAccum) add(c *metricCell, alpha float64) error {
 func (a *cellAccum) quantile(q01, pct float64) (float64, error) {
 	if a.merged == nil {
 		// Every contributing cell is still exact: answer bit-identically
-		// to a full scan.
-		return stats.Percentile(a.exact, pct)
+		// to a full scan, selecting in place on the values add copied.
+		return stats.PercentileInPlace(a.exact, pct, stats.Linear)
 	}
 	for _, x := range a.exact {
 		a.merged.Add(x)

@@ -26,13 +26,13 @@ const sketcherStripes = 32
 // # Determinism
 //
 // Every answer a Sketcher gives is a pure function of the ingested value
-// multiset, never of arrival order: exact cells sort before computing
-// percentiles, and promoted cells are DDSketches, whose bucket-count
-// state is order-independent by construction. Quantile is stable across
-// repeated calls, and two sketchers built from the same records — in any
-// order, across any number of workers, joined by Merge in any order —
-// answer bit-identically. RunStreaming's fixed-seed determinism contract
-// leans on this.
+// multiset, never of arrival order: exact percentiles select the order
+// statistics a sort would, and promoted cells are DDSketches, whose
+// bucket-count state is order-independent by construction. Quantile is
+// stable across repeated calls, and two sketchers built from the same
+// records — in any order, across any number of workers, joined by Merge
+// in any order — answer bit-identically. RunStreaming's fixed-seed
+// determinism contract leans on this.
 //
 // Cells are lock-striped by hash(dataset, region), so concurrent
 // ingestion for different regions never contends; a shared-nothing
@@ -191,7 +191,7 @@ func (s *Sketcher) Quantile(ds, regionPrefix string, m Metric, q float64) (float
 			if regionPrefix != "" && !regionMatch(regionPrefix, k.region) {
 				continue
 			}
-			//iqbvet:ignore maprange cellAccum is order-independent: exact values are sorted at quantile time, sketch merges are commutative
+			//iqbvet:ignore maprange cellAccum is order-independent: exact percentiles select an order statistic, sketch merges are commutative
 			if err := acc.add(c, s.alpha); err != nil {
 				st.mu.RUnlock()
 				return 0, 0, err

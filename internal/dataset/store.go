@@ -72,11 +72,12 @@ type Options struct {
 // # Determinism
 //
 // Every aggregate the store serves is a pure function of the record
-// multiset, never of arrival order: exact paths sort before computing
-// percentiles, and the sketch path uses DDSketch, whose bucket-count
-// state is order-independent by construction. Concurrent writers —
-// any number of them, interleaved any way — therefore produce a store
-// whose Aggregate/Summary/GroupAggregate answers are bit-identical.
+// multiset, never of arrival order: exact percentiles select the order
+// statistics a sort would, and the sketch path uses DDSketch, whose
+// bucket-count state is order-independent by construction. Concurrent
+// writers — any number of them, interleaved any way — therefore produce
+// a store whose Aggregate/Summary/GroupAggregate answers are
+// bit-identical.
 // The pipeline's fixed-seed determinism guarantee leans on this.
 //
 // The store is safe for concurrent use; reads never block other reads.
@@ -621,35 +622,82 @@ func (s *Store) AggregateCount(f Filter, m Metric, q float64) (float64, int, err
 	}
 	if !sketchServable(f, m) {
 		vals := s.Values(f, m)
-		v, err := stats.Percentile(vals, q)
+		v, err := stats.PercentileInPlace(vals, q, stats.Linear)
 		return v, len(vals), err
 	}
-	var acc cellAccum
+	a := s.AggregateCells(f, []CellQuery{{Dataset: f.Dataset, Metric: m, Q: q}})[0]
+	return a.Value, a.Count, a.Err
+}
+
+// CellQuery names one aggregate of a cell-indexed filter: the Q-th
+// percentile (Q in [0, 100]) of Metric over the records of Dataset (""
+// for every dataset).
+type CellQuery struct {
+	Dataset string
+	Metric  Metric
+	Q       float64
+}
+
+// CellAnswer is AggregateCount's result for one CellQuery. Err is
+// stats.ErrNoData when no record carries the metric.
+type CellAnswer struct {
+	Value float64
+	Count int
+	Err   error
+}
+
+// AggregateCells answers every query over the region scope of f in one
+// walk of the per-(dataset, region, metric) cell index. f must be
+// cell-indexed (Filter.CellIndexed); its Dataset and HasMetric are
+// ignored, since each query names its own. Answer i equals
+// AggregateCount(f, qs[i].Metric, qs[i].Q) with f.Dataset = qs[i].Dataset
+// and f.HasMetric = [qs[i].Metric], bit for bit: the walk feeds each
+// query's cells to its own accumulator, and an accumulator's answer does
+// not depend on the order its cells arrive in.
+func (s *Store) AggregateCells(f Filter, qs []CellQuery) []CellAnswer {
+	out := make([]CellAnswer, len(qs))
+	if !f.CellIndexed() {
+		for i := range out {
+			out[i].Err = fmt.Errorf("dataset: filter is not cell-indexed (ASN or time bounds set)")
+		}
+		return out
+	}
+	accs := make([]cellAccum, len(qs))
+	for i, q := range qs {
+		if q.Q < 0 || q.Q > 100 || math.IsNaN(q.Q) {
+			out[i].Err = fmt.Errorf("dataset: percentile %v out of [0,100]", q.Q)
+		}
+	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for k, c := range sh.cells {
-			if k.metric != m {
-				continue
-			}
-			if f.Dataset != "" && k.dataset != f.Dataset {
-				continue
-			}
 			if f.RegionPrefix != "" && !regionMatch(f.RegionPrefix, k.region) {
 				continue
 			}
-			//iqbvet:ignore maprange cellAccum is order-independent: exact values are sorted at quantile time, sketch merges are commutative
-			if err := acc.add(c, s.alpha); err != nil {
-				sh.mu.RUnlock()
-				return 0, 0, err
+			for i := range qs {
+				q := &qs[i]
+				if q.Metric != k.metric || (q.Dataset != "" && q.Dataset != k.dataset) || out[i].Err != nil {
+					continue
+				}
+				//iqbvet:ignore maprange cellAccum is order-independent: exact percentiles select an order statistic, sketch merges are commutative
+				if err := accs[i].add(c, s.alpha); err != nil {
+					out[i].Err = err
+				}
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	if acc.count == 0 {
-		return 0, 0, stats.ErrNoData
+	for i, q := range qs {
+		switch a := &accs[i]; {
+		case out[i].Err != nil:
+		case a.count == 0:
+			out[i].Err = stats.ErrNoData
+		default:
+			out[i].Value, out[i].Err = a.quantile(q.Q/100, q.Q)
+			out[i].Count = a.count
+		}
 	}
-	v, err := acc.quantile(q/100, q)
-	return v, acc.count, err
+	return out
 }
 
 // Summary computes descriptive statistics of metric m over records
@@ -725,7 +773,7 @@ func (s *Store) GroupAggregate(f Filter, key GroupKey, m Metric, q float64) ([]G
 	}
 	out := make([]Group, 0, len(buckets))
 	for k, vals := range buckets {
-		p, err := stats.Percentile(vals, q)
+		p, err := stats.PercentileInPlace(vals, q, stats.Linear)
 		if err != nil {
 			return nil, err
 		}

@@ -87,7 +87,7 @@ func TestDuplicateAcrossRegionsRejected(t *testing.T) {
 
 // TestConcurrentBatchesAndQueries is the race-detector workout: parallel
 // AddBatch and Add writers against Select/Gather/Count/Aggregate/
-// GroupAggregate/Summary/TimeBounds readers.
+// AggregateCells/GroupAggregate/Summary/TimeBounds readers.
 func TestConcurrentBatchesAndQueries(t *testing.T) {
 	s := NewStoreWith(Options{Shards: 8, SketchCutover: 64})
 	const (
@@ -135,6 +135,10 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 				}
 				s.Count(Filter{Dataset: "ndt"})
 				s.Aggregate(Filter{Dataset: "ndt", RegionPrefix: "XA"}, Download, 95)
+				s.AggregateCells(Filter{RegionPrefix: "XA-01"}, []CellQuery{
+					{Dataset: "ndt", Metric: Download, Q: 95},
+					{Metric: Download, Q: 5},
+				})
 				s.GroupAggregate(Filter{}, ByRegion, Download, 50)
 				s.Summary(Filter{ASN: 1}, Download)
 				s.TimeBounds(Filter{})

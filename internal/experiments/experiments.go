@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the IQB
-// poster plus the extension experiments from DESIGN.md (E1-E8). Each
+// poster (PAPER.md) plus the extension experiments E1-E8. Each
 // experiment writes its artifact to an io.Writer; cmd/experiments wraps
 // them as a CLI and bench_test.go wraps them as benchmarks.
 package experiments

@@ -326,6 +326,50 @@ func TestTimeSeriesErrors(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesWindowCap: a window so narrow that the series would
+// exceed iqb.MaxWindows points is refused with 400 before any scoring,
+// while the default daily window over the same week still answers.
+func TestTimeSeriesWindowCap(t *testing.T) {
+	store, db := buildWorld(t)
+	// Stretch the urban county's records over six days, so daily windows
+	// give seven points and millisecond windows ~5e8.
+	late := time.Date(2025, 6, 7, 12, 0, 0, 0, time.UTC)
+	for _, ds := range []string{"ndt", "cloudflare", "ookla"} {
+		rec := dataset.NewRecord("late", ds, "XA-01-001", late)
+		rec.SetValue(dataset.Download, 300)
+		rec.SetValue(dataset.Upload, 80)
+		rec.SetValue(dataset.Latency, 12)
+		if err := store.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := New(iqb.DefaultConfig(), store, db, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Get(ts.URL + "/v1/timeseries?region=XA-01-001&window=1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "too many windows") {
+		t.Errorf("window=1ms: status %d body %s, want 400 naming the window limit", resp.StatusCode, body)
+	}
+
+	c := &Client{BaseURL: ts.URL}
+	series, err := c.TimeSeries(context.Background(), "XA-01-001", 24*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series.Points) != 7 {
+		t.Errorf("window=24h: %d points, want 7", len(series.Points))
+	}
+}
+
 func TestHourlyEndpoint(t *testing.T) {
 	ts := newAPIServer(t)
 	c := &Client{BaseURL: ts.URL}

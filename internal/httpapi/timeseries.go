@@ -27,7 +27,8 @@ type TimeSeriesResponse struct {
 }
 
 // handleTimeSeries serves /v1/timeseries?region=R[&window=24h]. The
-// series spans the store's record time bounds for the region.
+// series spans the store's record time bounds for the region; a window
+// so narrow that the series would exceed iqb.MaxWindows points is a 400.
 func (s *Server) handleTimeSeries(w http.ResponseWriter, r *http.Request) {
 	region := r.URL.Query().Get("region")
 	if region == "" {
@@ -53,6 +54,10 @@ func (s *Server) handleTimeSeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	points, err := s.cfg.ScoreWindows(s.store, region, from, to.Add(time.Nanosecond), window)
+	if errors.Is(err, iqb.ErrTooManyWindows) {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if err != nil {
 		s.log.Error("timeseries", "region", region, "err", err)
 		writeError(w, http.StatusInternalServerError, "time series failed")

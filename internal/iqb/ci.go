@@ -79,7 +79,7 @@ func (c Config) ScoreRegionCI(store *dataset.Store, region string, from, to time
 			for i := range sample {
 				sample[i] = cl.vals[src.Intn(len(cl.vals))]
 			}
-			p, err := stats.Percentile(sample, c.effectivePercentile(cl.r))
+			p, err := stats.PercentileInPlace(sample, c.effectivePercentile(cl.r), stats.Linear)
 			if err != nil {
 				return ScoreCI{}, fmt.Errorf("iqb: bootstrap percentile: %w", err)
 			}

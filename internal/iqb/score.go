@@ -284,10 +284,10 @@ func (c Config) scoreAggregates(agg *Aggregates) (Score, error) {
 // any combination.
 //
 // Region-scoped filters are answered from the store's per-(dataset,
-// region, metric) sketch cells without materializing values. Filters the
-// cells cannot express (ASN, time windows) read the matching records
-// once and gather every (dataset, requirement) cell from that one scan,
-// exactly.
+// region, metric) sketch cells in one walk of the cell index, without
+// materializing record values. Filters the cells cannot express (ASN,
+// time windows) read the matching records once and gather every
+// (dataset, requirement) cell from that one scan, exactly.
 func (c Config) AggregateFiltered(store *dataset.Store, base dataset.Filter) (*Aggregates, error) {
 	if store == nil {
 		return nil, fmt.Errorf("iqb: nil store")
@@ -300,21 +300,22 @@ func (c Config) AggregateFiltered(store *dataset.Store, base dataset.Filter) (*A
 		}
 		return c.aggregateValues(cv)
 	}
-	agg := NewAggregates()
+	var qs []dataset.CellQuery
 	for _, d := range c.Datasets {
 		for _, r := range d.Capabilities {
-			f := base
-			f.Dataset = d.Name
-			f.HasMetric = []Requirement{r}
-			p, n, err := store.AggregateCount(f, r, c.effectivePercentile(r))
-			if errors.Is(err, stats.ErrNoData) {
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("iqb: aggregating %s/%v: %w", d.Name, r, err)
-			}
-			agg.Set(d.Name, r, p, n)
+			qs = append(qs, dataset.CellQuery{Dataset: d.Name, Metric: r, Q: c.effectivePercentile(r)})
 		}
+	}
+	agg := NewAggregates()
+	for i, a := range store.AggregateCells(base, qs) {
+		q := qs[i]
+		if errors.Is(a.Err, stats.ErrNoData) {
+			continue
+		}
+		if a.Err != nil {
+			return nil, fmt.Errorf("iqb: aggregating %s/%v: %w", q.Dataset, q.Metric, a.Err)
+		}
+		agg.Set(q.Dataset, q.Metric, a.Value, a.Count)
 	}
 	return agg, nil
 }
@@ -359,8 +360,9 @@ func (cv cellValues) reset() {
 }
 
 // aggregateValues takes the configured percentile of every non-empty
-// cell. The exact percentile does not depend on value order, so the
-// result equals a per-cell store scan's.
+// cell, selecting in place, so it reorders each cell's values. The exact
+// percentile does not depend on value order, so the result equals a
+// per-cell store scan's.
 func (c Config) aggregateValues(cv cellValues) (*Aggregates, error) {
 	agg := NewAggregates()
 	for i, d := range c.Datasets {
@@ -369,7 +371,7 @@ func (c Config) aggregateValues(cv cellValues) (*Aggregates, error) {
 			if len(vals) == 0 {
 				continue
 			}
-			p, err := stats.Percentile(vals, c.effectivePercentile(r))
+			p, err := stats.PercentileInPlace(vals, c.effectivePercentile(r), stats.Linear)
 			if err != nil {
 				return nil, fmt.Errorf("iqb: aggregating %s/%v: %w", d.Name, r, err)
 			}

@@ -51,7 +51,7 @@ type Thresholds map[UseCase]map[Requirement]Band
 // DefaultThresholds returns the repository's default threshold table.
 //
 // The poster presents these values only as a figure; the numbers here
-// are the documented substitution from DESIGN.md, drawn from the
+// are this repository's substitution (see PAPER.md), drawn from the
 // consumer broadband label literature the poster cites (Cranor et al.)
 // and FCC/ITU application-requirement guidance. Throughputs are Mbit/s
 // lower bounds, latency is a milliseconds upper bound, loss is a

@@ -59,9 +59,21 @@ type TimePoint struct {
 	NoData bool `json:"no_data,omitempty"`
 }
 
+// MaxWindows caps the number of windows in one ScoreWindows series: a
+// year of hourly windows or a week of 10-second ones fits under it, a
+// week of 1-second windows does not, nor one of millisecond windows
+// (about 6e8 points).
+const MaxWindows = 100000
+
+// ErrTooManyWindows marks a series whose span divided by its window
+// width exceeds MaxWindows.
+var ErrTooManyWindows = errors.New("iqb: too many windows")
+
 // ScoreWindows scores a region over consecutive windows of the given
 // width between start and end, returning one point per window. Windows
 // without usable data are marked NoData rather than failing the series.
+// A series of more than MaxWindows windows fails with ErrTooManyWindows
+// before reading the store.
 //
 // The region's records in [start, end) are read from the store once,
 // ordered by window and swept through one reused set of cells, so a
@@ -73,6 +85,12 @@ func (c Config) ScoreWindows(store *dataset.Store, region string, start, end tim
 	}
 	if !start.Before(end) {
 		return nil, fmt.Errorf("iqb: start %v not before end %v", start, end)
+	}
+	// The division saturates rather than overflows: Sub clamps to the
+	// largest Duration.
+	span := end.Sub(start)
+	if n := span / window; n > MaxWindows || (n == MaxWindows && span%window != 0) {
+		return nil, fmt.Errorf("%w: %v over windows of %v exceeds %d", ErrTooManyWindows, span, window, MaxWindows)
 	}
 	if store == nil {
 		return nil, fmt.Errorf("iqb: nil store")

@@ -1,6 +1,7 @@
 package iqb
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -188,4 +189,28 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf)
+}
+
+// TestScoreWindowsCap: a series of more than MaxWindows windows fails
+// with ErrTooManyWindows before touching the store; exactly MaxWindows
+// is allowed.
+func TestScoreWindowsCap(t *testing.T) {
+	cfg := DefaultConfig()
+	store := dataset.NewStore()
+	start := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
+	end := start.Add(MaxWindows * time.Millisecond)
+	points, err := cfg.ScoreWindows(store, "XA", start, end, time.Millisecond)
+	if err != nil || len(points) != MaxWindows {
+		t.Fatalf("MaxWindows windows: %d points, err %v", len(points), err)
+	}
+	for _, e := range []time.Time{end.Add(time.Nanosecond), start.Add(7 * 24 * time.Hour)} {
+		if _, err := cfg.ScoreWindows(store, "XA", start, e, time.Millisecond); !errors.Is(err, ErrTooManyWindows) {
+			t.Errorf("span %v of 1ms windows: err = %v, want ErrTooManyWindows", e.Sub(start), err)
+		}
+	}
+	// A span past the largest Duration saturates instead of wrapping.
+	far := start.AddDate(400, 0, 0)
+	if _, err := cfg.ScoreWindows(store, "XA", start, far, time.Nanosecond); !errors.Is(err, ErrTooManyWindows) {
+		t.Errorf("400-year span: err = %v, want ErrTooManyWindows", err)
+	}
 }

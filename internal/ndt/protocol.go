@@ -5,10 +5,10 @@
 // conditions rather than the loopback interface.
 //
 // It substitutes for the M-Lab NDT dataset in the IQB framework (see
-// DESIGN.md): the record schema and the single-saturating-stream
-// methodology match NDT; only the wire underneath is emulated. A fast
-// Simulate path produces statistically equivalent results without
-// sockets for bulk dataset generation.
+// README.md and PAPER.md): the record schema and the
+// single-saturating-stream methodology match NDT; only the wire
+// underneath is emulated. A fast Simulate path produces statistically
+// equivalent results without sockets for bulk dataset generation.
 package ndt
 
 import (
