@@ -312,7 +312,7 @@ func BenchmarkStoreAddParallel(b *testing.B) {
 }
 
 // BenchmarkStoreAggregateSketch measures a quantile served from the
-// streaming sketch index (cells promoted past the cutover), versus
+// store's cell index (cells promoted past the cutover), versus
 // BenchmarkStoreAggregateExact, the same query forced down the exact
 // materialize-and-sort fallback. The gap is the streaming speedup.
 func BenchmarkStoreAggregateSketch(b *testing.B) {
@@ -350,18 +350,20 @@ func BenchmarkStoreAggregateExact(b *testing.B) {
 }
 
 // BenchmarkSketcherIngestParallel measures contended streaming ingestion
-// into the lock-striped sketcher — the RunStreaming hot path. Records
-// spread over regions land in different stripes, so writers should
-// scale with cores instead of serializing on one sketch lock.
+// into the lock-striped sketcher in one-record batches, the worst case
+// for its per-batch stripe grouping (RunStreaming's workers hand it
+// 256-record batches). Records spread over regions land in different
+// stripes, so writers should scale with cores instead of serializing on
+// one sketch lock.
 func BenchmarkSketcherIngestParallel(b *testing.B) {
 	recs := benchRecords(1 << 16)
-	sk := dataset.NewSketcher(0)
+	sk := dataset.NewSketcher()
 	var next int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if err := sk.Ingest(recs[i%len(recs)]); err != nil {
+			i := int(atomic.AddInt64(&next, 1)-1) % len(recs)
+			if err := sk.Ingest(recs[i : i+1]); err != nil {
 				// b.Fatal must not run on a RunParallel worker goroutine.
 				b.Error(err)
 				return

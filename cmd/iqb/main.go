@@ -97,7 +97,7 @@ func loadData(paths string) (*dataset.Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("reading %s: %w", path, err)
 		}
-		if err := store.AddAll(records); err != nil {
+		if err := store.AddBatch(records); err != nil {
 			return nil, fmt.Errorf("loading %s: %w", path, err)
 		}
 	}

@@ -4,7 +4,7 @@
 // under cmd/ and examples/; this package holds the repository-level
 // benchmark suite (bench_test.go) that regenerates every table and
 // figure plus micro-benchmarks for the sharded dataset store's write
-// and streaming-aggregation paths.
+// path and its cell index, the Sketcher that also serves streaming runs.
 //
 // Durability: internal/persist backs the store with a segmented,
 // CRC-framed write-ahead log and atomic snapshots, so cmd/iqbserver

@@ -77,7 +77,7 @@ func simulateCounty(label string, mix netem.TechMix, nSubs int, seed uint64) (iq
 	if err != nil {
 		return iqb.Score{}, iqb.Score{}, err
 	}
-	if err := store.AddAll(aggs); err != nil {
+	if err := store.AddBatch(aggs); err != nil {
 		return iqb.Score{}, iqb.Score{}, err
 	}
 	high, err := cfg.ScoreRegion(store, "POLICY", time.Time{}, time.Time{})

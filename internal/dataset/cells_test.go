@@ -5,18 +5,27 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"iqb/internal/stats"
 )
 
-// cellsWorld fills a store with three datasets over two countries, their
-// states and counties. Counties get different record counts, so under a
-// small cutover some cells promote and some stay exact, and a scope can
-// mix both. Ookla records carry no loss, like the real dataset.
+// cellsWorld fills a store with cellsRecords.
 func cellsWorld(t *testing.T, o Options) *Store {
 	t.Helper()
 	s := NewStoreWith(o)
+	if err := s.AddBatch(cellsRecords()); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// cellsRecords builds three datasets over two countries, their states
+// and counties. Counties get different record counts, so under a small
+// cutover some cells promote and some stay exact, and a scope can mix
+// both. Ookla records carry no loss, like the real dataset.
+func cellsRecords() []Record {
 	src := rand.New(rand.NewSource(61))
 	var batch []Record
 	for c, country := range []string{"XA", "XB"} {
@@ -43,10 +52,7 @@ func cellsWorld(t *testing.T, o Options) *Store {
 			}
 		}
 	}
-	if err := s.AddBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return batch
 }
 
 // cellQueries is every (dataset, metric, percentile) query the scoring
@@ -74,8 +80,7 @@ func TestAggregateCellsMatchesAggregateCount(t *testing.T) {
 		s := cellsWorld(t, o)
 		qs := cellQueries()
 		for _, prefix := range prefixes {
-			// AggregateCells ignores the filter's Dataset and HasMetric.
-			got := s.AggregateCells(Filter{RegionPrefix: prefix, Dataset: "ookla", HasMetric: []Metric{Loss}}, qs)
+			got := s.Sketcher().AggregateCells(prefix, qs)
 			if len(got) != len(qs) {
 				t.Fatalf("%d answers for %d queries", len(got), len(qs))
 			}
@@ -112,7 +117,7 @@ func TestAggregateCellsMatchesScan(t *testing.T) {
 		s := cellsWorld(t, o)
 		qs := cellQueries()
 		for _, prefix := range []string{"", "XA", "XA-02", "XB-01-002"} {
-			got := s.AggregateCells(Filter{RegionPrefix: prefix}, qs)
+			got := s.Sketcher().AggregateCells(prefix, qs)
 			for i, q := range qs {
 				if got[i].Err != nil {
 					continue
@@ -152,7 +157,7 @@ func TestAggregateCellsMatchesScan(t *testing.T) {
 func TestAggregateCellsErrors(t *testing.T) {
 	s := cellsWorld(t, Options{})
 	qs := []CellQuery{{Metric: Download, Q: 95}, {Metric: Download, Q: 101}, {Metric: Latency, Q: math.NaN()}}
-	got := s.AggregateCells(Filter{RegionPrefix: "XA"}, qs)
+	got := s.Sketcher().AggregateCells("XA", qs)
 	if got[0].Err != nil || got[0].Count == 0 {
 		t.Errorf("valid query: %+v", got[0])
 	}
@@ -161,14 +166,43 @@ func TestAggregateCellsErrors(t *testing.T) {
 			t.Errorf("out-of-range percentile should error: %+v", a)
 		}
 	}
-	for _, f := range []Filter{{ASN: 1}, {From: t0}, {To: t0}} {
-		for _, a := range s.AggregateCells(f, qs[:1]) {
-			if a.Err == nil {
-				t.Errorf("filter %+v is not cell-indexed, want an error", f)
+	if got := s.Sketcher().AggregateCells("", nil); len(got) != 0 {
+		t.Errorf("no queries: %d answers", len(got))
+	}
+}
+
+// TestStoreCellsMatchStandaloneSketcher pins that a store's cell index
+// is a Sketcher and nothing more: a store and a standalone sketcher fed
+// the same records — the sketcher in reverse order and in uneven batches
+// — answer every query bit-identically over every region scope, with
+// promoted cells and with the default cutover.
+func TestStoreCellsMatchStandaloneSketcher(t *testing.T) {
+	recs := cellsRecords()
+	for _, cutover := range []int{30, DefaultSketchCutover} {
+		s := cellsWorld(t, Options{SketchCutover: cutover})
+		sk := newSketcher(DefaultShards, cutover, stats.DefaultDDSketchAlpha)
+		rev := slices.Clone(recs)
+		slices.Reverse(rev)
+		for len(rev) > 0 {
+			n := min(len(rev), 97)
+			if err := sk.Ingest(rev[:n]); err != nil {
+				t.Fatal(err)
+			}
+			rev = rev[n:]
+		}
+		if s.Sketcher().Cells() != sk.Cells() {
+			t.Fatalf("cutover %d: store has %d cells, sketcher %d", cutover, s.Sketcher().Cells(), sk.Cells())
+		}
+		qs := cellQueries()
+		for _, prefix := range []string{"", "XA", "XB", "XA-01", "XB-02", "XA-01-001", "XB-02-003", "XC"} {
+			want := sk.AggregateCells(prefix, qs)
+			for i, a := range s.Sketcher().AggregateCells(prefix, qs) {
+				w := want[i]
+				if math.Float64bits(a.Value) != math.Float64bits(w.Value) || a.Count != w.Count || (a.Err == nil) != (w.Err == nil) {
+					t.Fatalf("cutover %d prefix %q %+v: store (%v, %d, %v), sketcher (%v, %d, %v)",
+						cutover, prefix, qs[i], a.Value, a.Count, a.Err, w.Value, w.Count, w.Err)
+				}
 			}
 		}
-	}
-	if got := s.AggregateCells(Filter{}, nil); len(got) != 0 {
-		t.Errorf("no queries: %d answers", len(got))
 	}
 }

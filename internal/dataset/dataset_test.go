@@ -111,7 +111,7 @@ func fill(t *testing.T) *Store {
 		rec("c1", "cloudflare", "XA-01-001", 64500, 90, 9, 25, 0.002),
 		rec("o1", "ookla", "XA-02-001", 64501, 200, 20, 15, nan), // no loss
 	}
-	if err := s.AddAll(records); err != nil {
+	if err := s.AddBatch(records); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -134,10 +134,10 @@ func TestStoreAdd(t *testing.T) {
 	if err := s.Add(Record{}); err == nil {
 		t.Error("invalid record should error")
 	}
-	// AddAll surfaces position.
-	err := s.AddAll([]Record{rec("x1", "ndt", "XA", 0, 1, nan, nan, nan), {}})
+	// AddBatch surfaces position.
+	err := s.AddBatch([]Record{rec("x1", "ndt", "XA", 0, 1, nan, nan, nan), {}})
 	if err == nil || !strings.Contains(err.Error(), "record 2 of 2") {
-		t.Errorf("AddAll error = %v", err)
+		t.Errorf("AddBatch error = %v", err)
 	}
 }
 
@@ -216,7 +216,7 @@ func TestFilterTimeRange(t *testing.T) {
 	early.Time = t0.Add(-time.Hour)
 	late := rec("b", "ndt", "XA", 0, 2, nan, nan, nan)
 	late.Time = t0.Add(time.Hour)
-	if err := s.AddAll([]Record{early, late}); err != nil {
+	if err := s.AddBatch([]Record{early, late}); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.Count(Filter{From: t0}); n != 1 {
@@ -462,7 +462,7 @@ func TestTimeBounds(t *testing.T) {
 	early.Time = t0.Add(-time.Hour)
 	late := rec("b", "ndt", "XA", 0, 2, nan, nan, nan)
 	late.Time = t0.Add(time.Hour)
-	if err := s.AddAll([]Record{early, late}); err != nil {
+	if err := s.AddBatch([]Record{early, late}); err != nil {
 		t.Fatal(err)
 	}
 	min, max, ok := s.TimeBounds(Filter{})

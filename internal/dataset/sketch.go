@@ -3,45 +3,41 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"iqb/internal/stats"
 )
 
-// sketcherStripes is the number of lock stripes a Sketcher spreads its
-// cells over — the same geometry argument as the store's shard count:
-// enough stripes that concurrent writers for different (dataset, region)
-// pairs essentially never contend.
-const sketcherStripes = 32
-
-// Sketcher is the memory-bounded ingestion path: instead of retaining
-// raw records it folds each metric into a per-(dataset, region, metric)
-// cell, the same cell design the store's streaming aggregation index
-// uses — exact up to a cutover, then promoted to an order-independent
-// stats.DDSketch. Region hierarchy queries merge the cells of matching
-// regions, so percentile aggregates remain available at any level
-// without raw data — the mode a production IQB deployment ingesting
-// millions of tests per day would run in.
+// Sketcher is the per-(dataset, region, metric) cell index: each metric
+// value is folded into the cell of its record's (dataset, region), and
+// the records themselves are not retained. Cells are exact up to a
+// cutover, then promote to an order-independent stats.DDSketch, so
+// percentile queries at any level of the region hierarchy merge the
+// matching cells without materializing values.
+//
+// A Store keeps one Sketcher as its aggregation index and folds every
+// committed batch into it; pipeline.RunStreaming feeds one directly, the
+// mode a deployment ingesting archives too large to hold would run in.
+// Both therefore answer from the same cells.
 //
 // # Determinism
 //
 // Every answer a Sketcher gives is a pure function of the ingested value
 // multiset, never of arrival order: exact percentiles select the order
 // statistics a sort would, and promoted cells are DDSketches, whose
-// bucket-count state is order-independent by construction. Quantile is
-// stable across repeated calls, and two sketchers built from the same
-// records — in any order, across any number of workers, joined by Merge
-// in any order — answer bit-identically. RunStreaming's fixed-seed
-// determinism contract leans on this.
+// bucket-count state is order-independent by construction. Answers are
+// stable across repeated calls, and two sketchers fed the same records —
+// in any order, by any number of concurrent writers — answer
+// bit-identically.
 //
-// Cells are lock-striped by hash(dataset, region), so concurrent
-// ingestion for different regions never contends; a shared-nothing
-// pipeline can instead run one Sketcher per worker and Merge at the
-// join, touching no locks at all on the hot path.
+// Cells are lock-striped by hash(dataset, region), so concurrent writers
+// for different regions essentially never contend, and all of a record's
+// cells sit behind one stripe lock.
 type Sketcher struct {
 	cutover int
 	alpha   float64
-	stripes [sketcherStripes]sketchStripe
+	stripes []sketchStripe
 }
 
 // sketchStripe is one lock stripe of a Sketcher's cell map.
@@ -50,75 +46,75 @@ type sketchStripe struct {
 	cells map[cellKey]*metricCell
 }
 
-// NewSketcher returns a sketcher with the given DDSketch relative
-// accuracy (values outside (0, 1) select stats.DefaultDDSketchAlpha) and
-// the store's default exact-cell cutover.
-func NewSketcher(alpha float64) *Sketcher {
-	return NewSketcherWith(Options{SketchAlpha: alpha})
+// NewSketcher returns an empty sketcher with the store's default
+// geometry: DefaultShards stripes, DefaultSketchCutover exact values per
+// cell, and stats.DefaultDDSketchAlpha relative accuracy once promoted.
+func NewSketcher() *Sketcher {
+	return newSketcher(DefaultShards, DefaultSketchCutover, stats.DefaultDDSketchAlpha)
 }
 
-// NewSketcherWith returns a sketcher with explicit cell options. Only
-// SketchCutover and SketchAlpha are consulted; the zero value selects
-// all defaults.
-func NewSketcherWith(o Options) *Sketcher {
-	if o.SketchCutover <= 0 {
-		o.SketchCutover = DefaultSketchCutover
-	}
-	if o.SketchAlpha <= 0 || o.SketchAlpha >= 1 || math.IsNaN(o.SketchAlpha) {
-		o.SketchAlpha = stats.DefaultDDSketchAlpha
-	}
-	s := &Sketcher{cutover: o.SketchCutover, alpha: o.SketchAlpha}
+// newSketcher returns an empty sketcher with validated geometry.
+func newSketcher(stripes, cutover int, alpha float64) *Sketcher {
+	s := &Sketcher{cutover: cutover, alpha: alpha, stripes: make([]sketchStripe, stripes)}
 	for i := range s.stripes {
 		s.stripes[i].cells = make(map[cellKey]*metricCell)
 	}
 	return s
 }
 
-// Alpha returns the DDSketch relative accuracy the sketcher's cells
-// promote to.
-func (s *Sketcher) Alpha() float64 { return s.alpha }
-
-func (s *Sketcher) stripeFor(ds, region string) *sketchStripe {
-	return &s.stripes[fnv64a(ds, region)%sketcherStripes]
+// groupByStripe files the index of every record of rs in by under
+// hash(dataset, region) modulo n — its stripe in a Sketcher with n
+// stripes, and its shard in a Store with n shards. The caller makes by,
+// so the map can stay on its stack.
+func groupByStripe(by map[uint64][]int, rs []Record, n int) {
+	for i := range rs {
+		si := fnv64a(rs[i].Dataset, rs[i].Region) % uint64(n)
+		by[si] = append(by[si], i)
+	}
 }
 
-// Ingest folds one record into the sketch. The record is validated. All
-// of a record's metrics land in the same stripe, so ingestion takes one
-// lock per record.
-func (s *Sketcher) Ingest(r Record) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	st := s.stripeFor(r.Dataset, r.Region)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, m := range AllMetrics() {
-		v, ok := r.Value(m)
-		if !ok {
-			continue
-		}
-		k := cellKey{dataset: r.Dataset, region: r.Region, metric: m}
-		c := st.cells[k]
-		if c == nil {
-			c = &metricCell{}
-			st.cells[k] = c
-		}
-		c.add(v, s.cutover, s.alpha)
-	}
-	return nil
-}
-
-// IngestAll folds a batch, stopping at the first error.
-func (s *Sketcher) IngestAll(rs []Record) error {
-	for i, r := range rs {
-		if err := s.Ingest(r); err != nil {
+// Ingest validates every record of rs and then folds the batch in,
+// locking each touched stripe once. A batch with an invalid record is
+// rejected whole and leaves the sketcher unchanged.
+func (s *Sketcher) Ingest(rs []Record) error {
+	for i := range rs {
+		if err := rs[i].Validate(); err != nil {
 			return fmt.Errorf("dataset: sketching record %d of %d: %w", i+1, len(rs), err)
 		}
 	}
+	byStripe := make(map[uint64][]int)
+	groupByStripe(byStripe, rs, len(s.stripes))
+	for si, idxs := range byStripe {
+		s.fold(si, rs, idxs)
+	}
 	return nil
 }
 
-// Cells reports the number of (dataset, region, metric) sketch cells.
+// fold adds the metric values of rs[i], for every i in idxs, to the
+// cells of stripe si. The records must be valid and stripe to si.
+func (s *Sketcher) fold(si uint64, rs []Record, idxs []int) {
+	st := &s.stripes[si]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, i := range idxs {
+		r := &rs[i]
+		for _, m := range AllMetrics() {
+			v, ok := r.Value(m)
+			if !ok {
+				continue
+			}
+			k := cellKey{dataset: r.Dataset, region: r.Region, metric: m}
+			c := st.cells[k]
+			if c == nil {
+				c = &metricCell{}
+				st.cells[k] = c
+			}
+			c.add(v, s.cutover, s.alpha)
+		}
+	}
+}
+
+// Cells reports the number of (dataset, region, metric) cells.
 func (s *Sketcher) Cells() int {
 	n := 0
 	for i := range s.stripes {
@@ -130,81 +126,191 @@ func (s *Sketcher) Cells() int {
 	return n
 }
 
-// Merge folds every cell of other into s; other is unchanged. Both
-// sketchers must share the same cell geometry (cutover and alpha), so
-// merged cells are bit-identical to cells built by a single sketcher
-// ingesting the union of the records. Merge may run concurrently with
-// Ingest and Quantile on either sketcher, but two sketchers must not be
-// merged into each other concurrently.
-func (s *Sketcher) Merge(other *Sketcher) error {
-	if other == nil || other == s {
-		return nil
-	}
-	if other.alpha != s.alpha || other.cutover != s.cutover {
-		return fmt.Errorf("dataset: merging sketchers with different cell geometry (alpha %v/%v, cutover %d/%d)",
-			s.alpha, other.alpha, s.cutover, other.cutover)
-	}
-	// Both sketchers stripe by the same hash over the same stripe count,
-	// so every cell of other.stripes[i] lands in s.stripes[i]: one lock
-	// pair per stripe instead of per cell.
-	for i := range other.stripes {
-		ost, st := &other.stripes[i], &s.stripes[i]
-		ost.mu.RLock()
-		st.mu.Lock()
-		for k, oc := range ost.cells {
-			c := st.cells[k]
-			if c == nil {
-				c = &metricCell{}
-				st.cells[k] = c
-			}
-			if err := c.merge(oc, s.cutover, s.alpha); err != nil {
-				st.mu.Unlock()
-				ost.mu.RUnlock()
-				return err
-			}
-		}
-		st.mu.Unlock()
-		ost.mu.RUnlock()
-	}
-	return nil
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of metric m for dataset
-// ds across the region prefix, along with the total sample count it was
-// computed from. Cells of all regions under the prefix are merged; while
-// every contributing cell is still exact the answer is bit-identical to
-// a full scan, and once cells have promoted it is within the DDSketch
-// relative-error bound. Repeated calls over the same ingested data
-// return identical values.
-func (s *Sketcher) Quantile(ds, regionPrefix string, m Metric, q float64) (float64, int, error) {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, 0, fmt.Errorf("dataset: quantile %v out of [0,1]", q)
-	}
-	var acc cellAccum
+// walk calls visit on every cell whose region is regionPrefix or one of
+// its descendants ("" matches every region), under the cell's stripe
+// read lock. Cells arrive in map order, so visit must fold them into
+// order-independent state.
+func (s *Sketcher) walk(regionPrefix string, visit func(cellKey, *metricCell)) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.RLock()
 		for k, c := range st.cells {
-			if k.dataset != ds || k.metric != m {
-				continue
-			}
-			if regionPrefix != "" && !regionMatch(regionPrefix, k.region) {
-				continue
-			}
-			//iqbvet:ignore maprange cellAccum is order-independent: exact percentiles select an order statistic, sketch merges are commutative
-			if err := acc.add(c, s.alpha); err != nil {
-				st.mu.RUnlock()
-				return 0, 0, err
+			if regionPrefix == "" || regionMatch(regionPrefix, k.region) {
+				//iqbvet:ignore maprange visitors fold cells into cellAccums, which are order-independent: exact percentiles select an order statistic, sketch merges are commutative
+				visit(k, c)
 			}
 		}
 		st.mu.RUnlock()
 	}
-	if acc.count == 0 {
-		return 0, 0, stats.ErrNoData
+}
+
+// CellQuery names one aggregate over a region scope: the Q-th
+// percentile (Q in [0, 100]) of Metric over the records of Dataset (""
+// for every dataset).
+type CellQuery struct {
+	Dataset string
+	Metric  Metric
+	Q       float64
+}
+
+// CellAnswer is the result of one CellQuery. Err is stats.ErrNoData when
+// no record carries the metric.
+type CellAnswer struct {
+	Value float64
+	Count int
+	Err   error
+}
+
+// AggregateCells answers every query over the region subtree
+// regionPrefix ("" for every region) in one walk of the cells. While
+// every contributing cell is exact the answer is bit-identical to a
+// percentile over the scope's record values; once any has promoted it is
+// the merged DDSketch's, within its relative-error bound. Answer i does
+// not depend on the other queries: the walk feeds each query's cells to
+// its own accumulator, and an accumulator's answer does not depend on the
+// order its cells arrive in.
+func (s *Sketcher) AggregateCells(regionPrefix string, qs []CellQuery) []CellAnswer {
+	out := make([]CellAnswer, len(qs))
+	accs := make([]cellAccum, len(qs))
+	for i, q := range qs {
+		if q.Q < 0 || q.Q > 100 || math.IsNaN(q.Q) {
+			out[i].Err = fmt.Errorf("dataset: percentile %v out of [0,100]", q.Q)
+		}
 	}
-	v, err := acc.quantile(q, q*100)
+	s.walk(regionPrefix, func(k cellKey, c *metricCell) {
+		for i := range qs {
+			q := &qs[i]
+			if q.Metric != k.metric || (q.Dataset != "" && q.Dataset != k.dataset) || out[i].Err != nil {
+				continue
+			}
+			if err := accs[i].add(c, s.alpha); err != nil {
+				out[i].Err = err
+			}
+		}
+	})
+	for i, q := range qs {
+		switch a := &accs[i]; {
+		case out[i].Err != nil:
+		case a.count == 0:
+			out[i].Err = stats.ErrNoData
+		default:
+			out[i].Value, out[i].Err = a.quantile(q.Q/100, q.Q)
+			out[i].Count = a.count
+		}
+	}
+	return out
+}
+
+// groupAggregate answers a ByRegion or ByDataset group-by of the q-th
+// percentile of m over the cells of f's dataset ("" for all) and region
+// scope, merging the matching cells per bucket: exactly while every
+// contributing cell is below the cutover, through DDSketch merges once
+// any has promoted. Groups are sorted by key.
+func (s *Sketcher) groupAggregate(f Filter, key GroupKey, m Metric, q float64) ([]Group, error) {
+	buckets := map[string]*cellAccum{}
+	var err error
+	s.walk(f.RegionPrefix, func(k cellKey, c *metricCell) {
+		if err != nil || k.metric != m || (f.Dataset != "" && k.dataset != f.Dataset) {
+			return
+		}
+		gk := k.region
+		if key == ByDataset {
+			gk = k.dataset
+		}
+		b := buckets[gk]
+		if b == nil {
+			b = &cellAccum{}
+			buckets[gk] = b
+		}
+		err = b.add(c, s.alpha)
+	})
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	return v, acc.count, nil
+	out := make([]Group, 0, len(buckets))
+	for gk, b := range buckets {
+		v, err := b.quantile(q/100, q)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Group{Key: gk, Count: b.count, Value: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out, nil
+}
+
+// cellKey addresses one cell. Because a Sketcher stripes by
+// hash(dataset, region), every cell lives in exactly one stripe.
+type cellKey struct {
+	dataset string
+	region  string
+	metric  Metric
+}
+
+// metricCell is the aggregation state of one (dataset, region, metric)
+// triple. It is exact until it has seen more than the cutover, then
+// promotes to a DDSketch: small cells (the common case for county-level
+// scoring) answer quantiles bit-identically to a full scan, while cells
+// at production scale stay O(buckets) instead of O(records). Promotion
+// folds the exact values into the sketch, which is order-independent, so
+// the promoted state is a pure function of the value multiset.
+type metricCell struct {
+	count  int
+	exact  []float64
+	sketch *stats.DDSketch
+}
+
+func (c *metricCell) add(v float64, cutover int, alpha float64) {
+	c.count++
+	if c.sketch != nil {
+		c.sketch.Add(v)
+		return
+	}
+	c.exact = append(c.exact, v)
+	if len(c.exact) > cutover {
+		c.sketch = stats.NewDDSketch(alpha)
+		for _, x := range c.exact {
+			c.sketch.Add(x)
+		}
+		c.exact = nil
+	}
+}
+
+// cellAccum accumulates matching cells for one quantile answer: exact
+// values while every contributing cell is below the cutover, a merged
+// DDSketch as soon as any has promoted. The exact values are the
+// accumulator's own copies, which quantile reorders.
+type cellAccum struct {
+	count  int
+	exact  []float64
+	merged *stats.DDSketch
+}
+
+// add folds one cell in; the caller holds the cell's stripe lock.
+func (a *cellAccum) add(c *metricCell, alpha float64) error {
+	a.count += c.count
+	if c.sketch != nil {
+		if a.merged == nil {
+			a.merged = stats.NewDDSketch(alpha)
+		}
+		return a.merged.Merge(c.sketch)
+	}
+	a.exact = append(a.exact, c.exact...)
+	return nil
+}
+
+// quantile answers after accumulation; the caller must have checked
+// count > 0. The quantile arrives in both conventions — q01 in [0,1]
+// and pct in [0,100] — so each path uses the caller's native form and
+// no float division can drift the exact answer away from a full scan's.
+func (a *cellAccum) quantile(q01, pct float64) (float64, error) {
+	if a.merged == nil {
+		// Every contributing cell is still exact: answer bit-identically
+		// to a full scan, selecting in place on the values add copied.
+		return stats.PercentileInPlace(a.exact, pct, stats.Linear)
+	}
+	for _, x := range a.exact {
+		a.merged.Add(x)
+	}
+	return a.merged.Quantile(q01)
 }

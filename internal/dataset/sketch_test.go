@@ -3,6 +3,7 @@ package dataset
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,32 +12,46 @@ import (
 	"iqb/internal/stats"
 )
 
+// smallSketcher returns a sketcher whose cells promote past cutover
+// values, so a few thousand records exercise the DDSketch path.
+func smallSketcher(cutover int) *Sketcher {
+	return newSketcher(DefaultShards, cutover, stats.DefaultDDSketchAlpha)
+}
+
+// quantile asks sk for the q-th percentile of one (dataset, metric) over
+// a region scope.
+func quantile(sk *Sketcher, ds, prefix string, m Metric, q float64) (float64, int, error) {
+	a := sk.AggregateCells(prefix, []CellQuery{{Dataset: ds, Metric: m, Q: q}})[0]
+	return a.Value, a.Count, a.Err
+}
+
 func TestSketcherQuantileMatchesExact(t *testing.T) {
-	sk := NewSketcher(0)
-	store := NewStore()
+	sk := NewSketcher()
 	src := rng.New(5)
 	ts := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 20000; i++ {
+	recs := make([]Record, 20000)
+	vals := map[Metric][]float64{}
+	for i := range recs {
 		r := NewRecord(uniq(i), "ndt", "XA-01-001", ts)
 		r.SetValue(Download, src.LogNormalFromMoments(100, 0.9))
 		r.SetValue(Latency, src.LogNormalFromMoments(40, 0.6))
-		if err := sk.Ingest(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Add(r); err != nil {
-			t.Fatal(err)
-		}
+		vals[Download] = append(vals[Download], r.DownloadMbps)
+		vals[Latency] = append(vals[Latency], r.LatencyMS)
+		recs[i] = r
+	}
+	if err := sk.Ingest(recs); err != nil {
+		t.Fatal(err)
 	}
 	for _, m := range []Metric{Download, Latency} {
-		for _, q := range []float64{0.05, 0.5, 0.95} {
-			approx, n, err := sk.Quantile("ndt", "XA-01-001", m, q)
+		for _, q := range []float64{5, 50, 95} {
+			approx, n, err := quantile(sk, "ndt", "XA-01-001", m, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n != 20000 {
 				t.Errorf("sample count = %d", n)
 			}
-			exact, err := store.Aggregate(Filter{Dataset: "ndt"}, m, q*100)
+			exact, err := stats.Percentile(vals[m], q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,63 +63,66 @@ func TestSketcherQuantileMatchesExact(t *testing.T) {
 }
 
 func TestSketcherRegionHierarchyMerge(t *testing.T) {
-	sk := NewSketcher(0)
+	sk := NewSketcher()
 	ts := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
-	add := func(id, region string, v float64) {
-		t.Helper()
-		r := NewRecord(id, "ndt", region, ts)
-		r.SetValue(Download, v)
-		if err := sk.Ingest(r); err != nil {
-			t.Fatal(err)
-		}
+	var recs []Record
+	for _, c := range []struct {
+		id, region string
+		v          float64
+	}{{"a", "XA-01-001", 10}, {"b", "XA-01-002", 20}, {"c", "XA-02-001", 30}} {
+		r := NewRecord(c.id, "ndt", c.region, ts)
+		r.SetValue(Download, c.v)
+		recs = append(recs, r)
 	}
-	add("a", "XA-01-001", 10)
-	add("b", "XA-01-002", 20)
-	add("c", "XA-02-001", 30)
+	if err := sk.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
 
-	// County-level: single digest.
-	v, n, err := sk.Quantile("ndt", "XA-01-001", Download, 0.5)
+	// County-level: one cell.
+	v, n, err := quantile(sk, "ndt", "XA-01-001", Download, 50)
 	if err != nil || n != 1 || v != 10 {
 		t.Errorf("county quantile = %v, %d, %v", v, n, err)
 	}
 	// State-level: merges two counties.
-	_, n, err = sk.Quantile("ndt", "XA-01", Download, 0.5)
-	if err != nil || n != 2 {
-		t.Errorf("state merge n = %d, %v", n, err)
+	v, n, err = quantile(sk, "ndt", "XA-01", Download, 50)
+	if err != nil || n != 2 || v != 15 {
+		t.Errorf("state merge = %v, %d, %v", v, n, err)
 	}
 	// Country-level: all three.
-	_, n, err = sk.Quantile("ndt", "XA", Download, 0.5)
+	_, n, err = quantile(sk, "ndt", "XA", Download, 50)
 	if err != nil || n != 3 {
 		t.Errorf("country merge n = %d, %v", n, err)
 	}
 	// Empty prefix matches everything.
-	_, n, err = sk.Quantile("ndt", "", Download, 0.5)
+	_, n, err = quantile(sk, "ndt", "", Download, 50)
 	if err != nil || n != 3 {
 		t.Errorf("unscoped n = %d, %v", n, err)
 	}
 }
 
 func TestSketcherErrors(t *testing.T) {
-	sk := NewSketcher(0)
-	if err := sk.Ingest(Record{}); err == nil {
-		t.Error("invalid record should error")
-	}
-	if _, _, err := sk.Quantile("ndt", "XA", Download, 0.5); !errors.Is(err, stats.ErrNoData) {
+	sk := NewSketcher()
+	if _, _, err := quantile(sk, "ndt", "XA", Download, 50); !errors.Is(err, stats.ErrNoData) {
 		t.Errorf("empty sketch should be ErrNoData, got %v", err)
 	}
-	err := sk.IngestAll([]Record{{}})
-	if err == nil {
-		t.Error("IngestAll with invalid record should error")
+	// A batch with one invalid record is rejected whole.
+	good := NewRecord("a", "ndt", "XA", time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC))
+	good.SetValue(Download, 1)
+	if err := sk.Ingest([]Record{good, {}}); err == nil {
+		t.Error("batch with an invalid record should error")
+	}
+	if sk.Cells() != 0 {
+		t.Errorf("rejected batch left %d cells", sk.Cells())
 	}
 }
 
 func TestSketcherCells(t *testing.T) {
-	sk := NewSketcher(0)
+	sk := NewSketcher()
 	ts := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
 	r := NewRecord("a", "ndt", "XA", ts)
 	r.SetValue(Download, 1)
 	r.SetValue(Latency, 2)
-	if err := sk.IngestAll([]Record{r}); err != nil {
+	if err := sk.Ingest([]Record{r}); err != nil {
 		t.Fatal(err)
 	}
 	if sk.Cells() != 2 {
@@ -131,92 +149,22 @@ func sketchRecords(n int) []Record {
 	return recs
 }
 
-// TestSketcherMergeMatchesSingleIngestion pins the merge contract: a
-// sketcher assembled by merging per-worker sketchers — overlapping cells
-// (all workers see all regions) or disjoint cells (workers own distinct
-// regions) — must answer every quantile bit-identically to one sketcher
-// that ingested everything, including cells promoted past the cutover.
-func TestSketcherMergeMatchesSingleIngestion(t *testing.T) {
-	const cutover = 64
-	opts := Options{SketchCutover: cutover, SketchAlpha: 0.01}
-	recs := sketchRecords(2000)
-
-	single := NewSketcherWith(opts)
-	if err := single.IngestAll(recs); err != nil {
-		t.Fatal(err)
-	}
-
-	splits := map[string]func(i int, r Record) int{
-		// Round-robin: every part sees every (dataset, region) cell.
-		"overlapping": func(i int, r Record) int { return i % 3 },
-		// By region: parts own disjoint cell sets.
-		"disjoint": func(i int, r Record) int { return int(r.Region[4] - '1') },
-	}
-	for name, pick := range splits {
-		parts := []*Sketcher{NewSketcherWith(opts), NewSketcherWith(opts), NewSketcherWith(opts)}
-		for i, r := range recs {
-			if err := parts[pick(i, r)].Ingest(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		merged := NewSketcherWith(opts)
-		for _, p := range parts {
-			if err := merged.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.Cells() != single.Cells() {
-			t.Errorf("%s: merged cells = %d, single = %d", name, merged.Cells(), single.Cells())
-		}
-		for _, ds := range []string{"ndt", "cloudflare"} {
-			for _, prefix := range []string{"", "XA-01", "XA-02-001"} {
-				for _, q := range []float64{0.05, 0.5, 0.95} {
-					mv, mn, merr := merged.Quantile(ds, prefix, Download, q)
-					sv, sn, serr := single.Quantile(ds, prefix, Download, q)
-					if (merr == nil) != (serr == nil) || mv != sv || mn != sn {
-						t.Errorf("%s: %s %q q=%v: merged (%v, %d, %v) vs single (%v, %d, %v)",
-							name, ds, prefix, q, mv, mn, merr, sv, sn, serr)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSketcherMergeGeometryMismatch(t *testing.T) {
-	a := NewSketcherWith(Options{SketchAlpha: 0.01})
-	b := NewSketcherWith(Options{SketchAlpha: 0.02})
-	if err := a.Merge(b); err == nil {
-		t.Error("different alpha should refuse to merge")
-	}
-	c := NewSketcherWith(Options{SketchAlpha: 0.01, SketchCutover: 16})
-	if err := a.Merge(c); err == nil {
-		t.Error("different cutover should refuse to merge")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("nil merge should be a no-op, got %v", err)
-	}
-	if err := a.Merge(a); err != nil {
-		t.Errorf("self merge should be a no-op, got %v", err)
-	}
-}
-
 // TestSketcherQuantileStable pins half the determinism contract: the
 // same sketcher must answer the same quantile query identically on
 // repeated calls, for exact and promoted cells alike.
 func TestSketcherQuantileStable(t *testing.T) {
-	sk := NewSketcherWith(Options{SketchCutover: 64})
-	if err := sk.IngestAll(sketchRecords(2000)); err != nil {
+	sk := smallSketcher(64)
+	if err := sk.Ingest(sketchRecords(2000)); err != nil {
 		t.Fatal(err)
 	}
 	for _, prefix := range []string{"", "XA-01", "XA-02-001"} {
-		for _, q := range []float64{0.05, 0.5, 0.95} {
-			first, n0, err := sk.Quantile("ndt", prefix, Download, q)
+		for _, q := range []float64{5, 50, 95} {
+			first, n0, err := quantile(sk, "ndt", prefix, Download, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
-				v, n, err := sk.Quantile("ndt", prefix, Download, q)
+				v, n, err := quantile(sk, "ndt", prefix, Download, q)
 				if err != nil || v != first || n != n0 {
 					t.Fatalf("prefix %q q=%v call %d: (%v, %d, %v) != first (%v, %d)",
 						prefix, q, i, v, n, err, first, n0)
@@ -227,33 +175,35 @@ func TestSketcherQuantileStable(t *testing.T) {
 }
 
 // TestSketcherIngestOrderIndependent pins the other half: sketchers fed
-// the same records in opposite orders answer bit-identically.
+// the same records in opposite orders and different batch shapes answer
+// bit-identically.
 func TestSketcherIngestOrderIndependent(t *testing.T) {
 	recs := sketchRecords(2000)
-	opts := Options{SketchCutover: 64}
-	fwd, bwd := NewSketcherWith(opts), NewSketcherWith(opts)
-	for i := range recs {
-		if err := fwd.Ingest(recs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := bwd.Ingest(recs[len(recs)-1-i]); err != nil {
+	fwd, bwd := smallSketcher(64), smallSketcher(64)
+	if err := fwd.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	rev := slices.Clone(recs)
+	slices.Reverse(rev)
+	for i := range rev {
+		if err := bwd.Ingest(rev[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, q := range []float64{0, 0.5, 0.95, 1} {
-		fv, fn, ferr := fwd.Quantile("ndt", "XA", Download, q)
-		bv, bn, berr := bwd.Quantile("ndt", "XA", Download, q)
-		if ferr != nil || berr != nil || fv != bv || fn != bn {
+	for _, q := range []float64{0, 50, 95, 100} {
+		fv, fn, ferr := quantile(fwd, "ndt", "XA", Download, q)
+		bv, bn, berr := quantile(bwd, "ndt", "XA", Download, q)
+		if ferr != nil || berr != nil || math.Float64bits(fv) != math.Float64bits(bv) || fn != bn {
 			t.Errorf("q=%v: forward (%v, %d, %v) vs backward (%v, %d, %v)", q, fv, fn, ferr, bv, bn, berr)
 		}
 	}
 }
 
 // TestSketcherConcurrentIngestQuantile is the race-detector workout for
-// the striped cells: parallel Ingest against Quantile/Cells readers and
-// a concurrent Merge from a worker sketcher.
+// the striped cells: parallel batch writers, one of them on a region no
+// other touches, against AggregateCells, group-by and Cells readers.
 func TestSketcherConcurrentIngestQuantile(t *testing.T) {
-	sk := NewSketcherWith(Options{SketchCutover: 32})
+	sk := smallSketcher(32)
 	recs := sketchRecords(4000)
 	const writers = 4
 	var wg sync.WaitGroup
@@ -263,24 +213,27 @@ func TestSketcherConcurrentIngestQuantile(t *testing.T) {
 		wg.Add(1)
 		go func(chunk []Record) {
 			defer wg.Done()
-			errCh <- sk.IngestAll(chunk)
+			for len(chunk) > 0 {
+				n := min(len(chunk), 50)
+				if err := sk.Ingest(chunk[:n]); err != nil {
+					errCh <- err
+					return
+				}
+				chunk = chunk[n:]
+			}
+			errCh <- nil
 		}(recs[w*per : (w+1)*per])
 	}
-	// A worker sketcher merged in mid-flight.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		worker := NewSketcherWith(Options{SketchCutover: 32})
 		ts := time.Date(2025, 6, 2, 0, 0, 0, 0, time.UTC)
-		for i := 0; i < 500; i++ {
-			r := NewRecord("m"+uniq(i), "ookla", "XB-01-001", ts)
-			r.SetValue(Download, float64(i+1))
-			if err := worker.Ingest(r); err != nil {
-				errCh <- err
-				return
-			}
+		batch := make([]Record, 500)
+		for i := range batch {
+			batch[i] = NewRecord("m"+uniq(i), "ookla", "XB-01-001", ts)
+			batch[i].SetValue(Download, float64(i+1))
 		}
-		errCh <- sk.Merge(worker)
+		errCh <- sk.Ingest(batch)
 	}()
 	stop := make(chan struct{})
 	var rwg sync.WaitGroup
@@ -294,8 +247,9 @@ func TestSketcherConcurrentIngestQuantile(t *testing.T) {
 					return
 				default:
 				}
-				sk.Quantile("ndt", "XA", Download, 0.95)
-				sk.Quantile("cloudflare", "", Latency, 0.5)
+				quantile(sk, "ndt", "XA", Download, 95)
+				quantile(sk, "cloudflare", "", Latency, 50)
+				sk.groupAggregate(Filter{}, ByRegion, Download, 50)
 				sk.Cells()
 			}
 		}()
@@ -308,21 +262,26 @@ func TestSketcherConcurrentIngestQuantile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, n, err := sk.Quantile("ookla", "XB", Download, 0.5); err != nil || n != 500 {
-		t.Errorf("merged worker cells: n = %d, err = %v", n, err)
+	if _, n, err := quantile(sk, "ookla", "XB", Download, 50); err != nil || n != 500 {
+		t.Errorf("ookla writer's cells: n = %d, err = %v", n, err)
+	}
+	if _, n, err := quantile(sk, "", "XA", Download, 50); err != nil || n != len(recs) {
+		t.Errorf("batch writers' cells: n = %d, want %d, err = %v", n, len(recs), err)
 	}
 }
 
+// BenchmarkSketcherIngest measures one-record batches, the worst case
+// for the per-batch stripe grouping.
 func BenchmarkSketcherIngest(b *testing.B) {
-	sk := NewSketcher(0)
+	sk := NewSketcher()
 	src := rng.New(1)
 	ts := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
-	r := NewRecord("x", "ndt", "XA-01-001", ts)
+	rs := []Record{NewRecord("x", "ndt", "XA-01-001", ts)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.SetValue(Download, src.Float64()*100)
-		r.SetValue(Latency, src.Float64()*100)
-		if err := sk.Ingest(r); err != nil {
+		rs[0].SetValue(Download, src.Float64()*100)
+		rs[0].SetValue(Latency, src.Float64()*100)
+		if err := sk.Ingest(rs); err != nil {
 			b.Fatal(err)
 		}
 	}

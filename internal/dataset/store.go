@@ -35,10 +35,11 @@ const (
 	idStripeCount = 64
 )
 
-// Options configures store geometry and the streaming aggregation path.
-// The zero value selects all defaults.
+// Options configures store geometry and its cell index. The zero value
+// selects all defaults.
 type Options struct {
-	// Shards is the number of lock stripes; <= 0 means DefaultShards.
+	// Shards is the number of lock stripes of both the records and the
+	// cell index; <= 0 means DefaultShards.
 	Shards int
 	// SketchCutover is the per-cell exact-value budget before sketch
 	// promotion; <= 0 means DefaultSketchCutover.
@@ -61,13 +62,14 @@ type Options struct {
 // independent stripe set enforces (dataset, ID) uniqueness across the
 // whole store.
 //
-// On top of the record shards sits a streaming aggregation index: every
-// insert folds its metric values into a per-(dataset, region, metric)
-// cell. Cells are exact up to Options.SketchCutover values and then
-// promote to an order-independent stats.DDSketch, so Aggregate answers
-// quantile queries without materializing values. Filters the cells
-// cannot express (ASN, time bounds, foreign HasMetric) fall back to an
-// exact scan.
+// Beside the record shards sits the store's cell index, a Sketcher with
+// one stripe per shard, striped by the same hash: every committed batch
+// is folded into its per-(dataset, region, metric) cells inside the
+// write fence, before the commit hooks fire. Cells are exact up to
+// Options.SketchCutover values and then promote to an order-independent
+// stats.DDSketch, so Aggregate answers quantile queries without
+// materializing values. Filters the cells cannot express (ASN, time
+// bounds, foreign HasMetric) fall back to an exact scan.
 //
 // # Determinism
 //
@@ -83,10 +85,9 @@ type Options struct {
 // The store is safe for concurrent use; reads never block other reads.
 type Store struct {
 	shards  []*shard
+	cells   *Sketcher
 	stripes [idStripeCount]idStripe
 	seq     atomic.Uint64
-	cutover int
-	alpha   float64
 
 	// ingestMu fences writers against Quiesce: every mutation holds it
 	// shared for the full validate→hooks→insert→commit sequence, so an
@@ -157,9 +158,8 @@ func NewStoreWith(o Options) *Store {
 		o.SketchAlpha = stats.DefaultDDSketchAlpha
 	}
 	s := &Store{
-		shards:  make([]*shard, o.Shards),
-		cutover: o.SketchCutover,
-		alpha:   o.SketchAlpha,
+		shards: make([]*shard, o.Shards),
+		cells:  newSketcher(o.Shards, o.SketchCutover, o.SketchAlpha),
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard()
@@ -172,6 +172,12 @@ func NewStoreWith(o Options) *Store {
 
 // NumShards reports the shard count.
 func (s *Store) NumShards() int { return len(s.shards) }
+
+// Sketcher returns the store's cell index, for cell-served aggregates
+// such as Sketcher.AggregateCells. The store folds every committed batch
+// into it; callers must only read it, or its answers stop matching the
+// stored records.
+func (s *Store) Sketcher() *Sketcher { return s.cells }
 
 // AddHooks appends an observer to the hook chain and returns a function
 // that removes it again. Both registration and removal wait for
@@ -196,12 +202,6 @@ func (s *Store) AddHooks(h Hooks) (remove func()) {
 		}
 		s.ingestMu.Unlock()
 	}
-}
-
-// AddIngestHook registers a veto-capable pre-commit hook with no
-// commit/abort notifications — the write-ahead-log shape of AddHooks.
-func (s *Store) AddIngestHook(h IngestHook) (remove func()) {
-	return s.AddHooks(Hooks{Ingest: h})
 }
 
 // runIngestHooks walks the chain's Ingest phase in registration order.
@@ -261,10 +261,6 @@ func (s *Store) unclaim(keys []string) {
 	}
 }
 
-func (s *Store) shardFor(ds, region string) *shard {
-	return s.shards[fnv64a(ds, region)%uint64(len(s.shards))]
-}
-
 func (s *Store) stripeFor(key string) *idStripe {
 	return &s.stripes[fnv64a(key)%idStripeCount]
 }
@@ -293,10 +289,12 @@ func (s *Store) Add(r Record) error {
 		return fmt.Errorf("dataset: ingest hook: %w", err)
 	}
 
-	sh := s.shardFor(r.Dataset, r.Region)
+	si := fnv64a(r.Dataset, r.Region) % uint64(len(s.shards))
+	sh := s.shards[si]
 	sh.mu.Lock()
-	sh.insertLocked(s.seq.Add(1), r, s.cutover, s.alpha)
+	sh.insertLocked(s.seq.Add(1), r)
 	sh.mu.Unlock()
+	s.cells.fold(si, rs, []int{0})
 	s.runCommitHooks(rs)
 	return nil
 }
@@ -307,8 +305,9 @@ func (s *Store) Add(r Record) error {
 // a mid-batch failure leaves the store unchanged. If an ingest hook is
 // installed it runs after the checks and before any shard mutation; a
 // hook error likewise leaves the store unchanged. Records land with
-// consecutive insertion sequence numbers, and each destination shard is
-// locked once for the whole batch rather than per record.
+// consecutive insertion sequence numbers, and each destination shard and
+// its cell-index stripe are locked once for the whole batch rather than
+// per record.
 func (s *Store) AddBatch(rs []Record) error {
 	if len(rs) == 0 {
 		return nil
@@ -377,25 +376,20 @@ func (s *Store) AddBatch(rs []Record) error {
 	// keeps its internal order under Select regardless of which shard
 	// each record lands in.
 	base := s.seq.Add(uint64(len(rs))) - uint64(len(rs))
-	byShard := make(map[*shard][]int)
-	for i, r := range rs {
-		sh := s.shardFor(r.Dataset, r.Region)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, idxs := range byShard {
+	byShard := make(map[uint64][]int)
+	groupByStripe(byShard, rs, len(s.shards))
+	for si, idxs := range byShard {
+		sh := s.shards[si]
 		sh.mu.Lock()
 		for _, i := range idxs {
-			sh.insertLocked(base+uint64(i)+1, rs[i], s.cutover, s.alpha)
+			sh.insertLocked(base+uint64(i)+1, rs[i])
 		}
 		sh.mu.Unlock()
+		s.cells.fold(si, rs, idxs)
 	}
 	s.runCommitHooks(rs)
 	return nil
 }
-
-// AddAll inserts a batch with AddBatch semantics: the whole batch is
-// validated up front and a failure leaves the store unchanged.
-func (s *Store) AddAll(rs []Record) error { return s.AddBatch(rs) }
 
 // Len returns the number of stored records.
 func (s *Store) Len() int {
@@ -496,7 +490,7 @@ func regionMatch(prefix, code string) bool {
 }
 
 // sketchServable reports whether the filter can be answered from the
-// (dataset, region, metric) sketch cells for metric m: cells carry no
+// (dataset, region, metric) cells for metric m: cells carry no
 // ASN, time, or cross-metric presence information.
 func sketchServable(f Filter, m Metric) bool {
 	if !f.CellIndexed() {
@@ -604,8 +598,8 @@ func (s *Store) Values(f Filter, m Metric) []float64 {
 
 // Aggregate computes the q-th percentile (q in [0, 100]) of metric m
 // over records matching f. It returns stats.ErrNoData when nothing
-// matches. Filters the streaming index can express are answered from
-// the per-(dataset, region, metric) cells — exactly while every cell is
+// matches. Filters the cell index can express are answered from the
+// per-(dataset, region, metric) cells — exactly while every cell is
 // below the sketch cutover, within the sketch's relative-error bound
 // once promoted — without materializing values; other filters fall back
 // to an exact scan.
@@ -625,79 +619,8 @@ func (s *Store) AggregateCount(f Filter, m Metric, q float64) (float64, int, err
 		v, err := stats.PercentileInPlace(vals, q, stats.Linear)
 		return v, len(vals), err
 	}
-	a := s.AggregateCells(f, []CellQuery{{Dataset: f.Dataset, Metric: m, Q: q}})[0]
+	a := s.cells.AggregateCells(f.RegionPrefix, []CellQuery{{Dataset: f.Dataset, Metric: m, Q: q}})[0]
 	return a.Value, a.Count, a.Err
-}
-
-// CellQuery names one aggregate of a cell-indexed filter: the Q-th
-// percentile (Q in [0, 100]) of Metric over the records of Dataset (""
-// for every dataset).
-type CellQuery struct {
-	Dataset string
-	Metric  Metric
-	Q       float64
-}
-
-// CellAnswer is AggregateCount's result for one CellQuery. Err is
-// stats.ErrNoData when no record carries the metric.
-type CellAnswer struct {
-	Value float64
-	Count int
-	Err   error
-}
-
-// AggregateCells answers every query over the region scope of f in one
-// walk of the per-(dataset, region, metric) cell index. f must be
-// cell-indexed (Filter.CellIndexed); its Dataset and HasMetric are
-// ignored, since each query names its own. Answer i equals
-// AggregateCount(f, qs[i].Metric, qs[i].Q) with f.Dataset = qs[i].Dataset
-// and f.HasMetric = [qs[i].Metric], bit for bit: the walk feeds each
-// query's cells to its own accumulator, and an accumulator's answer does
-// not depend on the order its cells arrive in.
-func (s *Store) AggregateCells(f Filter, qs []CellQuery) []CellAnswer {
-	out := make([]CellAnswer, len(qs))
-	if !f.CellIndexed() {
-		for i := range out {
-			out[i].Err = fmt.Errorf("dataset: filter is not cell-indexed (ASN or time bounds set)")
-		}
-		return out
-	}
-	accs := make([]cellAccum, len(qs))
-	for i, q := range qs {
-		if q.Q < 0 || q.Q > 100 || math.IsNaN(q.Q) {
-			out[i].Err = fmt.Errorf("dataset: percentile %v out of [0,100]", q.Q)
-		}
-	}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k, c := range sh.cells {
-			if f.RegionPrefix != "" && !regionMatch(f.RegionPrefix, k.region) {
-				continue
-			}
-			for i := range qs {
-				q := &qs[i]
-				if q.Metric != k.metric || (q.Dataset != "" && q.Dataset != k.dataset) || out[i].Err != nil {
-					continue
-				}
-				//iqbvet:ignore maprange cellAccum is order-independent: exact percentiles select an order statistic, sketch merges are commutative
-				if err := accs[i].add(c, s.alpha); err != nil {
-					out[i].Err = err
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	for i, q := range qs {
-		switch a := &accs[i]; {
-		case out[i].Err != nil:
-		case a.count == 0:
-			out[i].Err = stats.ErrNoData
-		default:
-			out[i].Value, out[i].Err = a.quantile(q.Q/100, q.Q)
-			out[i].Count = a.count
-		}
-	}
-	return out
 }
 
 // Summary computes descriptive statistics of metric m over records
@@ -744,7 +667,7 @@ func (s *Store) GroupAggregate(f Filter, key GroupKey, m Metric, q float64) ([]G
 		return nil, fmt.Errorf("dataset: percentile %v out of [0,100]", q)
 	}
 	if (key == ByRegion || key == ByDataset) && sketchServable(f, m) {
-		return s.groupAggregateCells(f, key, m, q)
+		return s.cells.groupAggregate(f, key, m, q)
 	}
 	buckets := map[string][]float64{}
 	for _, sh := range s.shards {
@@ -778,53 +701,6 @@ func (s *Store) GroupAggregate(f Filter, key GroupKey, m Metric, q float64) ([]G
 			return nil, err
 		}
 		out = append(out, Group{Key: k, Count: len(vals), Value: p})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
-}
-
-// groupAggregateCells answers a ByRegion/ByDataset group-by straight
-// from the cell index: cells matching the filter are merged per bucket —
-// exact values while every contributing cell is below the cutover
-// (answering bit-identically to the record scan), DDSketch merges once
-// cells have promoted.
-func (s *Store) groupAggregateCells(f Filter, key GroupKey, m Metric, q float64) ([]Group, error) {
-	buckets := map[string]*cellAccum{}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for k, c := range sh.cells {
-			if k.metric != m {
-				continue
-			}
-			if f.Dataset != "" && k.dataset != f.Dataset {
-				continue
-			}
-			if f.RegionPrefix != "" && !regionMatch(f.RegionPrefix, k.region) {
-				continue
-			}
-			gk := k.region
-			if key == ByDataset {
-				gk = k.dataset
-			}
-			b := buckets[gk]
-			if b == nil {
-				b = &cellAccum{}
-				buckets[gk] = b
-			}
-			if err := b.add(c, s.alpha); err != nil {
-				sh.mu.RUnlock()
-				return nil, err
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]Group, 0, len(buckets))
-	for gk, b := range buckets {
-		v, err := b.quantile(q/100, q)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Group{Key: gk, Count: b.count, Value: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil

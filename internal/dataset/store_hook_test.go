@@ -24,7 +24,7 @@ func TestIngestHookVetoLeavesStoreUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk full")
-	remove := s.AddIngestHook(func(rs []Record) error { return boom })
+	remove := s.AddHooks(Hooks{Ingest: func(rs []Record) error { return boom }})
 
 	batch := []Record{hookTestRecord("a"), hookTestRecord("b")}
 	if err := s.AddBatch(batch); !errors.Is(err, boom) {
@@ -57,12 +57,12 @@ func TestIngestHookVetoLeavesStoreUnchanged(t *testing.T) {
 func TestIngestHookSeesEveryRecord(t *testing.T) {
 	s := NewStore()
 	var teed []string
-	s.AddIngestHook(func(rs []Record) error {
+	s.AddHooks(Hooks{Ingest: func(rs []Record) error {
 		for _, r := range rs {
 			teed = append(teed, r.ID)
 		}
 		return nil
-	})
+	}})
 	if err := s.AddBatch([]Record{hookTestRecord("a"), hookTestRecord("b")}); err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func TestQuiesceSeesNoInFlightWrites(t *testing.T) {
 	s := NewStore()
 	var mu sync.Mutex
 	acked := 0
-	s.AddIngestHook(func(rs []Record) error {
+	s.AddHooks(Hooks{Ingest: func(rs []Record) error {
 		mu.Lock()
 		acked += len(rs)
 		mu.Unlock()
 		return nil
-	})
+	}})
 
 	const writers, batches, per = 4, 20, 5
 	var wg sync.WaitGroup
@@ -148,10 +148,10 @@ func TestQuiesceSeesNoInFlightWrites(t *testing.T) {
 func TestHookChainOrderAndCoexistence(t *testing.T) {
 	s := NewStore()
 	var trace []string
-	s.AddIngestHook(func(rs []Record) error {
+	s.AddHooks(Hooks{Ingest: func(rs []Record) error {
 		trace = append(trace, fmt.Sprintf("wal:%d", len(rs)))
 		return nil
-	})
+	}})
 	s.AddHooks(Hooks{
 		Ingest: func(rs []Record) error {
 			trace = append(trace, fmt.Sprintf("cache-pending:%d", len(rs)))
@@ -190,7 +190,7 @@ func TestHookChainAbortOnVeto(t *testing.T) {
 		Abort:  func(rs []Record) { trace = append(trace, "first-abort") },
 	})
 	boom := errors.New("tee failed")
-	remove := s.AddIngestHook(func(rs []Record) error { return boom })
+	remove := s.AddHooks(Hooks{Ingest: func(rs []Record) error { return boom }})
 
 	if err := s.AddBatch([]Record{hookTestRecord("a")}); !errors.Is(err, boom) {
 		t.Fatalf("AddBatch error = %v, want wrapped %v", err, boom)
@@ -226,7 +226,7 @@ func TestAbortSkipsIngestlessObservers(t *testing.T) {
 		Abort:  func(rs []Record) { aborts++ },
 	})
 	boom := errors.New("tee failed")
-	s.AddIngestHook(func(rs []Record) error { return boom })
+	s.AddHooks(Hooks{Ingest: func(rs []Record) error { return boom }})
 	if err := s.AddBatch([]Record{hookTestRecord("a")}); !errors.Is(err, boom) {
 		t.Fatalf("expected veto, got %v", err)
 	}
@@ -240,8 +240,8 @@ func TestAbortSkipsIngestlessObservers(t *testing.T) {
 func TestHookRemoveIsIdempotent(t *testing.T) {
 	s := NewStore()
 	calls := map[string]int{}
-	removeA := s.AddIngestHook(func(rs []Record) error { calls["a"]++; return nil })
-	s.AddIngestHook(func(rs []Record) error { calls["b"]++; return nil })
+	removeA := s.AddHooks(Hooks{Ingest: func(rs []Record) error { calls["a"]++; return nil }})
+	s.AddHooks(Hooks{Ingest: func(rs []Record) error { calls["b"]++; return nil }})
 	removeA()
 	removeA()
 	if err := s.Add(hookTestRecord("x")); err != nil {

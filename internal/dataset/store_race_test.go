@@ -135,7 +135,7 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 				}
 				s.Count(Filter{Dataset: "ndt"})
 				s.Aggregate(Filter{Dataset: "ndt", RegionPrefix: "XA"}, Download, 95)
-				s.AggregateCells(Filter{RegionPrefix: "XA-01"}, []CellQuery{
+				s.Sketcher().AggregateCells("XA-01", []CellQuery{
 					{Dataset: "ndt", Metric: Download, Q: 95},
 					{Metric: Download, Q: 5},
 				})

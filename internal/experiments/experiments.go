@@ -300,7 +300,7 @@ func TechAggregates(tech netem.Tech, nTests int, rho float64, seed uint64) (*iqb
 	if err != nil {
 		return nil, err
 	}
-	if err := store.AddAll(aggs); err != nil {
+	if err := store.AddBatch(aggs); err != nil {
 		return nil, err
 	}
 	return cfg.AggregateStore(store, "TT", time.Time{}, time.Time{})

@@ -182,10 +182,10 @@ func TestIngestOverload429(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
 	defer release()
-	store.AddIngestHook(func(rs []dataset.Record) error {
+	store.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
 		<-gate
 		return nil
-	})
+	}})
 	ts, _ := newIngestServer(t, store, ingest.Options{QueueRecords: 8}, 0)
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
@@ -450,10 +450,10 @@ func TestOverloadShedsButNeverLosesAcked(t *testing.T) {
 	}
 	t.Cleanup(func() { m.Close() })
 	// Slow the commit path a little so admission actually fills up.
-	m.Store().AddIngestHook(func(rs []dataset.Record) error {
+	m.Store().AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
 		time.Sleep(time.Millisecond)
 		return nil
-	})
+	}})
 	_, db := buildWorld(t)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv, err := New(iqb.DefaultConfig(), m.Store(), db, logger)

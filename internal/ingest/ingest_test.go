@@ -81,10 +81,10 @@ func TestAdmissionRejectsWhenFull(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(gate) }) }
 	defer release()
-	store.AddIngestHook(func(rs []dataset.Record) error {
+	store.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
 		<-gate
 		return nil
-	})
+	}})
 	ing := newIngester(t, store, Options{QueueRecords: 16})
 
 	// Fill the queue: the first batch is swapped out by the drainer and
@@ -127,7 +127,7 @@ func TestByteBudgetRejects(t *testing.T) {
 	store := dataset.NewStore()
 	gate := make(chan struct{})
 	defer close(gate)
-	store.AddIngestHook(func(rs []dataset.Record) error { <-gate; return nil })
+	store.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error { <-gate; return nil }})
 	ing := newIngester(t, store, Options{QueueBytes: 1000})
 	go ing.Enqueue(batchOf("a", 1), 900) //nolint — ack consumed after gate opens
 	waitFor(t, func() bool { return ing.Stats().QueuedBytes == 900 })
@@ -156,12 +156,12 @@ func TestMergedFailureIsolatesOffendingBatch(t *testing.T) {
 	}
 	gate := make(chan struct{})
 	var gated sync.Once
-	store.AddIngestHook(func(rs []dataset.Record) error {
+	store.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
 		// Hold only the first drain round so both client batches are
 		// queued together and merge in round two.
 		gated.Do(func() { <-gate })
 		return nil
-	})
+	}})
 	ing := newIngester(t, store, Options{})
 
 	// Wedge the drainer on a sacrificial batch.
@@ -200,10 +200,10 @@ func TestMergedFailureIsolatesOffendingBatch(t *testing.T) {
 func TestCloseDrainsAdmittedBatches(t *testing.T) {
 	store := dataset.NewStore()
 	gate := make(chan struct{})
-	store.AddIngestHook(func(rs []dataset.Record) error {
+	store.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
 		<-gate
 		return nil
-	})
+	}})
 	ing, err := New(store, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -283,22 +283,37 @@ func (c Config) scoreAggregates(agg *Aggregates) (Score, error) {
 // general scoring scope: region subtrees, single ISPs, time windows, or
 // any combination.
 //
-// Region-scoped filters are answered from the store's per-(dataset,
-// region, metric) sketch cells in one walk of the cell index, without
-// materializing record values. Filters the cells cannot express (ASN,
-// time windows) read the matching records once and gather every
-// (dataset, requirement) cell from that one scan, exactly.
+// Region-scoped filters are answered from the store's cell index by
+// AggregateSketcher, without materializing record values. Filters the
+// cells cannot express (ASN, time windows) read the matching records
+// once and gather every (dataset, requirement) cell from that one scan,
+// exactly.
 func (c Config) AggregateFiltered(store *dataset.Store, base dataset.Filter) (*Aggregates, error) {
 	if store == nil {
 		return nil, fmt.Errorf("iqb: nil store")
 	}
-	if !base.CellIndexed() {
-		base.Dataset, base.HasMetric = "", nil
-		cv := c.newCellValues()
-		for _, r := range store.Gather(base) {
-			cv.add(c.Datasets, r)
-		}
-		return c.aggregateValues(cv)
+	if base.CellIndexed() {
+		return c.AggregateSketcher(store.Sketcher(), base.RegionPrefix)
+	}
+	base.Dataset, base.HasMetric = "", nil
+	cv := c.newCellValues()
+	for _, r := range store.Gather(base) {
+		cv.add(c.Datasets, r)
+	}
+	return c.aggregateValues(cv)
+}
+
+// AggregateSketcher computes the Aggregates of one region subtree from a
+// cell index, using the configured percentile and convention, in one
+// walk of its cells: a store's own index (AggregateFiltered) or a
+// standalone sketcher fed without keeping the records
+// (pipeline.RunStreaming). Each aggregate is exact while every
+// contributing cell is below the cutover and within the DDSketch
+// relative-error bound once any has promoted — deterministic either way,
+// since cell state is a pure function of the ingested multiset.
+func (c Config) AggregateSketcher(sk *dataset.Sketcher, region string) (*Aggregates, error) {
+	if sk == nil {
+		return nil, fmt.Errorf("iqb: nil sketcher")
 	}
 	var qs []dataset.CellQuery
 	for _, d := range c.Datasets {
@@ -307,7 +322,7 @@ func (c Config) AggregateFiltered(store *dataset.Store, base dataset.Filter) (*A
 		}
 	}
 	agg := NewAggregates()
-	for i, a := range store.AggregateCells(base, qs) {
+	for i, a := range sk.AggregateCells(region, qs) {
 		q := qs[i]
 		if errors.Is(a.Err, stats.ErrNoData) {
 			continue
@@ -318,6 +333,15 @@ func (c Config) AggregateFiltered(store *dataset.Store, base dataset.Filter) (*A
 		agg.Set(q.Dataset, q.Metric, a.Value, a.Count)
 	}
 	return agg, nil
+}
+
+// ScoreSketcher aggregates and scores one region from a cell index.
+func (c Config) ScoreSketcher(sk *dataset.Sketcher, region string) (Score, error) {
+	agg, err := c.AggregateSketcher(sk, region)
+	if err != nil {
+		return Score{}, err
+	}
+	return c.ScoreAggregates(agg)
 }
 
 // cellValues holds one scoring scope's metric values for every

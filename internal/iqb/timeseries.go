@@ -8,47 +8,7 @@ import (
 	"time"
 
 	"iqb/internal/dataset"
-	"iqb/internal/stats"
 )
-
-// AggregateSketcher builds the framework aggregates from a streaming
-// sketcher instead of raw records, using the configured percentile and
-// convention. This is the memory-bounded production path, reading the
-// sketcher's per-(dataset, region, metric) DDSketch-backed cells: exact
-// below the cell cutover, within the sketch's relative-error bound
-// above it — and deterministic either way, since cell state is a pure
-// function of the ingested multiset. Thanks to the binary threshold
-// comparison, the small quantile error of a promoted cell almost never
-// changes a score.
-func (c Config) AggregateSketcher(sk *dataset.Sketcher, region string) (*Aggregates, error) {
-	if sk == nil {
-		return nil, fmt.Errorf("iqb: nil sketcher")
-	}
-	agg := NewAggregates()
-	for _, d := range c.Datasets {
-		for _, r := range d.Capabilities {
-			q := c.effectivePercentile(r) / 100
-			v, n, err := sk.Quantile(d.Name, region, r, q)
-			if errors.Is(err, stats.ErrNoData) {
-				continue
-			}
-			if err != nil {
-				return nil, fmt.Errorf("iqb: sketch aggregate %s/%v: %w", d.Name, r, err)
-			}
-			agg.Set(d.Name, r, v, n)
-		}
-	}
-	return agg, nil
-}
-
-// ScoreSketcher aggregates and scores one region from a sketch.
-func (c Config) ScoreSketcher(sk *dataset.Sketcher, region string) (Score, error) {
-	agg, err := c.AggregateSketcher(sk, region)
-	if err != nil {
-		return Score{}, err
-	}
-	return c.ScoreAggregates(agg)
-}
 
 // TimePoint is one window of a score time series.
 type TimePoint struct {

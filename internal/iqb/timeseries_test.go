@@ -37,9 +37,10 @@ func failRecord(id, ds, region string, ts time.Time) dataset.Record {
 func TestScoreSketcherMatchesStore(t *testing.T) {
 	cfg := DefaultConfig()
 	store := dataset.NewStore()
-	sk := dataset.NewSketcher(0)
+	sk := dataset.NewSketcher()
 	src := rng.New(9)
 	ts := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
+	var recs []dataset.Record
 	for i := 0; i < 3000; i++ {
 		for _, ds := range []string{DatasetNDT, DatasetCloudflare, DatasetOokla} {
 			r := dataset.NewRecord(itoa(i), ds, "XA-01-001", ts)
@@ -49,15 +50,16 @@ func TestScoreSketcherMatchesStore(t *testing.T) {
 			if ds != DatasetOokla {
 				r.SetValue(dataset.Loss, src.Float64()*0.01)
 			}
-			if err := store.Add(r); err != nil {
-				t.Fatal(err)
-			}
-			if err := sk.Ingest(r); err != nil {
-				t.Fatal(err)
-			}
+			recs = append(recs, r)
 		}
 	}
-	exact, err := cfg.ScoreRegion(store, "XA-01-001", time.Time{}, time.Time{})
+	if err := store.AddBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sk.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := cfg.ScoreRegion(store, "XA-01-001", time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +67,10 @@ func TestScoreSketcherMatchesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Binary thresholds absorb small quantile error: the scores should
-	// agree closely, usually exactly.
-	if math.Abs(exact.IQB-approx.IQB) > 0.1 {
-		t.Errorf("sketch score %v vs exact %v", approx.IQB, exact.IQB)
+	// An unbounded region score reads the store's own cell index, which
+	// holds exactly the cells the standalone sketcher built.
+	if math.Float64bits(stored.IQB) != math.Float64bits(approx.IQB) {
+		t.Errorf("sketch score %v vs store %v", approx.IQB, stored.IQB)
 	}
 }
 
@@ -77,7 +79,7 @@ func TestScoreSketcherErrors(t *testing.T) {
 	if _, err := cfg.AggregateSketcher(nil, "XA"); err == nil {
 		t.Error("nil sketcher should error")
 	}
-	if _, err := cfg.ScoreSketcher(dataset.NewSketcher(0), "XA"); err == nil {
+	if _, err := cfg.ScoreSketcher(dataset.NewSketcher(), "XA"); err == nil {
 		t.Error("empty sketcher should yield no usable data")
 	}
 }

@@ -125,7 +125,7 @@ func Open(dir string, o Options) (*Manager, error) {
 			log.Close())
 	}
 
-	store := dataset.NewStoreWith(o.Store)
+	store := dataset.NewStore()
 	m := &Manager{dir: dir, log: log, store: store,
 		growBytes: o.SnapshotWALBytes, growthC: make(chan struct{}, 1)}
 	m.registerMetrics(o.Metrics)

@@ -48,7 +48,6 @@ import (
 	"os"
 	"time"
 
-	"iqb/internal/dataset"
 	"iqb/internal/telemetry"
 )
 
@@ -87,10 +86,6 @@ type Options struct {
 	// — bounding replay-at-recovery work under heavy ingest. <= 0
 	// disables the trigger.
 	SnapshotWALBytes int64
-	// Store configures the dataset store geometry built during
-	// recovery.
-	Store dataset.Options
-
 	// Metrics, when non-nil, registers the WAL's and snapshot
 	// manager's self-observability series (append/fsync/rollback
 	// counters, fsync-latency and group-fold-size histograms, replay

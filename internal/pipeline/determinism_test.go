@@ -12,10 +12,10 @@ import (
 // twin of TestScoreAllDeterministicAcrossWorkerCounts: for a fixed
 // Spec.Seed, RunStreaming followed by ScoreAll must produce
 // bit-identical scores for every worker count.
-// This exercises the shared-nothing streaming path — one Sketcher per
-// worker, merged after the join — and the sketcher's order-independent
-// DDSketch-backed cells; with the old order-sensitive t-digest cells the
-// merged quantiles drifted with worker count.
+// This exercises every worker folding its batches into one shared,
+// lock-striped Sketcher in whatever order the scheduler interleaves
+// them, which only the cells' order independence (exact order statistics
+// below the cutover, DDSketches above it) makes invisible to scoring.
 func TestStreamingScoreAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := iqb.DefaultConfig()
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}

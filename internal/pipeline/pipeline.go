@@ -7,11 +7,13 @@
 //
 // Execution is deterministic for a fixed Spec: every job derives its own
 // random stream from the spec seed, Ookla aggregation orders samples by
-// job ID before summing, and the store's aggregates are order-independent
-// by construction — so ScoreAll output is bit-identical for any Workers
-// value. Ingestion is shared-nothing: workers buffer records and flush
-// them to the sharded store in batches, and each worker queues raw Ookla
-// samples on its own collector, merged only after the workers join.
+// job ID before summing, and the cell index both Run's store and
+// RunStreaming's sketcher aggregate from is order-independent by
+// construction — so ScoreAll output is bit-identical for any Workers
+// value. Run and RunStreaming share one worker fan-out: workers buffer
+// records and flush them to a sink in batches, and each worker queues
+// raw Ookla samples on its own collector, merged only after the workers
+// join.
 package pipeline
 
 import (
@@ -169,19 +171,14 @@ type Result struct {
 }
 
 // flushBatch is how many records a worker buffers before handing them to
-// the store in one AddBatch call. It amortizes shard locking without
-// letting per-worker buffers grow past a few memory pages.
+// the sink in one call. It amortizes shard locking without letting
+// per-worker buffers grow past a few memory pages.
 const flushBatch = 256
 
-// Run executes the full pipeline.
-//
-// Ingestion is shared-nothing until the join: each worker buffers
-// records and flushes them to the sharded store in batches, and queues
-// raw Ookla samples on its own collector. After the workers join, the
-// collectors merge and publish. Determinism for a fixed Spec.Seed is
-// unaffected by Workers: every job derives its own random stream from
-// its job ID, Ookla aggregation orders samples by job ID, and the
-// store's aggregates are pure functions of the record multiset.
+// Run executes the full pipeline into a record store, Spec.Store or a
+// fresh one. Determinism for a fixed Spec.Seed is unaffected by Workers:
+// see fanOut for the ingestion side, and the store's aggregates are pure
+// functions of the record multiset.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	world, err := BuildWorld(spec)
 	if err != nil {
@@ -190,15 +187,40 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	//iqbvet:ignore walltime Elapsed is wall-clock telemetry only; no simulation or scoring state depends on it
 	started := time.Now()
 
-	// Deterministic job list: per county, per dataset, a Poisson-ish
-	// schedule of tests across the window, biased toward evening hours
-	// because measurement volume follows usage.
-	jobs := buildJobs(world, spec)
-
 	store := spec.Store
 	if store == nil {
 		store = dataset.NewStore()
 	}
+	if err := fanOut(ctx, world, spec, store.AddBatch); err != nil {
+		return nil, err
+	}
+	return &Result{
+		World:  world,
+		Store:  store,
+		Counts: store.DatasetCounts(),
+		//iqbvet:ignore walltime Elapsed is wall-clock telemetry only; no simulation or scoring state depends on it
+		Elapsed: time.Since(started),
+	}, nil
+}
+
+// fanOut runs the spec's deterministic job schedule on Spec.Workers
+// workers and hands every record to sink, the one step Run and
+// RunStreaming differ in. Ingestion is shared-nothing until the join:
+// each worker buffers up to flushBatch records per sink call and queues
+// raw Ookla samples on its own collector. After the workers join, the
+// collectors merge and publish, and the aggregates go to sink as one
+// final batch. sink must be safe for concurrent use. The first error
+// stops the run; the remaining jobs are drained unrun.
+//
+// The records sink sees do not depend on Workers: every job derives its
+// own random stream from its job ID, and Ookla aggregation orders
+// samples by job ID. Only their grouping into batches does, which an
+// order-independent sink cannot observe.
+func fanOut(ctx context.Context, world *World, spec Spec, sink func([]dataset.Record) error) error {
+	// Deterministic job list: per county, per dataset, a Poisson-ish
+	// schedule of tests across the window, biased toward evening hours
+	// because measurement volume follows usage.
+	jobs := buildJobs(world, spec)
 
 	workers := spec.Workers
 	if workers <= 0 {
@@ -225,7 +247,7 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 				if len(buf) == 0 {
 					return nil
 				}
-				err := store.AddBatch(buf)
+				err := sink(buf)
 				buf = buf[:0]
 				return err
 			}
@@ -269,30 +291,21 @@ feed:
 	close(jobCh)
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 
-	// Merge the per-worker collectors and publish the Ookla aggregates
-	// into the store.
 	publisher := ookla.NewPublisher()
 	for _, pub := range pubs {
 		publisher.Merge(pub)
 	}
 	aggregates, err := publisher.Publish(spec.OoklaMinGroup)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: publishing ookla aggregates: %w", err)
+		return fmt.Errorf("pipeline: publishing ookla aggregates: %w", err)
 	}
-	if err := store.AddBatch(aggregates); err != nil {
-		return nil, fmt.Errorf("pipeline: storing ookla aggregates: %w", err)
+	if err := sink(aggregates); err != nil {
+		return fmt.Errorf("pipeline: storing ookla aggregates: %w", err)
 	}
-
-	return &Result{
-		World:  world,
-		Store:  store,
-		Counts: store.DatasetCounts(),
-		//iqbvet:ignore walltime Elapsed is wall-clock telemetry only; no simulation or scoring state depends on it
-		Elapsed: time.Since(started),
-	}, nil
+	return nil
 }
 
 // RegionScore pairs a region with its score.

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -258,33 +259,63 @@ func TestRunStreamingEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesExact is the E11 equivalence check in miniature:
-// the sketch-based path and the exact path run the identical workload,
-// so their scores must agree (binary thresholds absorb the sketch
-// cells' small quantile error).
+// TestStreamingMatchesExact pins "streaming = the store's cell index
+// without the records": RunStreaming and Run share one fan-out and fold
+// the same records into the same cells, so every region scores
+// bit-identically — on a spec whose cells all stay exact, and on one
+// whose cells promote past the cutover to DDSketches.
 func TestStreamingMatchesExact(t *testing.T) {
-	spec := smallSpec()
-	exact, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := RunStreaming(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := iqb.DefaultConfig()
-	exactScores, err := exact.ScoreAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamScores, err := stream.ScoreAll(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for region, es := range exactScores {
-		ss := streamScores[region]
-		if diff := es.IQB - ss.IQB; diff > 0.15 || diff < -0.15 {
-			t.Errorf("region %s: exact %v vs sketch %v", region, es.IQB, ss.IQB)
+	promoted := smallSpec()
+	promoted.TestsPerCounty = 1500
+	for name, spec := range map[string]Spec{"exact cells": smallSpec(), "promoted cells": promoted} {
+		exact, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := RunStreaming(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := iqb.DefaultConfig()
+		exactScores, err := exact.ScoreAll(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamScores, err := stream.ScoreAll(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(streamScores) != len(exactScores) {
+			t.Fatalf("%s: %d streaming scores, %d exact", name, len(streamScores), len(exactScores))
+		}
+		for region, es := range exactScores {
+			ss, ok := streamScores[region]
+			if !ok || math.Float64bits(es.IQB) != math.Float64bits(ss.IQB) || es.Grade != ss.Grade || es.Coverage != ss.Coverage {
+				t.Errorf("%s: region %s: exact (IQB %v, %s, cov %v) vs streaming (IQB %v, %s, cov %v)",
+					name, region, es.IQB, es.Grade, es.Coverage, ss.IQB, ss.Grade, ss.Coverage)
+			}
+		}
+		// Thresholds can hide a small quantile difference, so the
+		// aggregates behind the scores must match bit for bit too.
+		for region := range exactScores {
+			ea, err := cfg.AggregateStore(exact.Store, region, time.Time{}, time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sa, err := cfg.AggregateSketcher(stream.Sketch, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range cfg.Datasets {
+				for _, r := range d.Capabilities {
+					ev, eok := ea.Get(d.Name, r)
+					sv, sok := sa.Get(d.Name, r)
+					if eok != sok || math.Float64bits(ev) != math.Float64bits(sv) || ea.Samples(d.Name, r) != sa.Samples(d.Name, r) {
+						t.Errorf("%s: region %s %s/%v: exact (%v, %d) vs streaming (%v, %d)",
+							name, region, d.Name, r, ev, ea.Samples(d.Name, r), sv, sa.Samples(d.Name, r))
+					}
+				}
+			}
 		}
 	}
 }

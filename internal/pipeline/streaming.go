@@ -3,9 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iqb/internal/cfspeed"
@@ -18,9 +16,9 @@ import (
 	"iqb/internal/rng"
 )
 
-// StreamingResult is the memory-bounded counterpart of Result: raw
-// records are folded into DDSketch-backed cells at ingestion time and
-// never retained.
+// StreamingResult is the memory-bounded counterpart of Result: records
+// are folded into a Sketcher's cells at ingestion time and never
+// retained.
 type StreamingResult struct {
 	World  *World
 	Sketch *dataset.Sketcher
@@ -30,21 +28,14 @@ type StreamingResult struct {
 	Elapsed time.Duration
 }
 
-// RunStreaming executes the same workload as Run but through the
-// sketch-based ingestion path — the mode a production deployment
-// ingesting archives too large to hold would use. The job schedule,
-// subscriber draws, and simulated tests are identical to Run for the
-// same spec, so sketch-vs-exact comparisons (experiment E11) isolate the
-// aggregation data structure.
-//
-// Ingestion is shared-nothing, mirroring Run: each worker folds records
-// into its own Sketcher and queues raw Ookla samples on its own
-// collector, and both are merged only after the workers join. Because
-// sketcher cells are pure functions of the value multiset (exact cells
-// sort, promoted cells are order-independent DDSketches) and Ookla
-// aggregation orders samples by job ID, ScoreAll output is bit-identical
-// for any Workers value — the same fixed-seed determinism contract Run
-// carries.
+// RunStreaming executes the same workload as Run but keeps only the cell
+// index — the mode a production deployment ingesting archives too large
+// to hold would use. It shares Run's fan-out, so the job schedule,
+// subscriber draws and simulated tests are identical for the same spec;
+// only the sink differs: every worker folds its batches into one
+// shared, lock-striped Sketcher instead of a Store. That sketcher holds
+// exactly the cells a default-geometry Store would, so ScoreAll answers
+// bit-identically to Result.ScoreAll, for any Workers value.
 func RunStreaming(ctx context.Context, spec Spec) (*StreamingResult, error) {
 	world, err := BuildWorld(spec)
 	if err != nil {
@@ -53,94 +44,22 @@ func RunStreaming(ctx context.Context, spec Spec) (*StreamingResult, error) {
 	//iqbvet:ignore walltime Elapsed is wall-clock telemetry only; no simulation or scoring state depends on it
 	started := time.Now()
 
-	jobs := buildJobs(world, spec)
-
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	jobCh := make(chan job)
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	var failed atomic.Bool
-	fail := func(err error) {
-		failed.Store(true)
-		errOnce.Do(func() { firstErr = err })
-	}
-
-	// Shared-nothing collectors and sketchers, merged after the join.
-	pubs := make([]*ookla.Publisher, workers)
-	sketches := make([]*dataset.Sketcher, workers)
-	ingestedBy := make([]map[string]int, workers)
-	for w := 0; w < workers; w++ {
-		pubs[w] = ookla.NewPublisher()
-		sketches[w] = dataset.NewSketcher(0)
-		ingestedBy[w] = map[string]int{}
-		wg.Add(1)
-		go func(pub *ookla.Publisher, sk *dataset.Sketcher, counts map[string]int) {
-			defer wg.Done()
-			for j := range jobCh {
-				if failed.Load() {
-					continue // drain so the feeder never blocks
-				}
-				rec, raw, err := produceRecord(world, spec, j)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				if raw != nil {
-					if err := pub.Add(*raw); err != nil {
-						fail(err)
-					}
-					continue
-				}
-				if err := sk.Ingest(rec); err != nil {
-					fail(err)
-					continue
-				}
-				counts[rec.Dataset]++
-			}
-		}(pubs[w], sketches[w], ingestedBy[w])
-	}
-
-feed:
-	for _, j := range jobs {
-		select {
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		case jobCh <- j:
-		}
-	}
-	close(jobCh)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	publisher := ookla.NewPublisher()
-	sketch := dataset.NewSketcher(0)
+	sketch := dataset.NewSketcher()
+	var mu sync.Mutex
 	ingested := map[string]int{}
-	for w := 0; w < workers; w++ {
-		publisher.Merge(pubs[w])
-		if err := sketch.Merge(sketches[w]); err != nil {
-			return nil, fmt.Errorf("pipeline: merging worker sketcher: %w", err)
+	err = fanOut(ctx, world, spec, func(rs []dataset.Record) error {
+		if err := sketch.Ingest(rs); err != nil {
+			return err
 		}
-		for ds, n := range ingestedBy[w] {
-			ingested[ds] += n
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range rs {
+			ingested[rs[i].Dataset]++
 		}
-	}
-
-	aggregates, err := publisher.Publish(spec.OoklaMinGroup)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: publishing ookla aggregates: %w", err)
-	}
-	for _, rec := range aggregates {
-		if err := sketch.Ingest(rec); err != nil {
-			return nil, fmt.Errorf("pipeline: sketching ookla aggregate: %w", err)
-		}
-		ingested[rec.Dataset]++
+		return nil, err
 	}
 	return &StreamingResult{
 		World:    world,

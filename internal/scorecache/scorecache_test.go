@@ -233,11 +233,11 @@ func TestInFlightBatchBlocksRetention(t *testing.T) {
 	// phase (pending mark) has run by the time the batch parks here.
 	hold := make(chan struct{})
 	parked := make(chan struct{})
-	remove := s.AddIngestHook(func(rs []dataset.Record) error {
+	remove := s.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
 		close(parked)
 		<-hold
 		return nil
-	})
+	}})
 	defer remove()
 
 	done := make(chan error, 1)
@@ -275,7 +275,7 @@ func TestAbortedBatchUnwindsPending(t *testing.T) {
 	c := newCache(t, s)
 
 	boom := errors.New("disk full")
-	remove := s.AddIngestHook(func(rs []dataset.Record) error { return boom })
+	remove := s.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error { return boom }})
 	if err := s.Add(rec("vetoed", "ndt", "XA-01-001", time.Date(2025, 6, 2, 0, 0, 0, 0, time.UTC), 5)); !errors.Is(err, boom) {
 		t.Fatalf("expected veto, got %v", err)
 	}

@@ -11,13 +11,13 @@ import (
 // geometrically sized buckets indexed by ceil(log_gamma(x)) with
 // gamma = (1+alpha)/(1-alpha), and the sketch stores only bucket counts.
 //
-// Unlike TDigest, whose centroids depend on the order values arrive in,
-// a DDSketch is a pure counting structure: the state built from a
+// A DDSketch is a pure counting structure: the state built from a
 // multiset of values is identical no matter how insertions or merges were
-// interleaved. That order-independence is why the dataset store uses it
-// as its sketch-index backend — quantiles served from sketches stay
-// bit-identical across pipeline worker counts, preserving the documented
-// determinism contract.
+// interleaved, unlike centroid sketches such as the t-digest. That
+// order-independence is why the dataset cell index promotes its large
+// cells to it — quantiles served from sketches stay bit-identical across
+// pipeline worker counts, preserving the documented determinism
+// contract.
 //
 // # Dense store
 //

@@ -1,9 +1,8 @@
 // Package stats implements the statistical machinery the IQB framework
 // aggregates measurements with: exact percentiles under several
-// interpolation rules (the framework mandates the 95th percentile),
-// streaming quantile estimators (DDSketch, P-square and t-digest) for
-// pipelines that cannot hold raw samples, histograms, empirical CDFs,
-// bootstrap confidence intervals, and descriptive summaries.
+// interpolation rules (the framework mandates the 95th percentile), the
+// DDSketch that the dataset cell index promotes large cells to, rank and
+// distribution comparisons, and descriptive summaries.
 //
 // An exact percentile needs only the one or two order statistics its
 // interpolation rule reads, so Percentile and PercentileWith copy their
@@ -103,16 +102,6 @@ func PercentileInPlace(xs []float64, q float64, ip Interpolation) (float64, erro
 		}
 	}
 	return interpolate(a, b, frac, ip), nil
-}
-
-// PercentileSorted computes the q-th percentile of an already sorted
-// slice without copying. It panics if xs is empty; callers that cannot
-// guarantee data should use Percentile.
-func PercentileSorted(xs []float64, q float64, ip Interpolation) float64 {
-	if len(xs) == 0 {
-		panic("stats: PercentileSorted on empty slice")
-	}
-	return percentileSorted(xs, q, ip)
 }
 
 func percentileSorted(sorted []float64, q float64, ip Interpolation) float64 {
@@ -303,54 +292,3 @@ func Mean(xs []float64) (float64, error) {
 	}
 	return sum / float64(len(xs)), nil
 }
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrNoData
-	}
-	mean, _ := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs))), nil
-}
-
-// ECDF is an empirical cumulative distribution function over a fixed
-// sample.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted).
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrNoData
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return &ECDF{sorted: sorted}, nil
-}
-
-// At returns the fraction of samples <= x.
-func (e *ECDF) At(x float64) float64 {
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-quantile (q in [0, 1]) via linear interpolation.
-func (e *ECDF) Quantile(q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return percentileSorted(e.sorted, q*100, Linear)
-}
-
-// Len returns the number of samples.
-func (e *ECDF) Len() int { return len(e.sorted) }

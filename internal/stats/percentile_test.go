@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -187,337 +186,13 @@ func TestMeanStddev(t *testing.T) {
 	if _, err := Mean(nil); err != ErrNoData {
 		t.Error("Mean(nil) should be ErrNoData")
 	}
-	if _, err := Stddev(nil); err != ErrNoData {
-		t.Error("Stddev(nil) should be ErrNoData")
-	}
 	m, _ := Mean([]float64{1, 2, 3})
 	if m != 2 {
 		t.Errorf("mean = %v", m)
 	}
-	sd, _ := Stddev([]float64{2, 2, 2})
-	if sd != 0 {
-		t.Errorf("stddev of constant = %v", sd)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d", e.Len())
-	}
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
-	}
-	for _, tt := range tests {
-		if got := e.At(tt.x); got != tt.want {
-			t.Errorf("At(%v) = %v, want %v", tt.x, got, tt.want)
-		}
-	}
-	if q := e.Quantile(0.5); math.Abs(q-2.5) > 1e-9 {
-		t.Errorf("Quantile(0.5) = %v, want 2.5", q)
-	}
-	if q := e.Quantile(-1); q != 1 {
-		t.Errorf("clamped low quantile = %v, want 1", q)
-	}
-	if q := e.Quantile(2); q != 4 {
-		t.Errorf("clamped high quantile = %v, want 4", q)
-	}
-	if _, err := NewECDF(nil); err != ErrNoData {
-		t.Error("empty ECDF should be ErrNoData")
-	}
-}
-
-func TestPSquareAgainstExact(t *testing.T) {
-	src := rng.New(21)
-	for _, q := range []float64{0.5, 0.9, 0.95} {
-		ps, err := NewPSquare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var xs []float64
-		for i := 0; i < 20000; i++ {
-			v := src.LogNormalFromMoments(100, 0.8)
-			ps.Add(v)
-			xs = append(xs, v)
-		}
-		exact, _ := Percentile(xs, q*100)
-		got, err := ps.Value()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel := math.Abs(got-exact) / exact; rel > 0.05 {
-			t.Errorf("q=%v: p-square %v vs exact %v (rel %v)", q, got, exact, rel)
-		}
-	}
-}
-
-func TestPSquareSmallSamples(t *testing.T) {
-	ps, _ := NewPSquare(0.5)
-	if _, err := ps.Value(); err != ErrNoData {
-		t.Error("empty p-square should be ErrNoData")
-	}
-	ps.Add(3)
-	ps.Add(1)
-	ps.Add(2)
-	v, err := ps.Value()
-	if err != nil || v != 2 {
-		t.Errorf("small-sample median = %v (err %v), want 2", v, err)
-	}
-	if ps.Count() != 3 {
-		t.Errorf("Count = %d", ps.Count())
-	}
-}
-
-func TestPSquareBadQuantile(t *testing.T) {
-	for _, q := range []float64{0, 1, -0.5, math.NaN()} {
-		if _, err := NewPSquare(q); err == nil {
-			t.Errorf("NewPSquare(%v) should error", q)
-		}
-	}
-}
-
-func TestTDigestAgainstExact(t *testing.T) {
-	src := rng.New(33)
-	td := NewTDigest(200)
-	var xs []float64
-	for i := 0; i < 50000; i++ {
-		v := src.LogNormalFromMoments(50, 1.2)
-		td.Add(v)
-		xs = append(xs, v)
-	}
-	sort.Float64s(xs)
-	for _, q := range []float64{0.05, 0.5, 0.9, 0.95, 0.99} {
-		got, err := td.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := PercentileSorted(xs, q*100, Linear)
-		if rel := math.Abs(got-exact) / exact; rel > 0.05 {
-			t.Errorf("q=%v: t-digest %v vs exact %v (rel %v)", q, got, exact, rel)
-		}
-	}
-}
-
-func TestTDigestEdges(t *testing.T) {
-	td := NewTDigest(0) // defaults compression
-	if _, err := td.Quantile(0.5); err != ErrNoData {
-		t.Error("empty digest should be ErrNoData")
-	}
-	td.Add(5)
-	if v, _ := td.Quantile(0.5); v != 5 {
-		t.Errorf("single value median = %v", v)
-	}
-	td.Add(10)
-	if v, _ := td.Quantile(0); v != 5 {
-		t.Errorf("q=0 should be min, got %v", v)
-	}
-	if v, _ := td.Quantile(1); v != 10 {
-		t.Errorf("q=1 should be max, got %v", v)
-	}
-	td.AddWeighted(7, -1) // ignored
-	td.AddWeighted(math.NaN(), 1)
-	if td.Count() != 2 {
-		t.Errorf("invalid adds should be ignored; count = %v", td.Count())
-	}
-}
-
-func TestTDigestMerge(t *testing.T) {
-	src := rng.New(55)
-	a, b, whole := NewTDigest(200), NewTDigest(200), NewTDigest(200)
-	for i := 0; i < 20000; i++ {
-		v := src.Normal(100, 15)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-		whole.Add(v)
-	}
-	a.Merge(b)
-	a.Merge(nil) // no-op
-	if a.Count() != whole.Count() {
-		t.Errorf("merged count = %v, want %v", a.Count(), whole.Count())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.95} {
-		ma, _ := a.Quantile(q)
-		mw, _ := whole.Quantile(q)
-		if math.Abs(ma-mw) > 1.5 {
-			t.Errorf("q=%v merged %v vs whole %v", q, ma, mw)
-		}
-	}
-}
-
-func TestTDigestCompressionBounds(t *testing.T) {
-	td := NewTDigest(100)
-	src := rng.New(77)
-	for i := 0; i < 100000; i++ {
-		td.Add(src.Float64())
-	}
-	// The q(1-q) size bound admits many small centroids at the tails, so
-	// the practical bound is a small multiple of the compression, far
-	// below the 100k samples ingested.
-	if n := td.CentroidCount(); n > 1000 {
-		t.Errorf("centroid count %d exceeds 10x compression", n)
-	}
-}
-
-// Property: t-digest quantiles are monotone in q.
-func TestTDigestMonotone(t *testing.T) {
-	src := rng.New(88)
-	td := NewTDigest(100)
-	for i := 0; i < 5000; i++ {
-		td.Add(src.Pareto(1, 1.2))
-	}
-	prev := math.Inf(-1)
-	for q := 0.0; q <= 1.0; q += 0.01 {
-		v, err := td.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v < prev-1e-9 {
-			t.Fatalf("quantile not monotone at q=%v: %v < %v", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestHistogramLinear(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(11) // overflow
-	if h.Total() != 12 || h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Errorf("total/under/over = %d/%d/%d", h.Total(), h.Underflow(), h.Overflow())
-	}
-	for i, c := range h.Counts() {
-		if c != 1 {
-			t.Errorf("bin %d count = %d, want 1", i, c)
-		}
-	}
-	edges := h.Edges()
-	if len(edges) != 11 || edges[0] != 0 || edges[10] != 10 {
-		t.Errorf("edges = %v", edges)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h, _ := NewHistogram(0, 100, 100)
-	src := rng.New(99)
-	var xs []float64
-	for i := 0; i < 50000; i++ {
-		v := src.Range(0, 100)
-		h.Add(v)
-		xs = append(xs, v)
-	}
-	for _, q := range []float64{0.25, 0.5, 0.95} {
-		got, err := h.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, _ := Percentile(xs, q*100)
-		if math.Abs(got-exact) > 1.5 {
-			t.Errorf("q=%v: histogram %v vs exact %v", q, got, exact)
-		}
-	}
-}
-
-func TestHistogramLog(t *testing.T) {
-	h, err := NewLogHistogram(1, 1000, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(5)
-	h.Add(50)
-	h.Add(500)
-	if h.Total() != 3 {
-		t.Errorf("total = %d", h.Total())
-	}
-	m, _ := h.Mean()
-	if math.Abs(m-185) > 1e-6 {
-		t.Errorf("mean = %v", m)
-	}
-	if _, err := NewLogHistogram(0, 10, 5); err == nil {
-		t.Error("log histogram with lo=0 should error")
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range should error")
-	}
-	h, _ := NewHistogram(0, 1, 2)
-	if _, err := h.Mean(); err != ErrNoData {
-		t.Error("empty mean should be ErrNoData")
-	}
-	if _, err := h.Quantile(0.5); err != ErrNoData {
-		t.Error("empty quantile should be ErrNoData")
-	}
-}
-
-func TestBootstrapPercentile(t *testing.T) {
-	src := rng.New(123)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = src.Normal(100, 10)
-	}
-	ci, err := BootstrapPercentile(xs, 95, 500, 0.95, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// True 95th percentile of N(100,10) is ~116.4.
-	if ci.Point < 114 || ci.Point > 119 {
-		t.Errorf("point = %v, want ~116.4", ci.Point)
-	}
-	if ci.Lo > ci.Point || ci.Hi < ci.Point {
-		t.Errorf("interval %v does not contain point", ci)
-	}
-	if ci.Hi-ci.Lo <= 0 || ci.Hi-ci.Lo > 10 {
-		t.Errorf("interval width suspicious: %v", ci)
-	}
-	if ci.String() == "" {
-		t.Error("CI.String should be non-empty")
-	}
-}
-
-func TestBootstrapMeanDeterministic(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	a, err := BootstrapMean(xs, 200, 0.9, rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := BootstrapMean(xs, 200, 0.9, rng.New(5))
-	if a != b {
-		t.Errorf("same seed should reproduce: %v vs %v", a, b)
-	}
-	// nil source uses a fixed default and must not crash.
-	if _, err := BootstrapMean(xs, 50, 0.9, nil); err != nil {
-		t.Errorf("nil source: %v", err)
-	}
-}
-
-func TestBootstrapErrors(t *testing.T) {
-	if _, err := BootstrapMean(nil, 100, 0.95, nil); err != ErrNoData {
-		t.Error("empty input should be ErrNoData")
-	}
-	if _, err := BootstrapMean([]float64{1}, 0, 0.95, nil); err == nil {
-		t.Error("zero resamples should error")
-	}
-	if _, err := BootstrapMean([]float64{1}, 10, 1.5, nil); err == nil {
-		t.Error("bad level should error")
+	sum, _ := Summarize([]float64{2, 2, 2})
+	if sum.Stddev != 0 {
+		t.Errorf("stddev of constant = %v", sum.Stddev)
 	}
 }
 
@@ -530,23 +205,5 @@ func BenchmarkPercentileExact10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = Percentile(xs, 95)
-	}
-}
-
-func BenchmarkPSquareAdd(b *testing.B) {
-	ps, _ := NewPSquare(0.95)
-	src := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps.Add(src.Float64())
-	}
-}
-
-func BenchmarkTDigestAdd(b *testing.B) {
-	td := NewTDigest(200)
-	src := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		td.Add(src.Float64())
 	}
 }
