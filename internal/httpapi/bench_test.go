@@ -74,6 +74,7 @@ func BenchmarkRankingColdVsWarm(b *testing.B) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			resp, err := http.Get(ts.URL + "/v1/ranking")
@@ -140,6 +141,7 @@ func BenchmarkScoreColdVsWarm(b *testing.B) {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		}
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			resp, err := http.Get(url)
@@ -152,4 +154,46 @@ func BenchmarkScoreColdVsWarm(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) { run(b, false) })
 	b.Run("warm", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkServeScoreWarm serves one county's warm /v1/score through
+// the server's handler stack in-process (no socket, request logging
+// off), so it measures the handler plus response-body cost of a cache
+// hit alone.
+func BenchmarkServeScoreWarm(b *testing.B) { serveWarm(b, "/v1/score?region=XA-01-001") }
+
+// BenchmarkServeRankingWarm is the /v1/ranking twin of
+// BenchmarkServeScoreWarm: an unrepaired view served in-process.
+func BenchmarkServeRankingWarm(b *testing.B) { serveWarm(b, "/v1/ranking") }
+
+func serveWarm(b *testing.B, path string) {
+	quiet := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	store, db := benchWorld(b, 40, 60)
+	srv, err := New(iqb.DefaultConfig(), store, db, quiet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache, err := scorecache.New(store, iqb.DefaultConfig(), quiet)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cache.Close()
+	srv.SetScoreCache(cache)
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	serve := func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s status = %d", path, rec.Code)
+		}
+	}
+	// Warm up past the miss and the first hit, so every timed request
+	// is a hit on a cached response.
+	serve()
+	serve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
 }

@@ -3,10 +3,12 @@ package httpapi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -118,8 +120,10 @@ func TestRankingOmitsFailedRegion(t *testing.T) {
 
 // TestCachedResponsesByteIdentical is the determinism acceptance test:
 // with identical worlds, a cache-backed server's /v1/score and
-// /v1/ranking bodies are byte-identical to an uncached server's — cold,
-// warm, and again after an invalidating AddBatch.
+// /v1/ranking responses — body, Content-Type and Content-Length — are
+// byte-identical to an uncached server's on the cold miss, on the first
+// hit (which attaches the encoded body to the cache), on a hit served
+// from the stored bytes, and again after an invalidating AddBatch.
 func TestCachedResponsesByteIdentical(t *testing.T) {
 	plain, plainStore, _ := newServer(t)
 	cached, cachedStore, _ := newServer(t)
@@ -129,6 +133,7 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 	tsCached := httptest.NewServer(cached)
 	t.Cleanup(tsCached.Close)
 
+	// get renders a response as its compared parts.
 	get := func(base, path string) string {
 		t.Helper()
 		resp, err := http.Get(base + path)
@@ -140,7 +145,11 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s status = %d: %s", path, resp.StatusCode, body)
 		}
-		return string(body)
+		if resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) {
+			t.Errorf("%s Content-Length = %q for a %d-byte body", path, resp.Header.Get("Content-Length"), len(body))
+		}
+		return fmt.Sprintf("Content-Type: %s\nContent-Length: %s\n\n%s",
+			resp.Header.Get("Content-Type"), resp.Header.Get("Content-Length"), body)
 	}
 	compare := func(stage string) {
 		t.Helper()
@@ -151,13 +160,10 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 			"/v1/ranking",
 		} {
 			want := get(tsPlain.URL, path)
-			// Twice: the first cached response is a cold miss, the second
-			// a hit — both must match the uncached body byte for byte.
-			if got := get(tsCached.URL, path); got != want {
-				t.Errorf("%s cold %s: cached body differs\ncached:   %s\nuncached: %s", stage, path, got, want)
-			}
-			if got := get(tsCached.URL, path); got != want {
-				t.Errorf("%s warm %s: cached body differs", stage, path)
+			for _, req := range []string{"miss", "first hit", "stored hit"} {
+				if got := get(tsCached.URL, path); got != want {
+					t.Errorf("%s %s %s: cached response differs\ncached:   %s\nuncached: %s", stage, req, path, got, want)
+				}
 			}
 		}
 	}
@@ -249,7 +255,7 @@ func TestHealthReportsCache(t *testing.T) {
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	srv, _, _ := newServer(t)
 	rec := httptest.NewRecorder()
-	srv.writeJSON(rec, map[string]any{"bad": make(chan int)})
+	srv.writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}

@@ -73,7 +73,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
-				s.writeIngest(w, http.StatusRequestEntityTooLarge, IngestResponse{
+				s.writeJSON(w, http.StatusRequestEntityTooLarge, IngestResponse{
 					Accepted: accepted,
 					Error:    fmt.Sprintf("body exceeds %d-byte cap", s.ingestBodyCap),
 				})
@@ -81,14 +81,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 			var le *dataset.LineError
 			if errors.As(err, &le) {
-				s.writeIngest(w, http.StatusBadRequest, IngestResponse{
+				s.writeJSON(w, http.StatusBadRequest, IngestResponse{
 					Accepted: accepted,
 					Error:    le.Error(),
 					Line:     le.Line,
 				})
 				return
 			}
-			s.writeIngest(w, http.StatusBadRequest, IngestResponse{
+			s.writeJSON(w, http.StatusBadRequest, IngestResponse{
 				Accepted: accepted, Error: err.Error(),
 			})
 			return
@@ -96,7 +96,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if err := s.ingestq.Enqueue(rs, wireBytes); err != nil {
 			if errors.Is(err, ingest.ErrOverload) {
 				w.Header().Set("Retry-After", strconv.Itoa(ingestRetryAfterSeconds))
-				s.writeIngest(w, http.StatusTooManyRequests, IngestResponse{
+				s.writeJSON(w, http.StatusTooManyRequests, IngestResponse{
 					Accepted: accepted,
 					Rejected: len(rs),
 					Error:    "ingest queue overloaded; retry after backoff",
@@ -106,7 +106,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			// Commit failure: this chunk was not applied (AddBatch is
 			// atomic), so nothing from it is visible to queries.
 			s.log.Error("ingest: commit failed", "records", len(rs), "err", err)
-			s.writeIngest(w, http.StatusInternalServerError, IngestResponse{
+			s.writeJSON(w, http.StatusInternalServerError, IngestResponse{
 				Accepted: accepted,
 				Error:    "ingest commit failed",
 			})
@@ -114,22 +114,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		accepted += len(rs)
 	}
-	s.writeIngest(w, http.StatusAccepted, IngestResponse{Accepted: accepted})
-}
-
-// writeIngest emits an IngestResponse with a status code, buffer-first
-// like writeJSON so an encode failure cannot truncate a body whose
-// status line already went out.
-func (s *Server) writeIngest(w http.ResponseWriter, code int, resp IngestResponse) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(resp); err != nil {
-		s.log.Error("encoding ingest response", "err", err)
-		writeError(w, http.StatusInternalServerError, "encoding response failed")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	s.writeJSON(w, http.StatusAccepted, IngestResponse{Accepted: accepted})
 }
 
 // APIError is a non-2xx response surfaced by the typed client, keeping

@@ -25,6 +25,10 @@
 // When a scored-region cache is attached (SetScoreCache), /v1/score and
 // /v1/ranking are served from it — invalidated precisely by ingest via
 // the store's hook chain — and /v1/health reports its effectiveness.
+// The cache keeps each response body it has served warm, so a repeated
+// read writes stored bytes instead of encoding the score again. Every
+// body, cached or not, comes from one encoder (encodeBody), so cached
+// and uncached responses are byte-identical by construction.
 package httpapi
 
 import (
@@ -34,7 +38,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
+	"strconv"
 	"time"
 
 	"iqb/internal/dataset"
@@ -137,18 +143,17 @@ func (s *Server) SetPersistence(p Persistence) { s.persist = p }
 // configuration the server was.
 func (s *Server) SetScoreCache(c *scorecache.Cache) { s.cache = c }
 
-// scoreRegion scores one region subtree through the cache when one is
-// attached, directly otherwise.
+// scoreRegion scores one region subtree directly, or through the test
+// override when one is set.
 func (s *Server) scoreRegion(region string, from, to time.Time) (iqb.Score, error) {
 	if s.scoreOverride != nil {
 		return s.scoreOverride(region, from, to)
 	}
-	if s.cache != nil {
-		score, _, err := s.cache.Score(region, from, to)
-		return score, err
-	}
 	return s.cfg.ScoreRegion(s.store, region, from, to)
 }
+
+// cached reports whether reads are served from the score cache.
+func (s *Server) cached() bool { return s.cache != nil && s.scoreOverride == nil }
 
 // ServeHTTP implements http.Handler with logging, panic recovery, and
 // latency attribution: the elapsed time is measured exactly once and
@@ -174,24 +179,47 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorBody{Error: msg})
-}
+// errEncode marks a response that could not be encoded.
+var errEncode = errors.New("encoding response failed")
 
-// writeJSON encodes v to a buffer first, so a mid-encode failure yields
-// a real 500 instead of a truncated 200 body whose status line already
-// went out.
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+// encodeBody is the server's one JSON encoder: every response body,
+// cached or not, is built here, with the trailing newline and default
+// HTML escaping of json.Encoder. Encoding into a buffer first means a
+// mid-encode failure yields a real 500 instead of a truncated 200 body
+// whose status line already went out.
+func encodeBody(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("%w: %v", errEncode, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// writeBody sends an encoded JSON body in one Write, with its length
+// set so it does not go out chunked.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
+}
+
+func writeError(w http.ResponseWriter, code int, msg string) {
+	body, _ := encodeBody(errorBody{Error: msg}) // a lone string always encodes
+	writeBody(w, code, body)
+}
+
+// writeJSON encodes v and sends it with status code, or a 500 if v does
+// not encode.
+func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := encodeBody(v)
+	if err != nil {
 		s.log.Error("encoding response", "err", err)
-		writeError(w, http.StatusInternalServerError, "encoding response failed")
+		writeError(w, http.StatusInternalServerError, errEncode.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	writeBody(w, code, body)
 }
 
 // HealthResponse reports liveness, store size, and — when attached —
@@ -221,7 +249,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		st := s.ingestq.Stats()
 		resp.Ingest = &st
 	}
-	s.writeJSON(w, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // SnapshotResponse wraps the snapshot a POST /v1/snapshot produced.
@@ -241,11 +269,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.log.Info("snapshot", "path", info.Path, "records", info.Records, "wal_offset", info.WALOffset)
-	s.writeJSON(w, SnapshotResponse{Snapshot: info})
+	s.writeJSON(w, http.StatusOK, SnapshotResponse{Snapshot: info})
 }
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
-	// Buffer-first for the same reason as writeJSON: an encode failure
+	// Buffer-first for the same reason as encodeBody: an encode failure
 	// must surface as a 500, not a truncated 200.
 	var buf bytes.Buffer
 	if err := s.cfg.WriteJSON(&buf); err != nil {
@@ -253,8 +281,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "encoding config failed")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(buf.Bytes())
+	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 // RegionInfo is one row of /v1/regions.
@@ -287,7 +314,7 @@ func (s *Server) handleRegions(w http.ResponseWriter, r *http.Request) {
 			Parent:     reg.Parent,
 		})
 	}
-	s.writeJSON(w, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // ScoreResponse wraps a region's score.
@@ -298,8 +325,8 @@ type ScoreResponse struct {
 
 // timeBound parses an optional RFC 3339 query parameter; ok is false
 // (and a 400 already written) when the value does not parse.
-func (s *Server) timeBound(w http.ResponseWriter, r *http.Request, name string) (time.Time, bool) {
-	raw := r.URL.Query().Get(name)
+func (s *Server) timeBound(w http.ResponseWriter, q url.Values, name string) (time.Time, bool) {
+	raw := q.Get(name)
 	if raw == "" {
 		return time.Time{}, true
 	}
@@ -312,7 +339,8 @@ func (s *Server) timeBound(w http.ResponseWriter, r *http.Request, name string) 
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	region := r.URL.Query().Get("region")
+	q := r.URL.Query() // parsed once: each Query call re-parses
+	region := q.Get("region")
 	if region == "" {
 		writeError(w, http.StatusBadRequest, "region parameter required")
 		return
@@ -323,11 +351,11 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	// Optional [from, to) window; both bounds default to unbounded. The
 	// old handler accepted and silently dropped these.
-	from, ok := s.timeBound(w, r, "from")
+	from, ok := s.timeBound(w, q, "from")
 	if !ok {
 		return
 	}
-	to, ok := s.timeBound(w, r, "to")
+	to, ok := s.timeBound(w, q, "to")
 	if !ok {
 		return
 	}
@@ -335,17 +363,37 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("empty window: from %s is not before to %s", from.Format(time.RFC3339), to.Format(time.RFC3339)))
 		return
 	}
-	score, err := s.scoreRegion(region, from, to)
-	if err != nil {
-		if errors.Is(err, iqb.ErrNoUsableData) {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no usable data for region %q", region))
-			return
-		}
+	body, err := s.scoreBody(region, from, to)
+	switch {
+	case err == nil:
+		writeBody(w, http.StatusOK, body)
+	case errors.Is(err, iqb.ErrNoUsableData):
+		writeError(w, http.StatusNotFound, fmt.Sprintf("no usable data for region %q", region))
+	case errors.Is(err, errEncode):
+		s.log.Error("encoding response", "region", region, "err", err)
+		writeError(w, http.StatusInternalServerError, errEncode.Error())
+	default:
 		s.log.Error("scoring", "region", region, "err", err)
 		writeError(w, http.StatusInternalServerError, "scoring failed")
-		return
 	}
-	s.writeJSON(w, ScoreResponse{Region: region, Score: score})
+}
+
+// scoreBody returns the encoded ScoreResponse for one region subtree:
+// the cache's stored bytes when a cache is attached, a fresh encode
+// otherwise.
+func (s *Server) scoreBody(region string, from, to time.Time) ([]byte, error) {
+	enc := func(sc iqb.Score) ([]byte, error) {
+		return encodeBody(ScoreResponse{Region: region, Score: sc})
+	}
+	if s.cached() {
+		body, _, err := s.cache.ScoreBody(region, from, to, enc)
+		return body, err
+	}
+	score, err := s.scoreRegion(region, from, to)
+	if err != nil {
+		return nil, err
+	}
+	return enc(score)
 }
 
 // RankingRow is one row of /v1/ranking.
@@ -370,14 +418,19 @@ type RankingResponse struct {
 func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
 	counties := s.db.Regions(geo.County)
 	var (
-		ranked  []scorecache.Ranked
-		omitted int
+		body []byte
+		err  error
 	)
-	if s.cache != nil && s.scoreOverride == nil {
+	if s.cached() {
 		// Served from the incrementally repaired sorted view: only
-		// counties invalidated since the last request are rescored.
-		ranked, omitted = s.cache.Ranking(counties)
+		// counties invalidated since the last request are rescored, and
+		// an unrepaired view is served as the bytes it last encoded to.
+		body, err = s.cache.RankingBody(counties, s.encodeRanking)
 	} else {
+		var (
+			ranked  []scorecache.Ranked
+			omitted int
+		)
 		for _, code := range counties {
 			sc, err := s.scoreRegion(code, time.Time{}, time.Time{})
 			if err != nil {
@@ -391,15 +444,19 @@ func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
 			}
 			ranked = append(ranked, scorecache.Ranked{Region: code, Score: sc})
 		}
-		// Descending score, ties broken by code ascending — the same
-		// order the cached view maintains.
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i].Score.IQB != ranked[j].Score.IQB {
-				return ranked[i].Score.IQB > ranked[j].Score.IQB
-			}
-			return ranked[i].Region < ranked[j].Region
-		})
+		scorecache.SortRanked(ranked)
+		body, err = s.encodeRanking(ranked, omitted)
 	}
+	if err != nil {
+		s.log.Error("encoding response", "err", err)
+		writeError(w, http.StatusInternalServerError, errEncode.Error())
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+// encodeRanking encodes ranked counties as the /v1/ranking body.
+func (s *Server) encodeRanking(ranked []scorecache.Ranked, omitted int) ([]byte, error) {
 	rows := make([]RankingRow, 0, len(ranked))
 	for _, row := range ranked {
 		reg, ok := s.db.Region(row.Region)
@@ -415,7 +472,7 @@ func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
 			Grade:     string(row.Score.Grade),
 		})
 	}
-	s.writeJSON(w, RankingResponse{Rows: rows, Omitted: omitted})
+	return encodeBody(RankingResponse{Rows: rows, Omitted: omitted})
 }
 
 // DatasetCount is one row of /v1/datasets.
@@ -437,5 +494,5 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	for _, name := range names {
 		out = append(out, DatasetCount{Name: name, Records: counts[name]})
 	}
-	s.writeJSON(w, out)
+	s.writeJSON(w, http.StatusOK, out)
 }

@@ -63,7 +63,7 @@ func (s *Server) handleTimeSeries(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "time series failed")
 		return
 	}
-	s.writeJSON(w, TimeSeriesResponse{Region: region, Window: window.String(), Points: points})
+	s.writeJSON(w, http.StatusOK, TimeSeriesResponse{Region: region, Window: window.String(), Points: points})
 }
 
 // HourlyResponse wraps an hour-of-day score profile.
@@ -102,7 +102,7 @@ func (s *Server) handleHourly(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.writeJSON(w, HourlyResponse{Region: region, Band: band, Buckets: buckets})
+	s.writeJSON(w, http.StatusOK, HourlyResponse{Region: region, Band: band, Buckets: buckets})
 }
 
 // TimeSeries fetches a region's windowed score series.

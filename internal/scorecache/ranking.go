@@ -27,14 +27,20 @@ type rankRow struct {
 	ranked bool // present in the sorted slice
 }
 
-// rowLess is the ranking order: IQB descending, ties by code ascending —
-// identical to the uncached handler's sort, so cached and uncached
-// rankings are byte-identical.
+// rowLess is the ranking order: IQB descending, ties by code ascending.
 func rowLess(aIQB float64, aCode string, bIQB float64, bCode string) bool {
 	if aIQB != bIQB {
 		return aIQB > bIQB
 	}
 	return aCode < bCode
+}
+
+// SortRanked sorts rows into the order the cached view maintains, so a
+// ranking scored without the cache lists its rows identically.
+func SortRanked(rows []Ranked) {
+	sort.Slice(rows, func(i, j int) bool {
+		return rowLess(rows[i].Score.IQB, rows[i].Region, rows[j].Score.IQB, rows[j].Region)
+	})
 }
 
 // rankPos returns the sorted-slice position of (iqb, code): the index
@@ -81,12 +87,64 @@ func (c *Cache) insertRanked(row *rankRow) {
 func (c *Cache) Ranking(counties []string) (rows []Ranked, omitted int) {
 	c.rankMu.Lock()
 	defer c.rankMu.Unlock()
+	omitted = c.repairLocked(counties)
+	return c.rowsLocked(), omitted
+}
+
+// RankingBody is Ranking for a caller that serves the ranking encoded:
+// enc turns the rows and omitted count into the response body. When the
+// call repairs no row, the body of the view's last encoding is returned
+// without calling enc; otherwise enc runs outside the ranking lock and
+// its bytes are kept only if no other call repaired the view meanwhile
+// (see "Encoded bodies" above).
+func (c *Cache) RankingBody(counties []string, enc func(rows []Ranked, omitted int) ([]byte, error)) ([]byte, error) {
+	c.rankMu.Lock()
+	omitted := c.repairLocked(counties)
+	if body := c.rankBody; body != nil {
+		c.rankMu.Unlock()
+		return body, nil
+	}
+	rows, gen := c.rowsLocked(), c.rankGen
+	c.rankMu.Unlock()
+
+	body, err := enc(rows, omitted)
+	if err != nil || omitted > 0 {
+		return body, err
+	}
+	c.rankMu.Lock()
+	if c.rankGen == gen {
+		if c.rankBody == nil {
+			c.rankBody = body
+		}
+		body = c.rankBody
+	}
+	c.rankMu.Unlock()
+	return body, nil
+}
+
+// repairLocked rescores every county whose row is missing, was computed
+// while ingestion was in flight, or predates its region's current
+// version; if it repaired any, it starts a new view generation and
+// drops the stored body. The versions are read in one c.mu hold before
+// the loop; a commit landing after that is repaired on the next call.
+// Callers hold rankMu.
+func (c *Cache) repairLocked(counties []string) (omitted int) {
+	c.mu.Lock()
+	vers := c.rankVers[:0]
 	for _, code := range counties {
+		vers = append(vers, c.ver[code])
+	}
+	c.mu.Unlock()
+	c.rankVers = vers
+
+	repaired := false
+	for i, code := range counties {
 		row := c.rankRow[code]
-		if row != nil && row.valid && row.ver == c.regionVer(code) {
+		if row != nil && row.valid && row.ver == vers[i] {
 			continue
 		}
-		res, _ := c.get(code, time.Time{}, time.Time{})
+		repaired = true
+		res, _ := c.get(c.key(code, time.Time{}, time.Time{}), time.Time{}, time.Time{})
 		if row != nil {
 			c.removeRanked(row)
 		}
@@ -110,9 +168,18 @@ func (c *Cache) Ranking(counties []string) (rows []Ranked, omitted int) {
 		}
 		c.rankRow[code] = row
 	}
-	rows = make([]Ranked, len(c.ranked))
+	if repaired {
+		c.rankGen++
+		c.rankBody = nil
+	}
+	return omitted
+}
+
+// rowsLocked copies the sorted view out. Callers hold rankMu.
+func (c *Cache) rowsLocked() []Ranked {
+	rows := make([]Ranked, len(c.ranked))
 	for i, r := range c.ranked {
 		rows[i] = Ranked{Region: r.code, Score: r.score}
 	}
-	return rows, omitted
+	return rows
 }

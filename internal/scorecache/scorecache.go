@@ -30,6 +30,27 @@
 // The cache also maintains the county ranking as an incrementally
 // repaired sorted view: an invalidated county is rescored and moved to
 // its new position; everything else keeps its cached score and slot.
+//
+// # Encoded bodies
+//
+// ScoreBody and RankingBody hand back a response body built by a
+// caller-supplied encoder and keep it next to the value it encodes, so
+// a warm read writes stored bytes instead of encoding again.
+//
+// A score entry gets its body at its first hit, not at the miss that
+// computed it. A window requested once (the common case for
+// client-chosen from/to) then never retains a body nobody reads again;
+// a key that repeats is encoded at its miss and its first hit, then
+// served from the stored bytes. Eviction and invalidation drop the
+// entry and its body with it.
+//
+// The ranking view keeps the body of its last encoding and drops it
+// whenever a call repairs a row. A ranking that omitted a failed county
+// is never kept, since that county is retried on every call.
+//
+// The encoders must be deterministic functions of their arguments, the
+// same for every call on one cache, and the returned bytes are shared
+// and must not be modified.
 package scorecache
 
 import (
@@ -135,6 +156,9 @@ type entry struct {
 	score  iqb.Score
 	err    error
 	noData bool
+	// body is the score's encoded response, attached at the entry's
+	// first ScoreBody hit; nil until then. Guarded by Cache.mu.
+	body []byte
 }
 
 // flight is one in-progress computation other callers can join.
@@ -145,12 +169,15 @@ type flight struct {
 
 // result carries a computed score plus the bookkeeping the ranking view
 // needs: the region version it is valid at and whether it was retained
-// (computed from a fully applied record multiset).
+// (computed from a fully applied record multiset). On a hit, hit is the
+// entry served and body its encoded response, if attached yet.
 type result struct {
 	score iqb.Score
 	err   error
 	ver   uint64
 	clean bool
+	hit   *entry
+	body  []byte
 }
 
 // Cache is a versioned scored-region cache bound to one store and one
@@ -179,9 +206,12 @@ type Cache struct {
 
 	// rankMu serializes ranking repairs; it is acquired before mu and
 	// never the other way around.
-	rankMu  sync.Mutex
-	rankRow map[string]*rankRow
-	ranked  []*rankRow // sorted: IQB descending, ties by code ascending
+	rankMu   sync.Mutex
+	rankRow  map[string]*rankRow
+	ranked   []*rankRow // sorted: IQB descending, ties by code ascending
+	rankVers []uint64   // scratch: county versions read at the start of a repair
+	rankGen  uint64     // bumped by every call that repairs a row
+	rankBody []byte     // encoded view of generation rankGen, once served
 }
 
 // New builds a cache over store scored with cfg and registers it on the
@@ -342,19 +372,59 @@ func (c *Cache) onCommit(rs []dataset.Record) {
 // (zero bounds unbounded), from cache when possible. The error is
 // iqb.ErrNoUsableData-compatible exactly as Config.ScoreRegion's is.
 func (c *Cache) Score(region string, from, to time.Time) (iqb.Score, Outcome, error) {
-	res, out := c.get(region, from, to)
+	res, out := c.get(c.key(region, from, to), from, to)
 	return res.score, out, res.err
 }
 
-// get is Score plus the version/cleanliness bookkeeping Ranking needs.
-func (c *Cache) get(region string, from, to time.Time) (result, Outcome) {
+// ScoreBody is Score for a caller that serves the score encoded: enc
+// turns the score into the response body. It counts Hits, Misses and
+// SharedFlights exactly as Score does. A hit on an entry that already
+// carries a body returns the stored bytes without calling enc; the
+// first hit on an entry encodes outside the lock and attaches the
+// bytes, unless the entry was evicted or another caller attached first
+// (then that caller's bytes are returned). Misses and shared flights
+// encode without attaching (see "Encoded bodies" above). A scoring
+// error is returned as Score returns it, and enc is not called.
+func (c *Cache) ScoreBody(region string, from, to time.Time, enc func(iqb.Score) ([]byte, error)) ([]byte, Outcome, error) {
+	k := c.key(region, from, to)
+	res, out := c.get(k, from, to)
+	if res.err != nil {
+		return nil, out, res.err
+	}
+	if res.body != nil {
+		return res.body, out, nil
+	}
+	body, err := enc(res.score)
+	if err != nil || res.hit == nil {
+		return body, out, err
+	}
+	c.mu.Lock()
+	if c.entries[k] == res.hit {
+		if res.hit.body == nil {
+			res.hit.body = body
+		}
+		body = res.hit.body
+	}
+	c.mu.Unlock()
+	return body, out, nil
+}
+
+// key builds the cache key for a region and window under the cache's
+// configuration.
+func (c *Cache) key(region string, from, to time.Time) key {
 	k := key{region: region, cfg: c.cfgHash}
 	k.fromZero, k.fromNS = boundNS(from)
 	k.toZero, k.toNS = boundNS(to)
+	return k
+}
 
+// get is the one cache lookup behind Score, ScoreBody and Ranking: a
+// hit, a joined flight, or a computation that is retained when clean.
+func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
+	region := k.region
 	c.mu.Lock()
 	if e, ok := c.entries[k]; ok {
-		res := result{score: e.score, err: e.err, ver: c.ver[region], clean: true}
+		res := result{score: e.score, err: e.err, ver: c.ver[region], clean: true, hit: e, body: e.body}
 		c.stats.Hits++
 		c.mu.Unlock()
 		return res, Hit
@@ -497,10 +567,4 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 	r.GaugeFunc("iqb_scorecache_entries",
 		"Scores currently retained.", nil,
 		sample(func(s Stats) float64 { return float64(s.Entries) }))
-}
-
-func (c *Cache) regionVer(code string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ver[code]
 }
