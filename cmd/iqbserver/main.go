@@ -8,7 +8,7 @@
 //	          [-wal-segment-bytes N] [-wal-group-window D]
 //	          [-ingest-queue-records N] [-ingest-queue-bytes N]
 //	          [-ingest-drain-records N] [-ingest-body-cap N]
-//	          [-score-cache=true] [-cache-stats 0] [-metrics=true]
+//	          [-score-cache=true] [-metrics=true]
 //
 // Endpoints: /v1/health /v1/config /v1/regions /v1/score?region=R
 // (optional from/to RFC 3339 window bounds) /v1/ranking /v1/datasets,
@@ -68,8 +68,8 @@
 // window) entries a committed batch touched, and maintains the county
 // ranking as an incrementally repaired sorted view. -score-cache=false
 // reverts to scoring every request from the store. /v1/health reports
-// hit/miss/eviction counters in its cache block; -cache-stats D also
-// logs them every D (0 disables the log line).
+// hit/miss/eviction counters in its cache block, and /metrics exports
+// them as iqb_scorecache_*.
 package main
 
 import (
@@ -92,7 +92,6 @@ import (
 	"iqb/internal/iqb"
 	"iqb/internal/persist"
 	"iqb/internal/pipeline"
-	"iqb/internal/scorecache"
 	"iqb/internal/telemetry"
 )
 
@@ -227,84 +226,6 @@ func openWorld(logger *slog.Logger, spec pipeline.Spec, opts bootOptions) (*worl
 	return &world{store: res.Store, db: res.World.DB, mgr: mgr}, nil
 }
 
-// cacheStatsLoop logs score-cache effectiveness until ctx is done.
-func cacheStatsLoop(ctx context.Context, logger *slog.Logger, cache *scorecache.Cache, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			st := cache.Stats()
-			logger.Info("score cache",
-				"entries", st.Entries,
-				"hits", st.Hits,
-				"misses", st.Misses,
-				"uncacheable", st.Uncacheable,
-				"shared_flights", st.SharedFlights,
-				"invalidations", st.Invalidations,
-				"evictions", st.Evictions,
-				"ranking_repairs", st.RankingRepairs)
-		}
-	}
-}
-
-// snapshotLoop cuts background snapshots until ctx is done, on two
-// independent triggers: the wall-clock ticker (when every > 0) and the
-// manager's WAL-growth signal (-snapshot-wal-bytes; never fires when
-// disabled). The growth path re-checks the threshold via
-// SnapshotIfGrown, so a signal raced by a wall-clock snapshot that
-// already covered the growth becomes a no-op instead of a redundant
-// full-store snapshot.
-func snapshotLoop(ctx context.Context, logger *slog.Logger, mgr *persist.Manager, every time.Duration) {
-	var tick <-chan time.Time
-	if every > 0 {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		tick = t.C
-	}
-	// Receiving from GrowthC consumes the (coalesced) signal, so a
-	// growth snapshot that fails transiently must be retried by the
-	// loop itself — idle ingest would otherwise never re-signal and the
-	// replay debt would stay over the threshold indefinitely. The retry
-	// re-checks through SnapshotIfGrown, so it dies out as soon as any
-	// snapshot (ours or a wall-clock one) covers the growth.
-	var retry <-chan time.Time
-	onGrowth := func() {
-		info, cut, err := mgr.SnapshotIfGrown()
-		if err != nil {
-			logger.Error("background snapshot failed", "trigger", "wal-growth", "err", err)
-			retry = time.After(5 * time.Second)
-			return
-		}
-		retry = nil
-		if !cut {
-			return
-		}
-		logger.Info("background snapshot", "trigger", "wal-growth", "path", info.Path,
-			"records", info.Records, "wal_offset", info.WALOffset, "bytes", info.Bytes)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick:
-			info, err := mgr.Snapshot()
-			if err != nil {
-				logger.Error("background snapshot failed", "trigger", "interval", "err", err)
-				continue
-			}
-			logger.Info("background snapshot", "trigger", "interval", "path", info.Path,
-				"records", info.Records, "wal_offset", info.WALOffset, "bytes", info.Bytes)
-		case <-mgr.GrowthC():
-			onGrowth()
-		case <-retry:
-			onGrowth()
-		}
-	}
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("iqbserver", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8600", "listen address")
@@ -320,7 +241,6 @@ func run(args []string) error {
 	drainRecords := fs.Int("ingest-drain-records", ingest.DefaultDrainRecords, "most records the ingest drainer commits per store batch")
 	bodyCap := fs.Int64("ingest-body-cap", httpapi.DefaultIngestBodyCap, "largest POST /v1/ingest request body in bytes")
 	useCache := fs.Bool("score-cache", true, "serve /v1/score and /v1/ranking from the ingest-invalidated score cache")
-	cacheStats := fs.Duration("cache-stats", 0, "score-cache stats logging period (0 disables)")
 	metricsOn := fs.Bool("metrics", true, "serve self-telemetry at GET /metrics (Prometheus text format)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -349,67 +269,34 @@ func run(args []string) error {
 		return err
 	}
 
-	cfg := iqb.DefaultConfig()
-	api, err := httpapi.New(cfg, w.store, w.db, logger)
-	if err != nil {
-		return err
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if w.mgr != nil {
-		api.SetPersistence(w.mgr)
-		defer func() {
-			// Shutdown path: the WAL's final fsync happens in Close, so a
-			// failure here is a durability event worth surfacing.
-			if cerr := w.mgr.Close(); cerr != nil {
-				logger.Error("closing persistence", "err", cerr)
-			}
-		}()
-		if *snapEvery > 0 || *snapWALBytes > 0 {
-			go snapshotLoop(ctx, logger, w.mgr, *snapEvery)
-		}
-	}
-	if *useCache {
-		// Registered after any WAL tee: both live on the store's hook
-		// chain, batches tee durably first and invalidate the cache once
-		// committed.
-		cache, err := scorecache.New(w.store, cfg, logger)
-		if err != nil {
-			return err
-		}
-		defer cache.Close()
-		cache.RegisterMetrics(reg)
-		api.SetScoreCache(cache)
-		logger.Info("score cache enabled", "config_hash", cache.ConfigHash())
-		if *cacheStats > 0 {
-			go cacheStatsLoop(ctx, logger, cache, *cacheStats)
-		}
-	}
-	// The ingester is created after persistence and closed before it
-	// (defers run LIFO): draining admitted batches needs the WAL still
-	// open, so every acknowledged record is durable before the final
-	// WAL fsync.
-	ing, err := ingest.New(w.store, ingest.Options{
-		QueueRecords: *queueRecords,
-		QueueBytes:   *queueBytes,
-		DrainRecords: *drainRecords,
-		Metrics:      reg,
+	api, err := httpapi.Open(httpapi.Config{
+		Scoring:          iqb.DefaultConfig(),
+		Store:            w.store,
+		Geo:              w.db,
+		Logger:           logger,
+		Persist:          w.mgr,
+		SnapshotInterval: *snapEvery,
+		NoScoreCache:     !*useCache,
+		Ingest: ingest.Options{
+			QueueRecords: *queueRecords,
+			QueueBytes:   *queueBytes,
+			DrainRecords: *drainRecords,
+		},
+		IngestBodyCap: *bodyCap,
+		Metrics:       reg,
 	})
 	if err != nil {
 		return err
 	}
+	// Runs after the HTTP server has stopped: the ingester drains into
+	// the WAL before the WAL's final fsync.
 	defer func() {
-		if cerr := ing.Close(); cerr != nil {
-			logger.Error("closing ingest pipeline", "err", cerr)
+		if cerr := api.Close(); cerr != nil {
+			logger.Error("closing server", "err", cerr)
 		}
 	}()
-	api.SetIngest(ing, *bodyCap)
-	logger.Info("live ingest enabled", "endpoint", "POST /v1/ingest",
-		"queue_records", *queueRecords, "queue_bytes", *queueBytes)
-	if reg != nil {
-		api.SetMetrics(reg)
-		logger.Info("telemetry enabled", "endpoint", "GET /metrics")
-	}
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           api,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"iqb/internal/dataset"
+	"iqb/internal/httpapi"
 	"iqb/internal/iqb"
 	"iqb/internal/pipeline"
 )
@@ -176,8 +176,8 @@ func TestKillAndRestartRecoversBitIdentical(t *testing.T) {
 
 // TestSnapshotFiresOnWALGrowthAlone pins the -snapshot-wal-bytes
 // trigger: with the wall-clock interval disabled entirely, ingesting
-// past the growth threshold must make the background loop cut a
-// snapshot — growth is a first-class trigger, not a refinement of the
+// past the growth threshold must make the server's background loop cut
+// a snapshot — growth is a first-class trigger, not a refinement of the
 // timer.
 func TestSnapshotFiresOnWALGrowthAlone(t *testing.T) {
 	dir := t.TempDir()
@@ -189,15 +189,17 @@ func TestSnapshotFiresOnWALGrowthAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.mgr.Close()
+	// No wall-clock ticker: SnapshotInterval stays 0.
+	api, err := httpapi.Open(httpapi.Config{Scoring: iqb.DefaultConfig(), Store: w.store,
+		Geo: w.db, Logger: testLogger(), Persist: w.mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer api.Close()
 	base := w.mgr.Status().SnapshotOffset
 	if base == 0 {
 		t.Fatal("first boot cut no initial snapshot")
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go snapshotLoop(ctx, testLogger(), w.mgr, 0) // no wall-clock ticker
 
 	// Ingest until the uncovered WAL crosses the threshold; the growth
 	// stats must be visible on the way (they feed /v1/health).

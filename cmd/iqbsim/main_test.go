@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"iqb/internal/httpapi"
-	"iqb/internal/ingest"
 	"iqb/internal/iqb"
 	"iqb/internal/pipeline"
 )
@@ -46,7 +45,7 @@ func TestMixWeightsStableOrder(t *testing.T) {
 }
 
 // startTestServer boots a real API server (in-process, memory-only)
-// with live ingest attached, mirroring iqbserver's wiring.
+// through httpapi.Open, as iqbserver does.
 func startTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	spec := pipeline.DefaultSpec()
@@ -59,21 +58,20 @@ func startTestServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	api, err := httpapi.New(iqb.DefaultConfig(), res.Store, res.World.DB, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing, err := ingest.New(res.Store, ingest.Options{})
+	api, err := httpapi.Open(httpapi.Config{
+		Scoring: iqb.DefaultConfig(),
+		Store:   res.Store,
+		Geo:     res.World.DB,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := ing.Close(); err != nil {
-			t.Errorf("closing ingester: %v", err)
+		if err := api.Close(); err != nil {
+			t.Errorf("closing server: %v", err)
 		}
 	})
-	api.SetIngest(ing, httpapi.DefaultIngestBodyCap)
 	srv := httptest.NewServer(api)
 	t.Cleanup(srv.Close)
 	return srv

@@ -11,8 +11,6 @@ import (
 
 	"iqb/internal/dataset"
 	"iqb/internal/geo"
-	"iqb/internal/iqb"
-	"iqb/internal/scorecache"
 )
 
 // benchWorld builds a wider world than the test fixture: counties
@@ -61,11 +59,10 @@ func benchWorld(b *testing.B, counties, recordsPer int) (*dataset.Store, *geo.DB
 // "warm" serves the incrementally repaired sorted view. The gap is the
 // read-path headroom the cache buys — the acceptance bar is >= 10x.
 func BenchmarkRankingColdVsWarm(b *testing.B) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	serve := func(b *testing.B, srv *Server) {
+	run := func(b *testing.B, noCache bool) {
 		b.Helper()
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
+		store, db := benchWorld(b, 40, 60)
+		ts := serve(b, Config{Store: store, Geo: db, NoScoreCache: noCache})
 		// Prime once so both arms pay setup outside the timer (for the
 		// warm arm this fills the cache; for cold it is just a request).
 		if resp, err := http.Get(ts.URL + "/v1/ranking"); err != nil {
@@ -89,51 +86,17 @@ func BenchmarkRankingColdVsWarm(b *testing.B) {
 		}
 	}
 
-	b.Run("cold", func(b *testing.B) {
-		store, db := benchWorld(b, 40, 60)
-		srv, err := New(iqb.DefaultConfig(), store, db, logger)
-		if err != nil {
-			b.Fatal(err)
-		}
-		serve(b, srv)
-	})
-	b.Run("warm", func(b *testing.B) {
-		store, db := benchWorld(b, 40, 60)
-		srv, err := New(iqb.DefaultConfig(), store, db, logger)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cache, err := scorecache.New(store, iqb.DefaultConfig(), logger)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cache.Close()
-		srv.SetScoreCache(cache)
-		serve(b, srv)
-	})
+	b.Run("cold", func(b *testing.B) { run(b, true) })
+	b.Run("warm", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkScoreColdVsWarm is the single-region twin: one county's
 // /v1/score with and without the cache.
 func BenchmarkScoreColdVsWarm(b *testing.B) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	run := func(b *testing.B, withCache bool) {
+	run := func(b *testing.B, noCache bool) {
 		b.Helper()
 		store, db := benchWorld(b, 40, 60)
-		srv, err := New(iqb.DefaultConfig(), store, db, logger)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if withCache {
-			cache, err := scorecache.New(store, iqb.DefaultConfig(), logger)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cache.Close()
-			srv.SetScoreCache(cache)
-		}
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
+		ts := serve(b, Config{Store: store, Geo: db, NoScoreCache: noCache})
 		url := ts.URL + "/v1/score?region=XA-01-001"
 		if resp, err := http.Get(url); err != nil {
 			b.Fatal(err)
@@ -152,8 +115,8 @@ func BenchmarkScoreColdVsWarm(b *testing.B) {
 			resp.Body.Close()
 		}
 	}
-	b.Run("cold", func(b *testing.B) { run(b, false) })
-	b.Run("warm", func(b *testing.B) { run(b, true) })
+	b.Run("cold", func(b *testing.B) { run(b, true) })
+	b.Run("warm", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkServeScoreWarm serves one county's warm /v1/score through
@@ -169,16 +132,7 @@ func BenchmarkServeRankingWarm(b *testing.B) { serveWarm(b, "/v1/ranking") }
 func serveWarm(b *testing.B, path string) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	store, db := benchWorld(b, 40, 60)
-	srv, err := New(iqb.DefaultConfig(), store, db, quiet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cache, err := scorecache.New(store, iqb.DefaultConfig(), quiet)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cache.Close()
-	srv.SetScoreCache(cache)
+	srv := open(b, Config{Store: store, Geo: db, Logger: quiet})
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	serve := func() {
 		rec := httptest.NewRecorder()

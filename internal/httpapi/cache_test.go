@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,41 +13,13 @@ import (
 	"time"
 
 	"iqb/internal/dataset"
-	"iqb/internal/geo"
 	"iqb/internal/iqb"
-	"iqb/internal/scorecache"
 )
-
-// newServer builds a Server (not yet listening) over a fresh world.
-func newServer(t *testing.T) (*Server, *dataset.Store, *geo.DB) {
-	t.Helper()
-	store, db := buildWorld(t)
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv, err := New(iqb.DefaultConfig(), store, db, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, store, db
-}
-
-// attachCache wires a scored-region cache onto a server's store.
-func attachCache(t *testing.T, srv *Server, store *dataset.Store) *scorecache.Cache {
-	t.Helper()
-	cache, err := scorecache.New(store, iqb.DefaultConfig(), slog.New(slog.NewTextHandler(io.Discard, nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cache.Close)
-	srv.SetScoreCache(cache)
-	return cache
-}
 
 // TestScoreTimeWindow: the from/to query params — which the old handler
 // accepted and silently dropped — now select a real [from, to) window.
 func TestScoreTimeWindow(t *testing.T) {
-	srv, _, _ := newServer(t)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
@@ -75,9 +46,7 @@ func TestScoreTimeWindow(t *testing.T) {
 // TestScoreTimeWindowErrors: unparsable bounds and inverted windows are
 // 400s, not silently ignored.
 func TestScoreTimeWindowErrors(t *testing.T) {
-	srv, _, _ := newServer(t)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	ts := serve(t, Config{})
 	for _, path := range []string{
 		"/v1/score?region=XA-01-001&from=yesterday",
 		"/v1/score?region=XA-01-001&to=2025-13-99",
@@ -98,7 +67,7 @@ func TestScoreTimeWindowErrors(t *testing.T) {
 // TestRankingOmitsFailedRegion: one region failing with a real error is
 // logged and counted, not a 500 that discards every other row.
 func TestRankingOmitsFailedRegion(t *testing.T) {
-	srv, _, _ := newServer(t)
+	srv := open(t, Config{})
 	cfg := iqb.DefaultConfig()
 	srv.scoreOverride = func(region string, from, to time.Time) (iqb.Score, error) {
 		if region == "XA-01-002" {
@@ -125,13 +94,10 @@ func TestRankingOmitsFailedRegion(t *testing.T) {
 // hit (which attaches the encoded body to the cache), on a hit served
 // from the stored bytes, and again after an invalidating AddBatch.
 func TestCachedResponsesByteIdentical(t *testing.T) {
-	plain, plainStore, _ := newServer(t)
-	cached, cachedStore, _ := newServer(t)
-	attachCache(t, cached, cachedStore)
-	tsPlain := httptest.NewServer(plain)
-	t.Cleanup(tsPlain.Close)
-	tsCached := httptest.NewServer(cached)
-	t.Cleanup(tsCached.Close)
+	plainStore, _ := buildWorld(t)
+	cachedStore, _ := buildWorld(t)
+	tsPlain := serve(t, Config{Store: plainStore, NoScoreCache: true})
+	tsCached := serve(t, Config{Store: cachedStore})
 
 	// get renders a response as its compared parts.
 	get := func(base, path string) string {
@@ -194,12 +160,10 @@ func TestCachedResponsesByteIdentical(t *testing.T) {
 }
 
 // TestHealthReportsCache: the health endpoint grows a cache block when
-// a score cache is attached and counts real traffic.
+// the server has a score cache and counts real traffic.
 func TestHealthReportsCache(t *testing.T) {
-	srv, store, _ := newServer(t)
-	attachCache(t, srv, store)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	store, _ := buildWorld(t)
+	ts := serve(t, Config{Store: store})
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
@@ -238,8 +202,8 @@ func TestHealthReportsCache(t *testing.T) {
 		t.Fatalf("post-ingest cache stats = %+v, want 1 invalidation and 1 eviction", h.Cache)
 	}
 
-	// Memory-only-style server without a cache: block absent.
-	plain := newAPIServer(t)
+	// A server without a cache: block absent.
+	plain := serve(t, Config{NoScoreCache: true})
 	h2, err := (&Client{BaseURL: plain.URL}).Health(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +217,7 @@ func TestHealthReportsCache(t *testing.T) {
 // 500 with the error envelope, never a truncated 200 (the old
 // writeJSON streamed straight into the ResponseWriter).
 func TestWriteJSONEncodeFailure(t *testing.T) {
-	srv, _, _ := newServer(t)
+	srv := open(t, Config{})
 	rec := httptest.NewRecorder()
 	srv.writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
 	if rec.Code != http.StatusInternalServerError {

@@ -13,11 +13,12 @@ import (
 	"iqb/internal/dataset"
 	"iqb/internal/geo"
 	"iqb/internal/iqb"
+	"iqb/internal/persist"
 )
 
 // buildWorld assembles a small scored world: two counties, three
 // datasets, the urban one healthy and the rural one poor.
-func buildWorld(t *testing.T) (*dataset.Store, *geo.DB) {
+func buildWorld(t testing.TB) (*dataset.Store, *geo.DB) {
 	t.Helper()
 	db := geo.NewDB()
 	must := func(err error) {
@@ -56,36 +57,75 @@ func buildWorld(t *testing.T) (*dataset.Store, *geo.DB) {
 	return store, db
 }
 
-func newAPIServer(t *testing.T) *httptest.Server {
+// open builds a server through Open with the default scoring config
+// and a silent logger; a Config without a store or geography gets
+// buildWorld's. The server is closed when the test ends.
+func open(t testing.TB, c Config) *Server {
 	t.Helper()
+	c.Scoring = iqb.DefaultConfig()
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
 	store, db := buildWorld(t)
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv, err := New(iqb.DefaultConfig(), store, db, logger)
+	if c.Store == nil {
+		c.Store = store
+	}
+	if c.Geo == nil {
+		c.Geo = db
+	}
+	srv, err := Open(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return srv
+}
+
+// serve is open plus a test HTTP server in front, shut down before the
+// server closes.
+func serve(t testing.TB, c Config) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(open(t, c))
 	t.Cleanup(ts.Close)
 	return ts
 }
 
-func TestNewValidates(t *testing.T) {
+func TestOpenValidates(t *testing.T) {
 	store, db := buildWorld(t)
 	bad := iqb.DefaultConfig()
 	bad.Percentile = 0
-	if _, err := New(bad, store, db, nil); err == nil {
+	if _, err := Open(Config{Scoring: bad, Store: store, Geo: db}); err == nil {
 		t.Error("invalid config should error")
 	}
-	if _, err := New(iqb.DefaultConfig(), nil, db, nil); err == nil {
+	if _, err := Open(Config{Scoring: iqb.DefaultConfig(), Geo: db}); err == nil {
 		t.Error("nil store should error")
 	}
-	if _, err := New(iqb.DefaultConfig(), store, nil, nil); err == nil {
+	if _, err := Open(Config{Scoring: iqb.DefaultConfig(), Store: store}); err == nil {
 		t.Error("nil geography should error")
+	}
+	// A failed Open still owns the manager it was handed: it closes it,
+	// so the WAL tee is off the store's hook chain.
+	m, err := persist.Open(t.TempDir(), persist.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Scoring: iqb.DefaultConfig(), Store: store, Geo: db, Persist: m}); err == nil {
+		t.Error("a store other than the manager's should error")
+	}
+	if err := m.Store().Add(ingestRecord("after-failed-open", "ndt", "XA-01-001")); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Status().WALRecords; got != 0 {
+		t.Errorf("failed Open left the WAL open: %d records logged after it", got)
 	}
 }
 
 func TestHealth(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	h, err := c.Health(context.Background())
 	if err != nil {
@@ -97,7 +137,7 @@ func TestHealth(t *testing.T) {
 }
 
 func TestRegions(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	regions, err := c.Regions(context.Background())
 	if err != nil {
@@ -116,7 +156,7 @@ func TestRegions(t *testing.T) {
 }
 
 func TestScore(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	urban, err := c.Score(context.Background(), "XA-01-001")
 	if err != nil {
@@ -143,7 +183,7 @@ func TestScore(t *testing.T) {
 }
 
 func TestScoreErrors(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	if _, err := c.Score(context.Background(), "XB-99"); err == nil {
 		t.Error("unknown region should error")
@@ -163,7 +203,7 @@ func TestScoreErrors(t *testing.T) {
 }
 
 func TestRanking(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	resp, err := c.Ranking(context.Background())
 	if err != nil {
@@ -188,7 +228,7 @@ func TestRanking(t *testing.T) {
 }
 
 func TestDatasets(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	ds, err := c.Datasets(context.Background())
 	if err != nil {
@@ -208,13 +248,7 @@ func TestDatasets(t *testing.T) {
 // endpoints: with no regions and no records they must encode [] — never
 // null, which breaks clients that iterate the response.
 func TestEmptyListsEncodeAsArrays(t *testing.T) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv, err := New(iqb.DefaultConfig(), dataset.NewStore(), geo.NewDB(), logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	ts := serve(t, Config{Store: dataset.NewStore(), Geo: geo.NewDB()})
 	want := map[string]string{
 		"/v1/regions":  "[]",
 		"/v1/datasets": "[]",
@@ -238,7 +272,7 @@ func TestEmptyListsEncodeAsArrays(t *testing.T) {
 }
 
 func TestConfigEndpoint(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/config")
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +285,7 @@ func TestConfigEndpoint(t *testing.T) {
 }
 
 func TestUnknownEndpoint(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/nope")
 	if err != nil {
 		t.Fatal(err)
@@ -272,15 +306,8 @@ func TestClientDeadServer(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestTimeSeriesEndpoint(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	resp, err := c.TimeSeries(context.Background(), "XA-01-001", 0)
 	if err != nil {
@@ -308,7 +335,7 @@ func TestTimeSeriesEndpoint(t *testing.T) {
 }
 
 func TestTimeSeriesErrors(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	if _, err := c.TimeSeries(context.Background(), "XB-99", 0); err == nil {
 		t.Error("unknown region should error")
@@ -343,12 +370,7 @@ func TestTimeSeriesWindowCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv, err := New(iqb.DefaultConfig(), store, db, slog.New(slog.NewTextHandler(io.Discard, nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	ts := serve(t, Config{Store: store, Geo: db})
 
 	resp, err := http.Get(ts.URL + "/v1/timeseries?region=XA-01-001&window=1ms")
 	if err != nil {
@@ -371,7 +393,7 @@ func TestTimeSeriesWindowCap(t *testing.T) {
 }
 
 func TestHourlyEndpoint(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	resp, err := c.Hourly(context.Background(), "XA-01-001", 6)
 	if err != nil {
@@ -390,7 +412,7 @@ func TestHourlyEndpoint(t *testing.T) {
 }
 
 func TestHourlyErrors(t *testing.T) {
-	ts := newAPIServer(t)
+	ts := serve(t, Config{})
 	c := &Client{BaseURL: ts.URL}
 	if _, err := c.Hourly(context.Background(), "XB-99", 3); err == nil {
 		t.Error("unknown region should error")

@@ -15,26 +15,13 @@ import (
 )
 
 // DefaultIngestBodyCap bounds one POST /v1/ingest request body when
-// SetIngest is given no explicit cap.
+// Config.IngestBodyCap sets none.
 const DefaultIngestBodyCap = 64 << 20
 
 // ingestRetryAfterSeconds is the backoff hint sent with a 429: long
 // enough for a drain round to free queue budget, short enough that a
 // load generator's closed loop recovers promptly.
 const ingestRetryAfterSeconds = 1
-
-// SetIngest attaches the live ingest pipeline (nil detaches it); call
-// before serving. With an ingester attached, POST /v1/ingest streams
-// NDJSON records through it and /v1/health grows an ingest block.
-// bodyCap limits one request body in bytes (<= 0 selects
-// DefaultIngestBodyCap); past it the request is rejected with 413.
-func (s *Server) SetIngest(ing *ingest.Ingester, bodyCap int64) {
-	s.ingestq = ing
-	if bodyCap <= 0 {
-		bodyCap = DefaultIngestBodyCap
-	}
-	s.ingestBodyCap = bodyCap
-}
 
 // IngestResponse reports one POST /v1/ingest request's outcome.
 // Accepted records are durably committed (they survive kill-and-
@@ -45,7 +32,7 @@ type IngestResponse struct {
 	Accepted int `json:"accepted"`
 	Rejected int `json:"rejected"`
 	// Error and Line locate the failure on non-202 responses; Line is
-	// the 1-based NDJSON input line for 400s, 0 otherwise.
+	// the 1-based NDJSON input line of a malformed record, 0 otherwise.
 	Error string `json:"error,omitempty"`
 	Line  int    `json:"line,omitempty"`
 }
@@ -55,12 +42,9 @@ type IngestResponse struct {
 // next is decoded, so the accepted count in every response — including
 // error responses — names records that survive a crash. Overload sheds
 // the remaining stream with a 429 + Retry-After instead of queueing
-// unboundedly.
+// unboundedly; a chunk holding a record ID the store already has (or
+// holding one twice) is the client's fault, a 400 naming the key.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.ingestq == nil {
-		writeError(w, http.StatusServiceUnavailable, "live ingest not enabled")
-		return
-	}
 	body := http.MaxBytesReader(w, r.Body, s.ingestBodyCap)
 	dec := dataset.NewNDJSONDecoder(body)
 	chunk := s.ingestq.DrainRecords()
@@ -94,7 +78,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := s.ingestq.Enqueue(rs, wireBytes); err != nil {
-			if errors.Is(err, ingest.ErrOverload) {
+			// Whatever failed, this chunk was not applied (AddBatch is
+			// atomic), so nothing from it is visible to queries.
+			switch {
+			case errors.Is(err, ingest.ErrOverload):
 				w.Header().Set("Retry-After", strconv.Itoa(ingestRetryAfterSeconds))
 				s.writeJSON(w, http.StatusTooManyRequests, IngestResponse{
 					Accepted: accepted,
@@ -102,9 +89,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 					Error:    "ingest queue overloaded; retry after backoff",
 				})
 				return
+			case errors.Is(err, dataset.ErrDuplicate):
+				s.writeJSON(w, http.StatusBadRequest, IngestResponse{Accepted: accepted, Error: err.Error()})
+				return
 			}
-			// Commit failure: this chunk was not applied (AddBatch is
-			// atomic), so nothing from it is visible to queries.
 			s.log.Error("ingest: commit failed", "records", len(rs), "err", err)
 			s.writeJSON(w, http.StatusInternalServerError, IngestResponse{
 				Accepted: accepted,

@@ -1,15 +1,14 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -19,29 +18,7 @@ import (
 	"iqb/internal/ingest"
 	"iqb/internal/iqb"
 	"iqb/internal/persist"
-	"iqb/internal/scorecache"
 )
-
-// newIngestServer builds a scored world with a live ingest pipeline
-// attached. bodyCap <= 0 keeps the default.
-func newIngestServer(t *testing.T, store *dataset.Store, o ingest.Options, bodyCap int64) (*httptest.Server, *ingest.Ingester) {
-	t.Helper()
-	_, db := buildWorld(t)
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv, err := New(iqb.DefaultConfig(), store, db, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ing, err := ingest.New(store, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ing.Close() })
-	srv.SetIngest(ing, bodyCap)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts, ing
-}
 
 func ingestRecord(id, ds, region string) dataset.Record {
 	r := dataset.NewRecord(id, ds, region, time.Date(2025, 6, 3, 12, 0, 0, 0, time.UTC))
@@ -52,13 +29,22 @@ func ingestRecord(id, ds, region string) dataset.Record {
 	return r
 }
 
+// ingestIDs posts one ingestRecord per ID, all ndt in XA-01-001.
+func ingestIDs(c *Client, ids ...string) (IngestResponse, error) {
+	rs := make([]dataset.Record, len(ids))
+	for i, id := range ids {
+		rs[i] = ingestRecord(id, "ndt", "XA-01-001")
+	}
+	return c.Ingest(context.Background(), rs)
+}
+
 // TestIngestAcceptsAndCommits: a 202's accepted count matches what the
 // store now holds, records are immediately query-visible, and the
 // health endpoint reports the pipeline.
 func TestIngestAcceptsAndCommits(t *testing.T) {
 	store, _ := buildWorld(t)
 	before := store.Len()
-	ts, _ := newIngestServer(t, store, ingest.Options{}, 0)
+	ts := serve(t, Config{Store: store})
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
@@ -90,23 +76,8 @@ func TestIngestAcceptsAndCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if health.Ingest == nil {
-		t.Fatal("health omits ingest block on an ingest-enabled server")
-	}
 	if health.Ingest.AcceptedRecords != 20 {
 		t.Fatalf("health ingest stats = %+v, want 20 accepted", health.Ingest)
-	}
-}
-
-// TestIngestDisabled503: without SetIngest the endpoint degrades the
-// same way /v1/snapshot does without persistence.
-func TestIngestDisabled503(t *testing.T) {
-	ts := newAPIServer(t)
-	c := &Client{BaseURL: ts.URL}
-	_, err := c.Ingest(context.Background(), []dataset.Record{ingestRecord("x", "ndt", "XA-01-001")})
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
-		t.Fatalf("ingest on a non-ingest server = %v, want 503 APIError", err)
 	}
 }
 
@@ -118,7 +89,7 @@ func TestIngestBadLine400(t *testing.T) {
 	before := store.Len()
 	// DrainRecords 2 forces multi-chunk decoding: the bad line sits in
 	// the third chunk but must still be reported by its global position.
-	ts, _ := newIngestServer(t, store, ingest.Options{DrainRecords: 2}, 0)
+	ts := serve(t, Config{Store: store, Ingest: ingest.Options{DrainRecords: 2}})
 
 	var body strings.Builder
 	for i := 0; i < 5; i++ {
@@ -153,11 +124,66 @@ func TestIngestBadLine400(t *testing.T) {
 	}
 }
 
+// TestIngestDuplicateID400: a record ID the store already holds, or
+// one repeated within a body, is the client's error — a 400 naming the
+// key, with the chunks before it accepted and durable.
+func TestIngestDuplicateID400(t *testing.T) {
+	store, _ := buildWorld(t)
+	before := store.Len()
+	// DrainRecords 2: each duplicate sits in its body's second chunk.
+	ts := serve(t, Config{Store: store, Ingest: ingest.Options{DrainRecords: 2}})
+	c := &Client{BaseURL: ts.URL}
+	if _, err := ingestIDs(c, "stored"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ids  []string
+		key  string
+	}{
+		{"already stored", []string{"a-1", "a-2", "stored"}, "ndt/stored"},
+		{"twice in one body", []string{"b-1", "b-2", "b-3", "b-3"}, "ndt/b-3"},
+	} {
+		resp, err := ingestIDs(c, tc.ids...)
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || resp.Accepted != 2 || !strings.Contains(ae.Msg, tc.key) {
+			t.Errorf("%s: response %+v, err %v; want 400 naming %s with 2 accepted", tc.name, resp, err, tc.key)
+		}
+	}
+	if got := store.Len() - before; got != 1+2+2 {
+		t.Fatalf("store grew by %d, want 5 (the first post plus each body's first chunk)", got)
+	}
+}
+
+// FuzzIngestBody: whatever the body, POST /v1/ingest answers 202, 400,
+// 413 or 429 — never a 500 or a panic — and the accepted count it
+// reports is exactly how much the store grew.
+func FuzzIngestBody(f *testing.F) {
+	srv := open(f, Config{IngestBodyCap: 1 << 10, Ingest: ingest.Options{DrainRecords: 4}})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := srv.store.Len()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		var ir IngestResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ir); err != nil {
+			t.Fatalf("undecodable response %q: %v", rec.Body, err)
+		}
+		if got := srv.store.Len() - before; got != ir.Accepted {
+			t.Fatalf("response accepted %d but the store grew by %d (body %q)", ir.Accepted, got, body)
+		}
+	})
+}
+
 // TestIngestBodyCap413: a body past the configured cap is rejected with
 // 413 and the already-accepted count.
 func TestIngestBodyCap413(t *testing.T) {
 	store, _ := buildWorld(t)
-	ts, _ := newIngestServer(t, store, ingest.Options{}, 512)
+	ts := serve(t, Config{Store: store, IngestBodyCap: 512})
 	var body strings.Builder
 	for i := 0; i < 20; i++ {
 		fmt.Fprintf(&body, `{"id":"cap-%d","time":"2025-06-03T12:00:00Z","dataset":"ndt","region":"XA-01-001","download_mbps":50}`+"\n", i)
@@ -186,7 +212,7 @@ func TestIngestOverload429(t *testing.T) {
 		<-gate
 		return nil
 	}})
-	ts, _ := newIngestServer(t, store, ingest.Options{QueueRecords: 8}, 0)
+	ts := serve(t, Config{Store: store, Ingest: ingest.Options{QueueRecords: 8}})
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
@@ -252,78 +278,24 @@ func TestIngestOverload429(t *testing.T) {
 	}
 }
 
-// failWriteFS fails every WAL file write after arming — the seam for
-// proving a mid-stream WAL failure surfaces as a 500 with nothing
-// partially visible.
-type failWriteFS struct {
-	arm struct {
-		sync.Mutex
-		on bool
-	}
-}
-
-func (f *failWriteFS) failing() bool {
-	f.arm.Lock()
-	defer f.arm.Unlock()
-	return f.arm.on
-}
-
-func (f *failWriteFS) setFailing(on bool) {
-	f.arm.Lock()
-	defer f.arm.Unlock()
-	f.arm.on = on
-}
-
-func (f *failWriteFS) OpenFile(name string, flag int, perm os.FileMode) (persist.WALFile, error) {
-	fl, err := os.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &failWriteFile{File: fl, fs: f}, nil
-}
-
-func (f *failWriteFS) Open(name string) (persist.WALFile, error) {
-	fl, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &failWriteFile{File: fl, fs: f}, nil
-}
-
-func (f *failWriteFS) Remove(name string) error { return os.Remove(name) }
-func (f *failWriteFS) SyncDir(dir string) error { return nil }
-
-type failWriteFile struct {
-	*os.File
-	fs *failWriteFS
-}
-
-func (f *failWriteFile) Write(p []byte) (int, error) {
-	if f.fs.failing() {
-		return 0, errors.New("injected write failure")
-	}
-	return f.File.Write(p)
-}
-
 // TestIngestWALFailure500 pins the satellite contract: a WAL append
 // failure mid-stream returns 500 and nothing from the failed chunk is
 // visible to queries.
 func TestIngestWALFailure500(t *testing.T) {
-	fs := &failWriteFS{}
+	fs := newGateFS()
 	m, err := persist.Open(t.TempDir(), persist.Options{NoSync: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
 	seed, _ := buildWorld(t)
 	if err := m.Store().AddBatch(seed.Select(dataset.Filter{})); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Store().Len()
-	ts, _ := newIngestServer(t, m.Store(), ingest.Options{}, 0)
+	ts := serve(t, Config{Store: m.Store(), Persist: m})
 	c := &Client{BaseURL: ts.URL}
 
-	fs.setFailing(true)
+	fs.failWrites.Store(true)
 	batch := make([]dataset.Record, 10)
 	for i := range batch {
 		batch[i] = ingestRecord(fmt.Sprintf("doomed-%d", i), "ndt", "XA-01-001")
@@ -336,7 +308,7 @@ func TestIngestWALFailure500(t *testing.T) {
 	if resp.Accepted != 0 {
 		t.Fatalf("500 body claims %d accepted, want 0", resp.Accepted)
 	}
-	fs.setFailing(false)
+	fs.failWrites.Store(false)
 	if got := m.Store().Len(); got != before {
 		t.Fatalf("store grew by %d after a failed WAL append; nothing may be partially visible", got-before)
 	}
@@ -348,29 +320,12 @@ func TestIngestWALFailure500(t *testing.T) {
 }
 
 // TestIngestVsQueryRace floods the live ingest path while score,
-// ranking, and health queries run concurrently — with a score cache
-// attached so ingest invalidation races the cached read path too. Run
+// ranking, and health queries run concurrently — through the score
+// cache, so ingest invalidation races the cached read path too. Run
 // under -race in CI.
 func TestIngestVsQueryRace(t *testing.T) {
-	store, db := buildWorld(t)
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv, err := New(iqb.DefaultConfig(), store, db, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := scorecache.New(store, iqb.DefaultConfig(), logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetScoreCache(cache)
-	ing, err := ingest.New(store, ingest.Options{DrainRecords: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ing.Close() })
-	srv.SetIngest(ing, 0)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
+	store, _ := buildWorld(t)
+	ts := serve(t, Config{Store: store, Ingest: ingest.Options{DrainRecords: 32}})
 	c := &Client{BaseURL: ts.URL}
 	ctx := context.Background()
 
@@ -448,25 +403,14 @@ func TestOverloadShedsButNeverLosesAcked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
 	// Slow the commit path a little so admission actually fills up.
 	m.Store().AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	}})
-	_, db := buildWorld(t)
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv, err := New(iqb.DefaultConfig(), m.Store(), db, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The queue must be smaller than the clients' combined in-flight
 	// records (6 clients x 4 records), or admission can never overflow.
-	ing, err := ingest.New(m.Store(), ingest.Options{QueueRecords: 12, DrainRecords: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetIngest(ing, 0)
+	srv := open(t, Config{Store: m.Store(), Persist: m, Ingest: ingest.Options{QueueRecords: 12, DrainRecords: 8}})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	c := &Client{BaseURL: ts.URL}
@@ -524,7 +468,7 @@ func TestOverloadShedsButNeverLosesAcked(t *testing.T) {
 	// Drain and stop the pipeline; the manager stays open — reopening
 	// the directory in a second manager mirrors the kill-and-restart
 	// idiom (the recovered state may not depend on a clean Close).
-	if err := ing.Close(); err != nil {
+	if err := srv.ingestq.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re, err := persist.Open(dir, persist.Options{NoSync: true})

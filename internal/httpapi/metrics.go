@@ -32,32 +32,21 @@ type trackedWriter struct {
 	endpoint *endpointMetrics
 }
 
-// SetMetrics attaches a telemetry registry (nil detaches it). Call
-// before serving — the endpoint map is built here and only read
-// afterwards. With a registry attached, every route gains a request
-// counter, in-flight gauge, and DDSketch-backed latency summary
-// (labelled by method and path), and the registry itself is served at
-// GET /metrics in Prometheus text exposition format. The /metrics
-// route is not self-instrumented: a scrape reports on the server, not
-// on itself.
-func (s *Server) SetMetrics(r *telemetry.Registry) {
+// newEndpointMetrics registers one route's request counter, in-flight
+// gauge and DDSketch-backed latency summary on r, labelled by method
+// and path; a nil r leaves the route uninstrumented (nil result).
+func newEndpointMetrics(r *telemetry.Registry, pattern string) *endpointMetrics {
 	if r == nil {
-		s.endpoints = nil
-		return
+		return nil
 	}
-	eps := make(map[string]*endpointMetrics, len(s.patterns))
-	for _, pat := range s.patterns {
-		method, path, _ := strings.Cut(pat, " ")
-		labels := telemetry.Labels{"method": method, "path": path}
-		eps[pat] = &endpointMetrics{
-			requests: r.Counter("iqb_http_requests_total",
-				"HTTP requests served, by endpoint.", labels),
-			inFlight: r.Gauge("iqb_http_in_flight",
-				"HTTP requests currently being served, by endpoint.", labels),
-			latency: r.Histogram("iqb_http_request_seconds",
-				"HTTP request latency by endpoint (same measurement as the request log line).", labels),
-		}
+	method, path, _ := strings.Cut(pattern, " ")
+	labels := telemetry.Labels{"method": method, "path": path}
+	return &endpointMetrics{
+		requests: r.Counter("iqb_http_requests_total",
+			"HTTP requests served, by endpoint.", labels),
+		inFlight: r.Gauge("iqb_http_in_flight",
+			"HTTP requests currently being served, by endpoint.", labels),
+		latency: r.Histogram("iqb_http_request_seconds",
+			"HTTP request latency by endpoint (same measurement as the request log line).", labels),
 	}
-	s.endpoints = eps
-	s.mux.Handle("GET /metrics", r.Handler())
 }

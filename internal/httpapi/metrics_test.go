@@ -2,9 +2,9 @@ package httpapi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,15 +17,13 @@ import (
 	"time"
 
 	"iqb/internal/dataset"
-	"iqb/internal/iqb"
 	"iqb/internal/persist"
-	"iqb/internal/scorecache"
 	"iqb/internal/telemetry"
 )
 
-// newInstrumentedServer wires the full production shape: a WAL-backed
-// store, a score cache, and a telemetry registry attached to all three
-// layers plus the HTTP server, seeded with buildWorld's records.
+// newInstrumentedServer opens the full production shape: a WAL-backed
+// store, a score cache and a telemetry registry instrumenting all three
+// layers plus the HTTP routes, seeded with buildWorld's records.
 func newInstrumentedServer(t *testing.T, o persist.Options) (*httptest.Server, *telemetry.Registry, *persist.Manager) {
 	t.Helper()
 	memStore, db := buildWorld(t)
@@ -35,27 +33,10 @@ func newInstrumentedServer(t *testing.T, o persist.Options) (*httptest.Server, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
 	if err := m.Store().AddBatch(memStore.Select(dataset.Filter{})); err != nil {
 		t.Fatal(err)
 	}
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv, err := New(iqb.DefaultConfig(), m.Store(), db, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetPersistence(m)
-	cache, err := scorecache.New(m.Store(), iqb.DefaultConfig(), logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cache.Close)
-	cache.RegisterMetrics(reg)
-	srv.SetScoreCache(cache)
-	srv.SetMetrics(reg)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return ts, reg, m
+	return serve(t, Config{Store: m.Store(), Persist: m, Geo: db, Metrics: reg}), reg, m
 }
 
 // scrapeMetrics fetches /metrics and returns the body.
@@ -255,12 +236,15 @@ func TestMetricsConcurrentWithIngest(t *testing.T) {
 }
 
 // gateFS is a persist.WALFS over the real filesystem whose file Syncs
-// can be parked on a gate — the fault-injection layer for proving that
-// observability reads never queue behind the committer's fsync.
+// can be parked on a gate and whose file Writes can be made to fail —
+// the fault-injection layer for proving that observability reads never
+// queue behind the committer's fsync, that Close drains ingest before
+// the WAL, and that a failed WAL write leaves nothing visible.
 type gateFS struct {
-	blocking atomic.Bool
-	parked   chan struct{} // one send per Sync that parks
-	gate     chan struct{} // closed to release parked Syncs
+	blocking   atomic.Bool
+	failWrites atomic.Bool
+	parked     chan struct{} // one send per Sync that parks
+	gate       chan struct{} // closed to release parked Syncs
 }
 
 func newGateFS() *gateFS {
@@ -292,6 +276,13 @@ func (g *gateFS) SyncDir(dir string) error { return nil }
 type gateFile struct {
 	*os.File
 	fs *gateFS
+}
+
+func (f *gateFile) Write(p []byte) (int, error) {
+	if f.fs.failWrites.Load() {
+		return 0, errors.New("injected write failure")
+	}
+	return f.File.Write(p)
 }
 
 func (f *gateFile) Sync() error {

@@ -4,8 +4,8 @@
 //
 // Endpoints (JSON):
 //
-//	GET  /v1/health            liveness, store size, persistence and
-//	                           score-cache status
+//	GET  /v1/health            liveness, store size, persistence,
+//	                           score-cache and ingest status
 //	GET  /v1/config            the active framework configuration
 //	GET  /v1/regions           region codes with level/character/population
 //	GET  /v1/score?region=R    full score breakdown for a region subtree;
@@ -19,12 +19,21 @@
 //	POST /v1/ingest            stream NDJSON records into the live
 //	                           ingest pipeline (202 with accepted
 //	                           counts; 429 + Retry-After on overload;
-//	                           413 past the body cap; 503 when live
-//	                           ingest is not enabled)
+//	                           413 past the body cap; 400 for a bad
+//	                           line or a duplicate record ID)
 //
-// When a scored-region cache is attached (SetScoreCache), /v1/score and
-// /v1/ranking are served from it — invalidated precisely by ingest via
-// the store's hook chain — and /v1/health reports its effectiveness.
+// # Lifecycle
+//
+// Open builds every serving part from one Config and owns it until
+// Close: the ingest queue, the score cache, the persistence manager of
+// a durable server and its background snapshot loop, and the route and
+// /metrics instruments. Close joins the snapshot loop, drains the
+// ingester into the still-open WAL, closes the cache, and closes the
+// persistence manager last, so its final fsync covers every
+// acknowledged record.
+//
+// With the cache, /v1/score and /v1/ranking are answered from cached
+// scores invalidated precisely by ingest via the store's hook chain.
 // The cache keeps each response body it has served warm, so a repeated
 // read writes stored bytes instead of encoding the score again. Every
 // body, cached or not, comes from one encoder (encodeBody), so cached
@@ -41,6 +50,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"iqb/internal/dataset"
@@ -49,77 +59,203 @@ import (
 	"iqb/internal/iqb"
 	"iqb/internal/persist"
 	"iqb/internal/scorecache"
+	"iqb/internal/telemetry"
 )
 
-// Persistence is the durable-store control surface the server exposes
-// when it is backed by a data directory. *persist.Manager implements it.
-type Persistence interface {
-	// Snapshot cuts an atomic point-in-time snapshot and compacts the
-	// WAL segments it covers.
-	Snapshot() (persist.SnapshotInfo, error)
-	// Status reports the durable store's current shape.
-	Status() persist.Status
+// Config is everything Open assembles a server from. Scoring must be
+// valid and Store and Geo set; other zero values select defaults.
+type Config struct {
+	Scoring iqb.Config
+	// Store must be Persist.Store() when Persist is set.
+	Store *dataset.Store
+	// Geo must not change once Open is called.
+	Geo    *geo.DB
+	Logger *slog.Logger // nil selects slog.Default()
+	// Persist backs Store with a data directory; nil serves memory-only.
+	// Open owns the manager from the call on, even when it fails.
+	Persist *persist.Manager
+	// SnapshotInterval is the wall-clock snapshot period of a durable
+	// server (0 disables it; the manager's WAL-growth trigger fires
+	// either way).
+	SnapshotInterval time.Duration
+	// NoScoreCache scores every /v1/score and /v1/ranking request anew.
+	NoScoreCache bool
+	// Ingest sizes the ingest queue; Metrics below replaces its Metrics.
+	Ingest ingest.Options
+	// IngestBodyCap is in bytes; <= 0 selects DefaultIngestBodyCap.
+	IngestBodyCap int64
+	// Metrics, when non-nil, instruments the routes, the cache and the
+	// ingester, and is served (uninstrumented) at GET /metrics.
+	Metrics *telemetry.Registry
 }
 
 // Server bundles the scored world behind an http.Handler.
 type Server struct {
-	cfg      iqb.Config
-	store    *dataset.Store
-	db       *geo.DB
-	log      *slog.Logger
-	mux      *http.ServeMux
-	persist  Persistence
-	cache    *scorecache.Cache
-	patterns []string // mux patterns registered via handle, for SetMetrics
-
-	// Live ingest pipeline (SetIngest); nil answers 503.
+	cfg           iqb.Config
+	store         *dataset.Store
+	db            *geo.DB
+	log           *slog.Logger
+	mux           *http.ServeMux
+	persist       *persist.Manager  // nil when memory-only
+	cache         *scorecache.Cache // nil with Config.NoScoreCache
 	ingestq       *ingest.Ingester
+	counties      []string // the ranking's regions, read from db once
 	ingestBodyCap int64
 
-	// endpoints maps a mux pattern to its instruments. Built once by
-	// SetMetrics before serving, then only read; nil when the server
-	// runs uninstrumented.
-	endpoints map[string]*endpointMetrics
+	// snapStop ends the snapshot loop, which closes snapDone on exit;
+	// both are nil on a memory-only server.
+	snapStop, snapDone chan struct{}
+	closeOnce          sync.Once
+	closeErr           error
 
 	// scoreOverride substitutes the scoring function in tests (e.g. to
 	// inject per-region failures); nil in production.
 	scoreOverride func(region string, from, to time.Time) (iqb.Score, error)
 }
 
-// New builds a server. The logger may be nil.
-func New(cfg iqb.Config, store *dataset.Store, db *geo.DB, logger *slog.Logger) (*Server, error) {
-	if err := cfg.Validate(); err != nil {
+// Open builds a server from c, ready to serve; see the package
+// documentation for what it owns and how Close releases it.
+func Open(c Config) (s *Server, err error) {
+	if c.Persist != nil {
+		defer func() {
+			if err != nil {
+				err = errors.Join(err, c.Persist.Close())
+			}
+		}()
+	}
+	if err := c.Scoring.Validate(); err != nil {
 		return nil, err
 	}
-	if store == nil || db == nil {
+	if c.Store == nil || c.Geo == nil {
 		return nil, fmt.Errorf("httpapi: store and geography are required")
 	}
-	if logger == nil {
-		logger = slog.Default()
+	if c.Persist != nil && c.Persist.Store() != c.Store {
+		return nil, fmt.Errorf("httpapi: store is not the persistence manager's store")
 	}
-	s := &Server{cfg: cfg, store: store, db: db, log: logger, mux: http.NewServeMux()}
-	s.handle("GET /v1/health", s.handleHealth)
-	s.handle("GET /v1/config", s.handleConfig)
-	s.handle("GET /v1/regions", s.handleRegions)
-	s.handle("GET /v1/score", s.handleScore)
-	s.handle("GET /v1/ranking", s.handleRanking)
-	s.handle("GET /v1/datasets", s.handleDatasets)
-	s.handle("POST /v1/snapshot", s.handleSnapshot)
-	s.handle("POST /v1/ingest", s.handleIngest)
-	s.registerTimeSeries()
+	if c.Logger == nil {
+		c.Logger = slog.Default()
+	}
+	if c.IngestBodyCap <= 0 {
+		c.IngestBodyCap = DefaultIngestBodyCap
+	}
+	s = &Server{cfg: c.Scoring, store: c.Store, db: c.Geo, log: c.Logger, mux: http.NewServeMux(),
+		persist: c.Persist, counties: c.Geo.Regions(geo.County), ingestBodyCap: c.IngestBodyCap}
+	c.Ingest.Metrics = c.Metrics
+	if s.ingestq, err = ingest.New(c.Store, c.Ingest); err != nil {
+		return nil, err
+	}
+	if !c.NoScoreCache {
+		// The cache joins the store's hook chain after any WAL tee the
+		// manager installed: batches tee durably first and invalidate
+		// the cache once committed.
+		if s.cache, err = scorecache.New(c.Store, c.Scoring, c.Logger); err != nil {
+			s.ingestq.Close()
+			return nil, err
+		}
+		s.cache.RegisterMetrics(c.Metrics)
+	}
+	s.handle(c.Metrics, "GET /v1/health", s.handleHealth)
+	s.handle(c.Metrics, "GET /v1/config", s.handleConfig)
+	s.handle(c.Metrics, "GET /v1/regions", s.handleRegions)
+	s.handle(c.Metrics, "GET /v1/score", s.handleScore)
+	s.handle(c.Metrics, "GET /v1/ranking", s.handleRanking)
+	s.handle(c.Metrics, "GET /v1/datasets", s.handleDatasets)
+	s.handle(c.Metrics, "POST /v1/snapshot", s.handleSnapshot)
+	s.handle(c.Metrics, "POST /v1/ingest", s.handleIngest)
+	s.handle(c.Metrics, "GET /v1/timeseries", s.handleTimeSeries)
+	s.handle(c.Metrics, "GET /v1/hourly", s.handleHourly)
+	if c.Metrics != nil {
+		s.mux.Handle("GET /metrics", c.Metrics.Handler())
+	}
+	if c.Persist != nil {
+		s.snapStop, s.snapDone = make(chan struct{}), make(chan struct{})
+		go s.snapshotLoop(c.SnapshotInterval)
+	}
 	return s, nil
 }
 
-// handle registers a route through the instrumentation middleware: the
-// wrapper knows its pattern (the CI toolchain predates http.Request
-// .Pattern), bumps the endpoint's request counter and in-flight gauge,
-// and tags the response writer so ServeHTTP can feed the one elapsed
-// measurement it already takes for the log line into the endpoint's
-// latency histogram — logged and exported latencies cannot diverge.
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.patterns = append(s.patterns, pattern)
+// Close releases what Open built, in the order the package
+// documentation gives. Call it once the HTTP server has stopped handing
+// requests to s. Close is idempotent.
+func (s *Server) Close() error {
+	s.closeOnce.Do(func() {
+		if s.snapStop != nil {
+			close(s.snapStop)
+			<-s.snapDone
+		}
+		s.closeErr = s.ingestq.Close()
+		if s.cache != nil {
+			s.cache.Close()
+		}
+		if s.persist != nil {
+			s.closeErr = errors.Join(s.closeErr, s.persist.Close())
+		}
+	})
+	return s.closeErr
+}
+
+// snapshotLoop cuts background snapshots until Close, on two
+// independent triggers: the wall-clock ticker (when every > 0) and the
+// manager's WAL-growth signal (never fires when the trigger is
+// disabled). The growth path re-checks the threshold via
+// SnapshotIfGrown, so a signal raced by a wall-clock snapshot that
+// already covered the growth becomes a no-op instead of a redundant
+// full-store snapshot.
+func (s *Server) snapshotLoop(every time.Duration) {
+	defer close(s.snapDone)
+	var tick <-chan time.Time
+	if every > 0 {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		tick = t.C
+	}
+	logCut := func(trigger string, info persist.SnapshotInfo, err error) {
+		if err != nil {
+			s.log.Error("background snapshot failed", "trigger", trigger, "err", err)
+			return
+		}
+		s.log.Info("background snapshot", "trigger", trigger, "path", info.Path,
+			"records", info.Records, "wal_offset", info.WALOffset, "bytes", info.Bytes)
+	}
+	// Receiving from GrowthC consumes the (coalesced) signal, so a
+	// growth snapshot that fails transiently must be retried by the
+	// loop itself — idle ingest would otherwise never re-signal and the
+	// replay debt would stay over the threshold indefinitely. The retry
+	// re-checks through SnapshotIfGrown, so it dies out as soon as any
+	// snapshot (ours or a wall-clock one) covers the growth.
+	var retry <-chan time.Time
+	for {
+		select {
+		case <-s.snapStop:
+			return
+		case <-tick:
+			info, err := s.persist.Snapshot()
+			logCut("interval", info, err)
+			continue
+		case <-s.persist.GrowthC():
+		case <-retry:
+		}
+		info, cut, err := s.persist.SnapshotIfGrown()
+		retry = nil
+		if err != nil {
+			retry = time.After(5 * time.Second)
+		}
+		if cut || err != nil {
+			logCut("wal-growth", info, err)
+		}
+	}
+}
+
+// handle registers a route through the instrumentation middleware:
+// with a registry, the wrapper (which knows its pattern; the CI
+// toolchain predates http.Request.Pattern) bumps the endpoint's request
+// counter and in-flight gauge and tags the response writer, so
+// ServeHTTP feeds its one elapsed measurement, also logged, into the
+// endpoint's latency histogram.
+func (s *Server) handle(reg *telemetry.Registry, pattern string, h http.HandlerFunc) {
+	em := newEndpointMetrics(reg, pattern)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if em := s.endpoints[pattern]; em != nil {
+		if em != nil {
 			em.requests.Inc()
 			em.inFlight.Inc()
 			defer em.inFlight.Dec()
@@ -130,18 +266,6 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 		h(w, r)
 	})
 }
-
-// SetPersistence attaches the durable-store control surface (nil
-// detaches it). Call before serving; the snapshot endpoint and the
-// health persistence block answer 503/absent until one is attached.
-func (s *Server) SetPersistence(p Persistence) { s.persist = p }
-
-// SetScoreCache attaches a scored-region cache (nil detaches it). Call
-// before serving. With a cache attached, /v1/score and /v1/ranking are
-// answered from cached scores invalidated by ingest, and /v1/health
-// grows a cache block. The cache must be built over the same store and
-// configuration the server was.
-func (s *Server) SetScoreCache(c *scorecache.Cache) { s.cache = c }
 
 // scoreRegion scores one region subtree directly, or through the test
 // override when one is set.
@@ -222,21 +346,22 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	writeBody(w, code, body)
 }
 
-// HealthResponse reports liveness, store size, and — when attached —
-// the durable store's shape and the score cache's effectiveness.
+// HealthResponse reports liveness, store size, the ingest queue, and —
+// when the server has them — the durable store's shape and the score
+// cache's effectiveness.
 type HealthResponse struct {
 	Status  string `json:"status"`
 	Records int    `json:"records"`
 	// Persistence is nil for a memory-only server.
 	Persistence *persist.Status `json:"persistence,omitempty"`
-	// Cache is nil when no score cache is attached.
-	Cache *scorecache.Stats `json:"cache,omitempty"`
-	// Ingest is nil when live ingest is not enabled.
-	Ingest *ingest.Stats `json:"ingest,omitempty"`
+	// Cache is nil when the server runs without a score cache.
+	Cache  *scorecache.Stats `json:"cache,omitempty"`
+	Ingest *ingest.Stats     `json:"ingest,omitempty"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{Status: "ok", Records: s.store.Len()}
+	ist := s.ingestq.Stats()
+	resp := HealthResponse{Status: "ok", Records: s.store.Len(), Ingest: &ist}
 	if s.persist != nil {
 		st := s.persist.Status()
 		resp.Persistence = &st
@@ -244,10 +369,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		st := s.cache.Stats()
 		resp.Cache = &st
-	}
-	if s.ingestq != nil {
-		st := s.ingestq.Stats()
-		resp.Ingest = &st
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -379,7 +500,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 }
 
 // scoreBody returns the encoded ScoreResponse for one region subtree:
-// the cache's stored bytes when a cache is attached, a fresh encode
+// the cache's stored bytes when the server has a cache, a fresh encode
 // otherwise.
 func (s *Server) scoreBody(region string, from, to time.Time) ([]byte, error) {
 	enc := func(sc iqb.Score) ([]byte, error) {
@@ -416,7 +537,6 @@ type RankingResponse struct {
 }
 
 func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
-	counties := s.db.Regions(geo.County)
 	var (
 		body []byte
 		err  error
@@ -425,13 +545,13 @@ func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
 		// Served from the incrementally repaired sorted view: only
 		// counties invalidated since the last request are rescored, and
 		// an unrepaired view is served as the bytes it last encoded to.
-		body, err = s.cache.RankingBody(counties, s.encodeRanking)
+		body, err = s.cache.RankingBody(s.counties, s.encodeRanking)
 	} else {
 		var (
 			ranked  []scorecache.Ranked
 			omitted int
 		)
-		for _, code := range counties {
+		for _, code := range s.counties {
 			sc, err := s.scoreRegion(code, time.Time{}, time.Time{})
 			if err != nil {
 				if errors.Is(err, iqb.ErrNoUsableData) {

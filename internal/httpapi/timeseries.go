@@ -13,12 +13,6 @@ import (
 	"iqb/internal/iqb"
 )
 
-// registerTimeSeries wires the temporal endpoints; called from New.
-func (s *Server) registerTimeSeries() {
-	s.handle("GET /v1/timeseries", s.handleTimeSeries)
-	s.handle("GET /v1/hourly", s.handleHourly)
-}
-
 // TimeSeriesResponse wraps a windowed score series.
 type TimeSeriesResponse struct {
 	Region string          `json:"region"`
