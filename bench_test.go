@@ -323,7 +323,7 @@ func BenchmarkStoreAggregateSketch(b *testing.B) {
 	f := dataset.Filter{Dataset: "ndt", RegionPrefix: "XA"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.Aggregate(f, dataset.Download, 95); err != nil {
+		if _, _, err := store.Aggregate(f, dataset.Download, 95); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,7 +343,7 @@ func BenchmarkStoreAggregateExact(b *testing.B) {
 	f := dataset.Filter{Dataset: "ndt", RegionPrefix: "XA", ASN: 64500}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.Aggregate(f, dataset.Download, 95); err != nil {
+		if _, _, err := store.Aggregate(f, dataset.Download, 95); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,45 +370,6 @@ func BenchmarkSketcherIngestParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkGroupAggregateCells measures a ByRegion group-by served from
-// the store's cell index (cells promoted past the cutover): cost scales
-// with the number of cells, not records. BenchmarkGroupAggregateScan is
-// the same grouping forced down the exact record scan for contrast.
-func BenchmarkGroupAggregateCells(b *testing.B) {
-	store := dataset.NewStoreWith(dataset.Options{SketchCutover: 64})
-	if err := store.AddBatch(benchRecords(100000)); err != nil {
-		b.Fatal(err)
-	}
-	f := dataset.Filter{Dataset: "ndt"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := store.GroupAggregate(f, dataset.ByRegion, dataset.Download, 95); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupAggregateScan forces the exact per-bucket materializing
-// path for the same workload by filtering on a dimension the cells
-// cannot express.
-func BenchmarkGroupAggregateScan(b *testing.B) {
-	store := dataset.NewStoreWith(dataset.Options{SketchCutover: 64})
-	recs := benchRecords(100000)
-	for i := range recs {
-		recs[i].ASN = 64500 // single ASN so the exact query covers everything
-	}
-	if err := store.AddBatch(recs); err != nil {
-		b.Fatal(err)
-	}
-	f := dataset.Filter{Dataset: "ndt", ASN: 64500}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := store.GroupAggregate(f, dataset.ByRegion, dataset.Download, 95); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkNDTSimulate measures one simulated NDT test (the pipeline's

@@ -70,11 +70,12 @@ func cellQueries() []CellQuery {
 	return qs
 }
 
-// TestAggregateCellsMatchesAggregateCount: answering every query in one
-// walk of the cell index gives each query exactly what AggregateCount
-// gives it alone, over country, state and county scopes, for stores whose
-// cells are all exact and for stores where some have promoted.
-func TestAggregateCellsMatchesAggregateCount(t *testing.T) {
+// TestAggregateCellsMatchesAggregate: answering every query in one
+// walk of the cell index gives each query exactly the value and count
+// Aggregate gives it alone, over country, state and county scopes, for
+// stores whose cells are all exact and for stores where some have
+// promoted.
+func TestAggregateCellsMatchesAggregate(t *testing.T) {
 	prefixes := []string{"", "XA", "XB", "XA-01", "XB-02", "XA-01-001", "XB-02-003", "XC"}
 	for _, o := range []Options{{}, {SketchCutover: 30}, {SketchCutover: 30, Shards: 3}} {
 		s := cellsWorld(t, o)
@@ -85,14 +86,14 @@ func TestAggregateCellsMatchesAggregateCount(t *testing.T) {
 				t.Fatalf("%d answers for %d queries", len(got), len(qs))
 			}
 			for i, q := range qs {
-				f := Filter{Dataset: q.Dataset, RegionPrefix: prefix, HasMetric: []Metric{q.Metric}}
-				v, n, err := s.AggregateCount(f, q.Metric, q.Q)
+				f := Filter{Dataset: q.Dataset, RegionPrefix: prefix}
+				v, n, err := s.Aggregate(f, q.Metric, q.Q)
 				a := got[i]
 				if (a.Err == nil) != (err == nil) || errors.Is(a.Err, stats.ErrNoData) != errors.Is(err, stats.ErrNoData) {
-					t.Fatalf("cutover %d prefix %q %+v: err %v, AggregateCount err %v", o.SketchCutover, prefix, q, a.Err, err)
+					t.Fatalf("cutover %d prefix %q %+v: err %v, Aggregate err %v", o.SketchCutover, prefix, q, a.Err, err)
 				}
 				if math.Float64bits(a.Value) != math.Float64bits(v) || a.Count != n {
-					t.Fatalf("cutover %d prefix %q %+v: (%v, %d), AggregateCount (%v, %d)", o.SketchCutover, prefix, q, a.Value, a.Count, v, n)
+					t.Fatalf("cutover %d prefix %q %+v: (%v, %d), Aggregate (%v, %d)", o.SketchCutover, prefix, q, a.Value, a.Count, v, n)
 				}
 				if prefix == "XC" || q.Dataset == "absent" || (q.Dataset == "ookla" && q.Metric == Loss) {
 					if !errors.Is(a.Err, stats.ErrNoData) {

@@ -155,17 +155,14 @@ func TestStoreEnumerations(t *testing.T) {
 
 func TestFilterBasics(t *testing.T) {
 	s := fill(t)
-	if n := s.Count(Filter{}); n != 5 {
+	if n := len(s.Gather(Filter{})); n != 5 {
 		t.Errorf("unfiltered count = %d", n)
 	}
-	if n := s.Count(Filter{Dataset: "ndt"}); n != 3 {
+	if n := len(s.Gather(Filter{Dataset: "ndt"})); n != 3 {
 		t.Errorf("ndt count = %d", n)
 	}
-	if n := s.Count(Filter{ASN: 64501}); n != 2 {
+	if n := len(s.Gather(Filter{ASN: 64501})); n != 2 {
 		t.Errorf("ASN count = %d", n)
-	}
-	if n := s.Count(Filter{HasMetric: []Metric{Loss}}); n != 4 {
-		t.Errorf("has-loss count = %d", n)
 	}
 	got := s.Select(Filter{Dataset: "ookla"})
 	if len(got) != 1 || got[0].ID != "o1" {
@@ -173,7 +170,7 @@ func TestFilterBasics(t *testing.T) {
 	}
 	// Gather selects what Select does, in shard order.
 	key := func(r Record) string { return r.Dataset + "/" + r.ID }
-	for _, f := range []Filter{{}, {ASN: 64501}, {RegionPrefix: "XA-01"}, {Dataset: "ndt", HasMetric: []Metric{Loss}}, {To: t0}} {
+	for _, f := range []Filter{{}, {ASN: 64501}, {RegionPrefix: "XA-01"}, {Dataset: "ndt", RegionPrefix: "XA-01"}, {To: t0}} {
 		var got, want []string
 		for _, r := range s.Gather(f) {
 			got = append(got, key(*r))
@@ -192,20 +189,20 @@ func TestFilterBasics(t *testing.T) {
 func TestFilterRegionHierarchy(t *testing.T) {
 	s := fill(t)
 	// County exact.
-	if n := s.Count(Filter{RegionPrefix: "XA-01-001"}); n != 3 {
+	if n := len(s.Gather(Filter{RegionPrefix: "XA-01-001"})); n != 3 {
 		t.Errorf("county count = %d", n)
 	}
 	// State subtree.
-	if n := s.Count(Filter{RegionPrefix: "XA-01"}); n != 4 {
+	if n := len(s.Gather(Filter{RegionPrefix: "XA-01"})); n != 4 {
 		t.Errorf("state count = %d", n)
 	}
 	// Country subtree.
-	if n := s.Count(Filter{RegionPrefix: "XA"}); n != 5 {
+	if n := len(s.Gather(Filter{RegionPrefix: "XA"})); n != 5 {
 		t.Errorf("country count = %d", n)
 	}
 	// Prefix must respect code boundaries: "XA-01-00" is not a region
 	// prefix of "XA-01-001" in the hierarchical sense.
-	if n := s.Count(Filter{RegionPrefix: "XA-01-00"}); n != 0 {
+	if n := len(s.Gather(Filter{RegionPrefix: "XA-01-00"})); n != 0 {
 		t.Errorf("non-boundary prefix matched %d records", n)
 	}
 }
@@ -219,13 +216,13 @@ func TestFilterTimeRange(t *testing.T) {
 	if err := s.AddBatch([]Record{early, late}); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Count(Filter{From: t0}); n != 1 {
+	if n := len(s.Gather(Filter{From: t0})); n != 1 {
 		t.Errorf("From filter count = %d", n)
 	}
-	if n := s.Count(Filter{To: t0}); n != 1 {
+	if n := len(s.Gather(Filter{To: t0})); n != 1 {
 		t.Errorf("To filter count = %d", n)
 	}
-	if n := s.Count(Filter{From: t0.Add(-2 * time.Hour), To: t0.Add(2 * time.Hour)}); n != 2 {
+	if n := len(s.Gather(Filter{From: t0.Add(-2 * time.Hour), To: t0.Add(2 * time.Hour)})); n != 2 {
 		t.Errorf("range count = %d", n)
 	}
 }
@@ -236,54 +233,16 @@ func TestValuesAndAggregate(t *testing.T) {
 	if len(vals) != 3 {
 		t.Fatalf("values = %v", vals)
 	}
-	med, err := s.Aggregate(Filter{Dataset: "ndt"}, Download, 50)
-	if err != nil || med != 50 {
-		t.Errorf("median = %v, %v", med, err)
+	med, n, err := s.Aggregate(Filter{Dataset: "ndt"}, Download, 50)
+	if err != nil || med != 50 || n != 3 {
+		t.Errorf("median = %v over %d values, %v", med, n, err)
+	}
+	if _, n, err := s.Aggregate(Filter{}, Download, 50); err != nil || n != 5 {
+		t.Errorf("unfiltered aggregate over %d values, %v", n, err)
 	}
 	// Ookla has no loss records: aggregating loss over ookla is ErrNoData.
-	if _, err := s.Aggregate(Filter{Dataset: "ookla"}, Loss, 95); !errors.Is(err, stats.ErrNoData) {
+	if _, _, err := s.Aggregate(Filter{Dataset: "ookla"}, Loss, 95); !errors.Is(err, stats.ErrNoData) {
 		t.Errorf("want ErrNoData, got %v", err)
-	}
-	sum, err := s.Summary(Filter{}, Download)
-	if err != nil || sum.Count != 5 {
-		t.Errorf("summary = %+v, %v", sum, err)
-	}
-}
-
-func TestGroupAggregate(t *testing.T) {
-	s := fill(t)
-	groups, err := s.GroupAggregate(Filter{}, ByDataset, Download, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 3 || groups[0].Key != "cloudflare" {
-		t.Fatalf("groups = %+v", groups)
-	}
-	for _, g := range groups {
-		if g.Count == 0 {
-			t.Errorf("group %s has zero count", g.Key)
-		}
-	}
-	byRegion, err := s.GroupAggregate(Filter{Dataset: "ndt"}, ByRegion, Download, 95)
-	if err != nil || len(byRegion) != 2 {
-		t.Errorf("by region = %+v, %v", byRegion, err)
-	}
-	byASN, err := s.GroupAggregate(Filter{}, ByASN, Download, 50)
-	if err != nil || len(byASN) != 2 || !strings.HasPrefix(byASN[0].Key, "AS") {
-		t.Errorf("by ASN = %+v, %v", byASN, err)
-	}
-	// Loss grouping drops the ookla bucket (no loss values).
-	lossGroups, err := s.GroupAggregate(Filter{}, ByDataset, Loss, 95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range lossGroups {
-		if g.Key == "ookla" {
-			t.Error("ookla bucket should be absent for loss")
-		}
-	}
-	if _, err := s.GroupAggregate(Filter{}, GroupKey(9), Download, 50); err == nil {
-		t.Error("unknown group key should error")
 	}
 }
 
@@ -405,7 +364,7 @@ func TestStoreConcurrency(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			for i := 0; i < 200; i++ {
-				s.Count(Filter{Dataset: "ndt"})
+				s.Gather(Filter{Dataset: "ndt"})
 				s.Values(Filter{}, Download)
 			}
 			done <- nil
@@ -447,7 +406,7 @@ func BenchmarkStoreAggregate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Aggregate(Filter{Dataset: "ndt"}, Download, 95); err != nil {
+		if _, _, err := s.Aggregate(Filter{Dataset: "ndt"}, Download, 95); err != nil {
 			b.Fatal(err)
 		}
 	}

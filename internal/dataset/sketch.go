@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"iqb/internal/stats"
@@ -199,44 +198,6 @@ func (s *Sketcher) AggregateCells(regionPrefix string, qs []CellQuery) []CellAns
 		}
 	}
 	return out
-}
-
-// groupAggregate answers a ByRegion or ByDataset group-by of the q-th
-// percentile of m over the cells of f's dataset ("" for all) and region
-// scope, merging the matching cells per bucket: exactly while every
-// contributing cell is below the cutover, through DDSketch merges once
-// any has promoted. Groups are sorted by key.
-func (s *Sketcher) groupAggregate(f Filter, key GroupKey, m Metric, q float64) ([]Group, error) {
-	buckets := map[string]*cellAccum{}
-	var err error
-	s.walk(f.RegionPrefix, func(k cellKey, c *metricCell) {
-		if err != nil || k.metric != m || (f.Dataset != "" && k.dataset != f.Dataset) {
-			return
-		}
-		gk := k.region
-		if key == ByDataset {
-			gk = k.dataset
-		}
-		b := buckets[gk]
-		if b == nil {
-			b = &cellAccum{}
-			buckets[gk] = b
-		}
-		err = b.add(c, s.alpha)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Group, 0, len(buckets))
-	for gk, b := range buckets {
-		v, err := b.quantile(q/100, q)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Group{Key: gk, Count: b.count, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
 }
 
 // cellKey addresses one cell. Because a Sketcher stripes by

@@ -249,7 +249,6 @@ func TestSketcherConcurrentIngestQuantile(t *testing.T) {
 				}
 				quantile(sk, "ndt", "XA", Download, 95)
 				quantile(sk, "cloudflare", "", Latency, 50)
-				sk.groupAggregate(Filter{}, ByRegion, Download, 50)
 				sk.Cells()
 			}
 		}()

@@ -69,7 +69,7 @@ type Options struct {
 // Options.SketchCutover values and then promote to an order-independent
 // stats.DDSketch, so Aggregate answers quantile queries without
 // materializing values. Filters the cells cannot express (ASN, time
-// bounds, foreign HasMetric) fall back to an exact scan.
+// bounds) fall back to an exact scan.
 //
 // # Determinism
 //
@@ -78,8 +78,7 @@ type Options struct {
 // statistics a sort would, and the sketch path uses DDSketch, whose
 // bucket-count state is order-independent by construction. Concurrent
 // writers — any number of them, interleaved any way — therefore produce
-// a store whose Aggregate/Summary/GroupAggregate answers are
-// bit-identical.
+// a store whose Aggregate answers are bit-identical.
 // The pipeline's fixed-seed determinism guarantee leans on this.
 //
 // The store is safe for concurrent use; reads never block other reads.
@@ -169,9 +168,6 @@ func NewStoreWith(o Options) *Store {
 	}
 	return s
 }
-
-// NumShards reports the shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
 
 // Sketcher returns the store's cell index, for cell-served aggregates
 // such as Sketcher.AggregateCells. The store folds every committed batch
@@ -453,7 +449,6 @@ type Filter struct {
 	RegionPrefix string
 	ASN          uint32
 	From, To     time.Time // [From, To); zero means unbounded
-	HasMetric    []Metric  // all listed metrics must be present
 }
 
 func (f Filter) matches(r *Record) bool {
@@ -472,11 +467,6 @@ func (f Filter) matches(r *Record) bool {
 	if !f.To.IsZero() && !r.Time.Before(f.To) {
 		return false
 	}
-	for _, m := range f.HasMetric {
-		if !r.Has(m) {
-			return false
-		}
-	}
 	return true
 }
 
@@ -487,23 +477,6 @@ func regionMatch(prefix, code string) bool {
 		return true
 	}
 	return strings.HasPrefix(code, prefix) && len(code) > len(prefix) && code[len(prefix)] == '-'
-}
-
-// sketchServable reports whether the filter can be answered from the
-// (dataset, region, metric) cells for metric m: cells carry no
-// ASN, time, or cross-metric presence information.
-func sketchServable(f Filter, m Metric) bool {
-	if !f.CellIndexed() {
-		return false
-	}
-	switch len(f.HasMetric) {
-	case 0:
-		return true
-	case 1:
-		return f.HasMetric[0] == m
-	default:
-		return false
-	}
 }
 
 // CellIndexed reports whether the per-(dataset, region, metric) cell
@@ -552,21 +525,6 @@ func (s *Store) Gather(f Filter) []*Record {
 	return out
 }
 
-// Count returns the number of records matching f without copying them.
-func (s *Store) Count(f Filter) int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, idx := range sh.candidatesLocked(f) {
-			if f.matches(&sh.records[idx].rec) {
-				n++
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // Values extracts the metric values of all records matching f, in
 // insertion order.
 func (s *Store) Values(f Filter, m Metric) []float64 {
@@ -597,113 +555,24 @@ func (s *Store) Values(f Filter, m Metric) []float64 {
 }
 
 // Aggregate computes the q-th percentile (q in [0, 100]) of metric m
-// over records matching f. It returns stats.ErrNoData when nothing
-// matches. Filters the cell index can express are answered from the
+// over records matching f, and the number of metric values it was
+// computed over. It returns stats.ErrNoData when nothing matches.
+// Filters the cell index can express are answered from the
 // per-(dataset, region, metric) cells — exactly while every cell is
 // below the sketch cutover, within the sketch's relative-error bound
 // once promoted — without materializing values; other filters fall back
 // to an exact scan.
-func (s *Store) Aggregate(f Filter, m Metric, q float64) (float64, error) {
-	v, _, err := s.AggregateCount(f, m, q)
-	return v, err
-}
-
-// AggregateCount is Aggregate plus the number of metric values the
-// answer was computed over.
-func (s *Store) AggregateCount(f Filter, m Metric, q float64) (float64, int, error) {
+func (s *Store) Aggregate(f Filter, m Metric, q float64) (float64, int, error) {
 	if q < 0 || q > 100 || math.IsNaN(q) {
 		return 0, 0, fmt.Errorf("dataset: percentile %v out of [0,100]", q)
 	}
-	if !sketchServable(f, m) {
+	if !f.CellIndexed() {
 		vals := s.Values(f, m)
 		v, err := stats.PercentileInPlace(vals, q, stats.Linear)
 		return v, len(vals), err
 	}
 	a := s.cells.AggregateCells(f.RegionPrefix, []CellQuery{{Dataset: f.Dataset, Metric: m, Q: q}})[0]
 	return a.Value, a.Count, a.Err
-}
-
-// Summary computes descriptive statistics of metric m over records
-// matching f. It always scans exactly.
-func (s *Store) Summary(f Filter, m Metric) (stats.Summary, error) {
-	return stats.Summarize(s.Values(f, m))
-}
-
-// GroupKey selects how GroupAggregate buckets records.
-type GroupKey int
-
-// Grouping dimensions.
-const (
-	ByRegion GroupKey = iota
-	ByDataset
-	ByASN
-)
-
-// Group is one bucket of a grouped aggregation.
-type Group struct {
-	Key   string
-	Count int
-	Value float64
-}
-
-// GroupAggregate buckets records matching f by key and computes the q-th
-// percentile of m within each bucket. Buckets with no metric values are
-// omitted. Results are sorted by key. The scan fans out across shards
-// without a global lock.
-//
-// ByRegion and ByDataset group-bys with sketch-servable filters are
-// answered from the per-(dataset, region, metric) cell index without
-// materializing per-bucket value slices: the cost scales with the number
-// of cells, not records. ByASN and filters the cells cannot express
-// (ASN, time bounds, foreign HasMetric) fall back to the exact scan,
-// mirroring Aggregate.
-func (s *Store) GroupAggregate(f Filter, key GroupKey, m Metric, q float64) ([]Group, error) {
-	switch key {
-	case ByRegion, ByDataset, ByASN:
-	default:
-		return nil, fmt.Errorf("dataset: unknown group key %d", key)
-	}
-	if q < 0 || q > 100 || math.IsNaN(q) {
-		return nil, fmt.Errorf("dataset: percentile %v out of [0,100]", q)
-	}
-	if (key == ByRegion || key == ByDataset) && sketchServable(f, m) {
-		return s.cells.groupAggregate(f, key, m, q)
-	}
-	buckets := map[string][]float64{}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, idx := range sh.candidatesLocked(f) {
-			r := &sh.records[idx].rec
-			if !f.matches(r) {
-				continue
-			}
-			v, ok := r.Value(m)
-			if !ok {
-				continue
-			}
-			var k string
-			switch key {
-			case ByRegion:
-				k = r.Region
-			case ByDataset:
-				k = r.Dataset
-			case ByASN:
-				k = fmt.Sprintf("AS%d", r.ASN)
-			}
-			buckets[k] = append(buckets[k], v)
-		}
-		sh.mu.RUnlock()
-	}
-	out := make([]Group, 0, len(buckets))
-	for k, vals := range buckets {
-		p, err := stats.PercentileInPlace(vals, q, stats.Linear)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Group{Key: k, Count: len(vals), Value: p})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
 }
 
 // TimeBounds returns the earliest and latest record timestamps matching

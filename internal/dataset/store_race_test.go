@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -86,8 +87,8 @@ func TestDuplicateAcrossRegionsRejected(t *testing.T) {
 }
 
 // TestConcurrentBatchesAndQueries is the race-detector workout: parallel
-// AddBatch and Add writers against Select/Gather/Count/Aggregate/
-// AggregateCells/GroupAggregate/Summary/TimeBounds readers.
+// AddBatch and Add writers against Select/Gather/Aggregate/
+// AggregateCells/TimeBounds readers.
 func TestConcurrentBatchesAndQueries(t *testing.T) {
 	s := NewStoreWith(Options{Shards: 8, SketchCutover: 64})
 	const (
@@ -133,14 +134,11 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 				for _, r := range s.Gather(Filter{RegionPrefix: "XA-02", From: t0}) {
 					_ = r.DownloadMbps
 				}
-				s.Count(Filter{Dataset: "ndt"})
 				s.Aggregate(Filter{Dataset: "ndt", RegionPrefix: "XA"}, Download, 95)
 				s.Sketcher().AggregateCells("XA-01", []CellQuery{
 					{Dataset: "ndt", Metric: Download, Q: 95},
 					{Metric: Download, Q: 5},
 				})
-				s.GroupAggregate(Filter{}, ByRegion, Download, 50)
-				s.Summary(Filter{ASN: 1}, Download)
 				s.TimeBounds(Filter{})
 				s.DatasetCounts()
 				s.Regions()
@@ -199,28 +197,23 @@ func TestConcurrentBuildDeterministicAggregates(t *testing.T) {
 	for _, q := range []float64{5, 50, 95} {
 		for _, prefix := range []string{"", "XA", "XA-01", "XA-02-003"} {
 			f := Filter{Dataset: "ndt", RegionPrefix: prefix}
-			va, na, ea := a.AggregateCount(f, Download, q)
-			vb, nb, eb := b.AggregateCount(f, Download, q)
+			va, na, ea := a.Aggregate(f, Download, q)
+			vb, nb, eb := b.Aggregate(f, Download, q)
 			if (ea == nil) != (eb == nil) || va != vb || na != nb {
 				t.Errorf("q=%v prefix=%q: 1-worker (%v, %d, %v) vs 4-worker (%v, %d, %v)",
 					q, prefix, va, na, ea, vb, nb, eb)
 			}
 		}
 	}
-	ga, err := a.GroupAggregate(Filter{}, ByRegion, Download, 95)
-	if err != nil {
-		t.Fatal(err)
+	if ra, rb := a.Regions(), b.Regions(); !slices.Equal(ra, rb) {
+		t.Fatalf("regions differ: %v vs %v", ra, rb)
 	}
-	gb, err := b.GroupAggregate(Filter{}, ByRegion, Download, 95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ga) != len(gb) {
-		t.Fatalf("group counts differ: %d vs %d", len(ga), len(gb))
-	}
-	for i := range ga {
-		if ga[i] != gb[i] {
-			t.Errorf("group %d differs: %+v vs %+v", i, ga[i], gb[i])
+	for _, region := range a.Regions() {
+		f := Filter{RegionPrefix: region}
+		va, na, ea := a.Aggregate(f, Download, 95)
+		vb, nb, eb := b.Aggregate(f, Download, 95)
+		if ea != nil || eb != nil || va != vb || na != nb {
+			t.Errorf("region %s: 1-worker (%v, %d, %v) vs 4-worker (%v, %d, %v)", region, va, na, ea, vb, nb, eb)
 		}
 	}
 }
@@ -238,7 +231,7 @@ func TestSketchPromotionAccuracyAndCount(t *testing.T) {
 	}
 	f := Filter{Dataset: "ndt", RegionPrefix: "XA-01-001"}
 	for _, q := range []float64{5, 50, 95} {
-		got, n, err := s.AggregateCount(f, Download, q)
+		got, n, err := s.Aggregate(f, Download, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,80 +247,13 @@ func TestSketchPromotionAccuracyAndCount(t *testing.T) {
 		}
 	}
 	// Filters the sketch cells cannot express still answer exactly.
-	gotASN, err := s.Aggregate(Filter{Dataset: "ndt", ASN: 1}, Download, 50)
+	gotASN, _, err := s.Aggregate(Filter{Dataset: "ndt", ASN: 1}, Download, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact, _ := stats.Percentile(vals, 50)
 	if gotASN != exact {
 		t.Errorf("ASN-filtered aggregate = %v, want exact %v", gotASN, exact)
-	}
-}
-
-// TestGroupAggregateCellsMatchExactScan pins the cell-served group-by
-// against the record scan. All records share one ASN, so the same
-// grouping can be forced down the exact path by filtering on it; the
-// cell path must agree — bit-identically while cells are exact, within
-// the sketch's relative error once promoted.
-func TestGroupAggregateCellsMatchExactScan(t *testing.T) {
-	build := func(cutover int) *Store {
-		s := NewStoreWith(Options{SketchCutover: cutover, SketchAlpha: 0.01})
-		src := rand.New(rand.NewSource(9))
-		for i := 0; i < 3000; i++ {
-			region := fmt.Sprintf("XA-%02d-%03d", i%2+1, i%5+1)
-			ds := []string{"ndt", "cloudflare"}[i%2]
-			if err := s.Add(mkRec(fmt.Sprintf("g%d", i), ds, region, 7, math.Exp(src.NormFloat64()+4))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
-	for _, tc := range []struct {
-		name    string
-		cutover int
-		exact   bool
-	}{
-		{"exact cells", 10000, true},
-		{"promoted cells", 32, false},
-	} {
-		s := build(tc.cutover)
-		for _, key := range []GroupKey{ByRegion, ByDataset} {
-			for _, f := range []Filter{{}, {Dataset: "ndt"}, {RegionPrefix: "XA-01"}} {
-				cells, err := s.GroupAggregate(f, key, Download, 95)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ef := f
-				ef.ASN = 7 // same records, but unservable from cells
-				scan, err := s.GroupAggregate(ef, key, Download, 95)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(cells) != len(scan) {
-					t.Fatalf("%s key=%v f=%+v: %d cell groups vs %d scan groups", tc.name, key, f, len(cells), len(scan))
-				}
-				for i := range cells {
-					if cells[i].Key != scan[i].Key || cells[i].Count != scan[i].Count {
-						t.Errorf("%s key=%v f=%+v group %d: cell %+v vs scan %+v", tc.name, key, f, i, cells[i], scan[i])
-						continue
-					}
-					if tc.exact {
-						if cells[i].Value != scan[i].Value {
-							t.Errorf("%s key=%v f=%+v group %s: cell value %v != exact %v",
-								tc.name, key, f, cells[i].Key, cells[i].Value, scan[i].Value)
-						}
-					} else if rel := math.Abs(cells[i].Value-scan[i].Value) / scan[i].Value; rel > 0.02 {
-						t.Errorf("%s key=%v f=%+v group %s: cell value %v vs exact %v (rel %v)",
-							tc.name, key, f, cells[i].Key, cells[i].Value, scan[i].Value, rel)
-					}
-				}
-			}
-		}
-	}
-	// Out-of-range percentile is rejected up front on both paths.
-	s := build(10000)
-	if _, err := s.GroupAggregate(Filter{}, ByRegion, Download, 101); err == nil {
-		t.Error("percentile > 100 should error")
 	}
 }
 
@@ -341,7 +267,7 @@ func TestAggregateExactBelowCutover(t *testing.T) {
 		}
 	}
 	for _, q := range []float64{0, 17, 50, 95, 100} {
-		got, err := s.Aggregate(Filter{Dataset: "ndt", RegionPrefix: "XA"}, Download, q)
+		got, _, err := s.Aggregate(Filter{Dataset: "ndt", RegionPrefix: "XA"}, Download, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,22 +321,22 @@ func TestAddBatchEmpty(t *testing.T) {
 	}
 }
 
-func TestAggregateCountNoData(t *testing.T) {
+func TestAggregateNoData(t *testing.T) {
 	s := NewStore()
-	if _, _, err := s.AggregateCount(Filter{Dataset: "ndt"}, Download, 50); !errors.Is(err, stats.ErrNoData) {
+	if _, _, err := s.Aggregate(Filter{Dataset: "ndt"}, Download, 50); !errors.Is(err, stats.ErrNoData) {
 		t.Errorf("want ErrNoData, got %v", err)
 	}
-	if _, _, err := s.AggregateCount(Filter{ASN: 7}, Download, 50); !errors.Is(err, stats.ErrNoData) {
+	if _, _, err := s.Aggregate(Filter{ASN: 7}, Download, 50); !errors.Is(err, stats.ErrNoData) {
 		t.Errorf("exact fallback: want ErrNoData, got %v", err)
 	}
 }
 
 func TestStoreOptionsDefaults(t *testing.T) {
 	s := NewStoreWith(Options{})
-	if s.NumShards() != DefaultShards {
-		t.Errorf("NumShards = %d, want %d", s.NumShards(), DefaultShards)
+	if len(s.shards) != DefaultShards {
+		t.Errorf("shards = %d, want %d", len(s.shards), DefaultShards)
 	}
-	if s2 := NewStoreWith(Options{Shards: 3}); s2.NumShards() != 3 {
-		t.Errorf("NumShards = %d, want 3", s2.NumShards())
+	if s2 := NewStoreWith(Options{Shards: 3}); len(s2.shards) != 3 {
+		t.Errorf("shards = %d, want 3", len(s2.shards))
 	}
 }

@@ -91,7 +91,7 @@ func ISPs(ctx context.Context, w io.Writer) error {
 				entries = append(entries, entry{ok: false})
 				continue
 			}
-			med, err := res.Store.Aggregate(dataset.Filter{Dataset: iqb.DatasetNDT, RegionPrefix: county, ASN: m.ASN}, dataset.Download, 50)
+			med, _, err := res.Store.Aggregate(dataset.Filter{Dataset: iqb.DatasetNDT, RegionPrefix: county, ASN: m.ASN}, dataset.Download, 50)
 			if err != nil {
 				entries = append(entries, entry{ok: false})
 				continue

@@ -178,12 +178,6 @@ func (db *DB) Region(code string) (*Region, bool) {
 	return r, ok
 }
 
-// ISPByASN returns an ISP by ASN.
-func (db *DB) ISPByASN(asn uint32) (*ISP, bool) {
-	isp, ok := db.isps[asn]
-	return isp, ok
-}
-
 // Market returns the market shares for a region, or nil if unset.
 func (db *DB) Market(code string) []MarketShare { return db.markets[code] }
 
@@ -220,46 +214,6 @@ func (db *DB) ISPs() []ISP {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
 	return out
-}
-
-// Ancestors returns the chain of region codes from code's parent up to
-// the root, nearest first.
-func (db *DB) Ancestors(code string) []string {
-	var out []string
-	r, ok := db.regions[code]
-	for ok && r.Parent != "" {
-		out = append(out, r.Parent)
-		r, ok = db.regions[r.Parent]
-	}
-	return out
-}
-
-// Descendants returns all region codes in the subtree rooted at code
-// (excluding code itself), in depth-first sorted order.
-func (db *DB) Descendants(code string) []string {
-	var out []string
-	r, ok := db.regions[code]
-	if !ok {
-		return nil
-	}
-	for _, child := range r.Children {
-		out = append(out, child)
-		out = append(out, db.Descendants(child)...)
-	}
-	return out
-}
-
-// Contains reports whether ancestor contains (or equals) code.
-func (db *DB) Contains(ancestor, code string) bool {
-	if ancestor == code {
-		return true
-	}
-	for _, a := range db.Ancestors(code) {
-		if a == ancestor {
-			return true
-		}
-	}
-	return false
 }
 
 // Validate checks structural invariants: a single root, resolvable

@@ -1,8 +1,6 @@
 package geo
 
 import (
-	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -101,26 +99,6 @@ func TestHierarchyQueries(t *testing.T) {
 	if got := db.AllRegions(); len(got) != 5 {
 		t.Errorf("AllRegions = %v", got)
 	}
-	anc := db.Ancestors("XA-01-001")
-	if len(anc) != 2 || anc[0] != "XA-01" || anc[1] != "XA" {
-		t.Errorf("Ancestors = %v", anc)
-	}
-	desc := db.Descendants("XA")
-	if len(desc) != 4 {
-		t.Errorf("Descendants(XA) = %v", desc)
-	}
-	if db.Descendants("missing") != nil {
-		t.Error("Descendants of missing region should be nil")
-	}
-	if !db.Contains("XA", "XA-01-002") || !db.Contains("XA-01", "XA-01-001") {
-		t.Error("Contains should hold for ancestors")
-	}
-	if db.Contains("XA-02", "XA-01-001") {
-		t.Error("Contains should not hold across branches")
-	}
-	if !db.Contains("XA-01", "XA-01") {
-		t.Error("Contains should hold for self")
-	}
 }
 
 func TestLookups(t *testing.T) {
@@ -131,11 +109,8 @@ func TestLookups(t *testing.T) {
 	if _, ok := db.Region("nope"); ok {
 		t.Error("missing region should not be found")
 	}
-	if isp, ok := db.ISPByASN(64501); !ok || isp.Name != "MetroLink" {
-		t.Errorf("ISP lookup = %+v, %v", isp, ok)
-	}
 	isps := db.ISPs()
-	if len(isps) != 2 || isps[0].ASN != 64500 {
+	if len(isps) != 2 || isps[0].ASN != 64500 || isps[1].Name != "MetroLink" {
 		t.Errorf("ISPs = %v", isps)
 	}
 	if !strings.Contains(db.String(), "regions=5") {
@@ -286,66 +261,6 @@ func TestSynthesizeNilSourceAndPopFloor(t *testing.T) {
 		r, _ := db.Region(code)
 		if r.Population < 1000 {
 			t.Errorf("county %s population %d below floor", code, r.Population)
-		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	db, err := Synthesize(DefaultSynthSpec(), rng.New(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := db.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Root() != db.Root() {
-		t.Errorf("root = %q, want %q", back.Root(), db.Root())
-	}
-	if len(back.AllRegions()) != len(db.AllRegions()) {
-		t.Errorf("region count = %d, want %d", len(back.AllRegions()), len(db.AllRegions()))
-	}
-	for _, code := range db.Regions(County) {
-		a, _ := db.Region(code)
-		b, ok := back.Region(code)
-		if !ok {
-			t.Fatalf("county %s lost", code)
-		}
-		if a.Population != b.Population || a.Character != b.Character || a.Parent != b.Parent {
-			t.Errorf("county %s changed: %+v vs %+v", code, a, b)
-		}
-		ma, mb := db.Market(code), back.Market(code)
-		if len(ma) != len(mb) {
-			t.Fatalf("county %s market size changed", code)
-		}
-		for i := range ma {
-			if ma[i].ASN != mb[i].ASN || math.Abs(ma[i].Share-mb[i].Share) > 1e-9 {
-				t.Errorf("county %s market changed: %+v vs %+v", code, ma[i], mb[i])
-			}
-		}
-	}
-	if len(back.ISPs()) != len(db.ISPs()) {
-		t.Error("ISPs lost")
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	cases := []string{
-		"{not json",
-		`{"regions":[{"code":"XA","level":"galaxy","character":"urban"}]}`,
-		`{"regions":[{"code":"XA","level":"country","character":"hip"}]}`,
-		`{"regions":[{"code":"XA","level":"country","character":"urban"},{"code":"XA","level":"country","character":"urban"}]}`,
-		`{"regions":[{"code":"XA","level":"country","character":"urban"}],"isps":[{"asn":0,"name":"x"}]}`,
-		`{"regions":[{"code":"XA","level":"country","character":"urban"}],"markets":[{"region":"XB","shares":[{"asn":1,"share":1}]}]}`,
-		`{}`, // valid JSON, no root region -> Validate fails
-	}
-	for _, in := range cases {
-		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
-			t.Errorf("geography %q should fail", in)
 		}
 	}
 }

@@ -420,13 +420,19 @@ func TestHourlyErrors(t *testing.T) {
 	if _, err := c.Hourly(context.Background(), "XA-01-001", 5); err == nil {
 		t.Error("band not dividing 24 should error")
 	}
-	resp, err := http.Get(ts.URL + "/v1/hourly?region=XA-01-001&band=x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad band status = %d", resp.StatusCode)
+	for query, want := range map[string]int{
+		"region=XA-01-001&band=x": http.StatusBadRequest,
+		"region=XA-01-001&band=5": http.StatusBadRequest,
+		"region=XB-99":            http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + "/v1/hourly?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", query, resp.StatusCode, want)
+		}
 	}
 }

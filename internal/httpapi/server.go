@@ -13,6 +13,13 @@
 //	                           [from, to) time window
 //	GET  /v1/ranking           counties ranked best-first, with a count
 //	                           of regions omitted by scoring failures
+//	GET  /v1/timeseries?region=R[&window=W]
+//	                           score series over the region's record
+//	                           time span in windows of W (default 24h;
+//	                           400 past iqb.MaxWindows windows)
+//	GET  /v1/hourly?region=R[&band=B]
+//	                           hour-of-day score profile in bands of B
+//	                           hours (default 3; B must divide 24)
 //	GET  /v1/datasets          dataset names with record counts
 //	POST /v1/snapshot          cut a durable snapshot (503 when the
 //	                           server runs memory-only)

@@ -89,10 +89,6 @@ func (s *Server) handleHourly(w http.ResponseWriter, r *http.Request) {
 	}
 	buckets, err := s.cfg.ScoreByHourOfDay(s.store, region, band)
 	if err != nil {
-		if errors.Is(err, iqb.ErrNoUsableData) {
-			writeError(w, http.StatusNotFound, "no usable data")
-			return
-		}
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

@@ -64,8 +64,7 @@ func perCellScore(c Config, store *dataset.Store, base dataset.Filter) (Score, e
 		for _, r := range d.Capabilities {
 			f := base
 			f.Dataset = d.Name
-			f.HasMetric = []Requirement{r}
-			p, n, err := store.AggregateCount(f, r, c.effectivePercentile(r))
+			p, n, err := store.Aggregate(f, r, c.effectivePercentile(r))
 			if errors.Is(err, stats.ErrNoData) {
 				continue
 			}

@@ -26,11 +26,6 @@ const (
 	PresetRemoteWork PresetName = "remote-work"
 )
 
-// AllPresets lists the built-in preset names.
-func AllPresets() []PresetName {
-	return []PresetName{PresetPaper, PresetBaseline, PresetRealtime, PresetRemoteWork}
-}
-
 // Preset returns the named configuration. Every preset validates.
 func Preset(name PresetName) (Config, error) {
 	cfg := DefaultConfig()

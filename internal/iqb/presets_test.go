@@ -3,7 +3,7 @@ package iqb
 import "testing"
 
 func TestAllPresetsValid(t *testing.T) {
-	for _, name := range AllPresets() {
+	for _, name := range []PresetName{PresetPaper, PresetBaseline, PresetRealtime, PresetRemoteWork} {
 		cfg, err := Preset(name)
 		if err != nil {
 			t.Errorf("preset %s: %v", name, err)

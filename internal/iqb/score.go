@@ -278,10 +278,10 @@ func (c Config) scoreAggregates(agg *Aggregates) (Score, error) {
 }
 
 // AggregateFiltered computes the Aggregates for every record matching
-// the base filter (its Dataset and HasMetric fields are overridden per
-// cell), using the configured percentile and convention. This is the
-// general scoring scope: region subtrees, single ISPs, time windows, or
-// any combination.
+// the base filter (its Dataset field is overridden per cell), using the
+// configured percentile and convention. This is the general scoring
+// scope: region subtrees, single ISPs, time windows, or any
+// combination.
 //
 // Region-scoped filters are answered from the store's cell index by
 // AggregateSketcher, without materializing record values. Filters the
@@ -295,7 +295,7 @@ func (c Config) AggregateFiltered(store *dataset.Store, base dataset.Filter) (*A
 	if base.CellIndexed() {
 		return c.AggregateSketcher(store.Sketcher(), base.RegionPrefix)
 	}
-	base.Dataset, base.HasMetric = "", nil
+	base.Dataset = ""
 	cv := c.newCellValues()
 	for _, r := range store.Gather(base) {
 		cv.add(c.Datasets, r)

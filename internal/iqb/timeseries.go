@@ -117,36 +117,42 @@ type HourBucket struct {
 
 // ScoreByHourOfDay buckets a region's records into hour-of-day bands of
 // the given width (which must divide 24) and scores each band — the
-// "does evening congestion move the composite" view.
+// "does evening congestion move the composite" view. Bands without
+// usable data are marked NoData rather than failing the profile.
+//
+// Like ScoreWindows, it reads the region's records from the store once
+// and scores each band exactly through one reused set of cells: for
+// records that all fall on one UTC day, band i equals point i of
+// ScoreWindows over that day in windows of bandHours.
 func (c Config) ScoreByHourOfDay(store *dataset.Store, region string, bandHours int) ([]HourBucket, error) {
 	if bandHours <= 0 || 24%bandHours != 0 {
 		return nil, fmt.Errorf("iqb: band width %d must divide 24", bandHours)
 	}
-	records := store.Select(dataset.Filter{RegionPrefix: region})
-	buckets := make([]*dataset.Store, 24/bandHours)
-	counts := make([]int, len(buckets))
-	for i := range buckets {
-		buckets[i] = dataset.NewStore()
+	if store == nil {
+		return nil, fmt.Errorf("iqb: nil store")
 	}
-	for _, r := range records {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	bands := make([][]*dataset.Record, 24/bandHours)
+	for _, r := range store.Gather(dataset.Filter{RegionPrefix: region}) {
 		b := r.Time.UTC().Hour() / bandHours
-		if err := buckets[b].Add(r); err != nil {
-			return nil, fmt.Errorf("iqb: bucketing record %s: %w", r.ID, err)
-		}
-		counts[b]++
+		bands[b] = append(bands[b], r)
 	}
-	out := make([]HourBucket, len(buckets))
-	for i := range buckets {
-		out[i] = HourBucket{FromHour: i * bandHours, ToHour: (i + 1) * bandHours, Records: counts[i]}
-		score, err := c.ScoreRegion(buckets[i], region, time.Time{}, time.Time{})
-		if errors.Is(err, ErrNoUsableData) {
-			out[i].NoData = true
-			continue
+	out := make([]HourBucket, len(bands))
+	cv := c.newCellValues()
+	for i, recs := range bands {
+		out[i] = HourBucket{FromHour: i * bandHours, ToHour: (i + 1) * bandHours, Records: len(recs), NoData: true}
+		for _, r := range recs {
+			cv.add(c.Datasets, r)
 		}
-		if err != nil {
+		score, err := c.scoreValues(cv)
+		cv.reset()
+		if err == nil {
+			out[i].Score, out[i].NoData = score, false
+		} else if !errors.Is(err, ErrNoUsableData) {
 			return nil, fmt.Errorf("iqb: scoring hour band %d: %w", i, err)
 		}
-		out[i].Score = score
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package iqb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -178,6 +179,69 @@ func TestScoreByHourOfDay(t *testing.T) {
 	}
 	if _, err := cfg.ScoreByHourOfDay(store, "XA", 5); err == nil {
 		t.Error("band width not dividing 24 should error")
+	}
+}
+
+// TestScoreByHourOfDayMatchesWindows: with every record inside one UTC
+// day, hour band i is point i of ScoreWindows over that day, bit for
+// bit in Score and NoData, at every band width. One county's hour 18
+// holds more values per (dataset, metric) cell than the sketch cutover,
+// and that band is scored exactly too; hours 0-5 hold nothing.
+func TestScoreByHourOfDayMatchesWindows(t *testing.T) {
+	day := time.Date(2025, 6, 3, 0, 0, 0, 0, time.UTC)
+	store := dataset.NewStore()
+	src := rng.New(21)
+	var batch []dataset.Record
+	add := func(county string, hour int) {
+		ts := day.Add(time.Duration(hour)*time.Hour + time.Duration(src.Intn(3600))*time.Second)
+		for _, ds := range []string{DatasetNDT, DatasetCloudflare, DatasetOokla} {
+			r := dataset.NewRecord(fmt.Sprintf("r%d", len(batch)), ds, county, ts)
+			r.SetValue(dataset.Download, src.LogNormalFromMoments(150, 0.8))
+			r.SetValue(dataset.Upload, src.LogNormalFromMoments(30, 0.8))
+			r.SetValue(dataset.Latency, src.LogNormalFromMoments(40, 0.6))
+			if ds != DatasetOokla {
+				r.SetValue(dataset.Loss, src.Float64()*0.01)
+			}
+			batch = append(batch, r)
+		}
+	}
+	for i := 0; i < dataset.DefaultSketchCutover+100; i++ {
+		add("XA-01-001", 18)
+	}
+	for i := 0; i < 600; i++ {
+		add([]string{"XA-01-001", "XA-01-002", "XA-02-001"}[i%3], 6+src.Intn(18))
+	}
+	if err := store.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	for _, band := range []int{1, 3, 6} {
+		buckets, err := cfg.ScoreByHourOfDay(store, "XA", band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points, err := cfg.ScoreWindows(store, "XA", day, day.Add(24*time.Hour), time.Duration(band)*time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buckets) != len(points) {
+			t.Fatalf("band %d: %d buckets, %d windows", band, len(buckets), len(points))
+		}
+		records := 0
+		for i, b := range buckets {
+			records += b.Records
+			what := fmt.Sprintf("band %d bucket %d", band, i)
+			if b.NoData != points[i].NoData {
+				t.Fatalf("%s: NoData %v, window %v", what, b.NoData, points[i].NoData)
+			}
+			sameScore(t, what, b.Score, nil, points[i].Score, nil)
+		}
+		if records != len(batch) {
+			t.Errorf("band %d: buckets hold %d records, want %d", band, records, len(batch))
+		}
+		if !buckets[0].NoData || buckets[18/band].NoData {
+			t.Errorf("band %d: bucket 0 NoData %v, bucket of hour 18 NoData %v", band, buckets[0].NoData, buckets[18/band].NoData)
+		}
 	}
 }
 

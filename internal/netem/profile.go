@@ -66,16 +66,6 @@ func AllTechs() []Tech {
 	return out
 }
 
-// ParseTech resolves a technology by its String name.
-func ParseTech(s string) (Tech, error) {
-	for _, t := range AllTechs() {
-		if t.String() == s {
-			return t, nil
-		}
-	}
-	return 0, fmt.Errorf("netem: unknown technology %q", s)
-}
-
 // Profile holds the statistical parameters of a technology class. Rates
 // are plan/peak rates; Observe applies load on top.
 type Profile struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -265,18 +266,21 @@ func crashFingerprint(t *testing.T, s *dataset.Store) map[string]any {
 		"regions":  s.Regions(),
 	}
 	for _, q := range []float64{5, 50, 95} {
-		v, n, err := s.AggregateCount(dataset.Filter{}, dataset.Download, q)
+		v, n, err := s.Aggregate(dataset.Filter{}, dataset.Download, q)
 		if err != nil {
 			t.Fatalf("aggregate p%v: %v", q, err)
 		}
 		fp[fmt.Sprintf("p%v", q)] = v
 		fp["n"] = n
 	}
-	groups, err := s.GroupAggregate(dataset.Filter{}, dataset.ByRegion, dataset.Download, 50)
-	if err != nil {
-		t.Fatalf("group aggregate: %v", err)
+	for _, code := range s.Regions() {
+		v, n, err := s.Aggregate(dataset.Filter{RegionPrefix: code}, dataset.Download, 50)
+		if err != nil {
+			t.Fatalf("aggregate %s: %v", code, err)
+		}
+		fp["p50 "+code] = math.Float64bits(v)
+		fp["n "+code] = n
 	}
-	fp["groups"] = groups
 	return fp
 }
 

@@ -138,23 +138,6 @@ func (s *Source) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-s.Float64())
 }
 
-// Pareto returns a Pareto(xm, alpha) sample: heavy-tailed with minimum xm.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		return xm
-	}
-	return xm / math.Pow(1-s.Float64(), 1/alpha)
-}
-
-// Weibull returns a Weibull(scale, shape) sample; shape < 1 gives a heavy
-// tail, shape > 1 concentrates around the scale.
-func (s *Source) Weibull(scale, shape float64) float64 {
-	if scale <= 0 || shape <= 0 {
-		return 0
-	}
-	return scale * math.Pow(-math.Log(1-s.Float64()), 1/shape)
-}
-
 // Poisson returns a Poisson-distributed count with the given mean, using
 // Knuth's method for small means and a normal approximation above 30.
 func (s *Source) Poisson(mean float64) int {
@@ -215,13 +198,4 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		swap(i, s.Intn(i+1))
 	}
-}
-
-// Jitter returns value scaled by a uniform factor in [1-frac, 1+frac].
-// It is a convenience for "roughly x, give or take frac".
-func (s *Source) Jitter(value, frac float64) float64 {
-	if frac <= 0 {
-		return value
-	}
-	return value * s.Range(1-frac, 1+frac)
 }

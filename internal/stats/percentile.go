@@ -2,7 +2,7 @@
 // aggregates measurements with: exact percentiles under several
 // interpolation rules (the framework mandates the 95th percentile), the
 // DDSketch that the dataset cell index promotes large cells to, rank and
-// distribution comparisons, and descriptive summaries.
+// distribution comparisons, and the mean.
 //
 // An exact percentile needs only the one or two order statistics its
 // interpolation rule reads, so Percentile and PercentileWith copy their
@@ -104,14 +104,6 @@ func PercentileInPlace(xs []float64, q float64, ip Interpolation) (float64, erro
 	return interpolate(a, b, frac, ip), nil
 }
 
-func percentileSorted(sorted []float64, q float64, ip Interpolation) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	lo, hi, frac := rankOf(len(sorted), q)
-	return interpolate(sorted[lo], sorted[hi], frac, ip)
-}
-
 // rankOf locates the q-th percentile (q in [0, 100]) of n > 1 sorted
 // values: between order statistics lo and hi (0-based, lo <= hi <=
 // lo+1), a fraction frac of the way from lo.
@@ -208,78 +200,8 @@ func selectKth(xs []float64, k int) {
 	}
 }
 
-// Percentiles computes several percentiles in one sort. The result is in
-// the same order as qs.
-func Percentiles(xs []float64, qs ...float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrNoData
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if q < 0 || q > 100 || math.IsNaN(q) {
-			return nil, fmt.Errorf("stats: percentile %v out of [0,100]", q)
-		}
-		out[i] = percentileSorted(sorted, q, Linear)
-	}
-	return out, nil
-}
-
 // Median is Percentile(xs, 50).
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	Count  int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-	P5     float64
-	P25    float64
-	Median float64
-	P75    float64
-	P90    float64
-	P95    float64
-	P99    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrNoData
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	sum, sum2 := 0.0, 0.0
-	for _, x := range sorted {
-		sum += x
-		sum2 += x * x
-	}
-	n := float64(len(sorted))
-	mean := sum / n
-	variance := sum2/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		Count:  len(sorted),
-		Mean:   mean,
-		Stddev: math.Sqrt(variance),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		P5:     percentileSorted(sorted, 5, Linear),
-		P25:    percentileSorted(sorted, 25, Linear),
-		Median: percentileSorted(sorted, 50, Linear),
-		P75:    percentileSorted(sorted, 75, Linear),
-		P90:    percentileSorted(sorted, 90, Linear),
-		P95:    percentileSorted(sorted, 95, Linear),
-		P99:    percentileSorted(sorted, 99, Linear),
-	}, nil
-}
 
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {

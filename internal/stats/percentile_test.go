@@ -136,52 +136,6 @@ func TestPercentileProperties(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	got, err := Percentiles(xs, 0, 50, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Percentiles[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := Percentiles(nil, 50); err != ErrNoData {
-		t.Error("empty input should be ErrNoData")
-	}
-	if _, err := Percentiles(xs, -5); err == nil {
-		t.Error("bad q should error")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	s, err := Summarize(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Count != 8 || s.Min != 2 || s.Max != 9 {
-		t.Errorf("count/min/max = %d/%v/%v", s.Count, s.Min, s.Max)
-	}
-	if s.Mean != 5 {
-		t.Errorf("mean = %v, want 5", s.Mean)
-	}
-	if math.Abs(s.Stddev-2) > 1e-9 {
-		t.Errorf("stddev = %v, want 2", s.Stddev)
-	}
-	if s.Median != 4.5 {
-		t.Errorf("median = %v, want 4.5", s.Median)
-	}
-	if s.P95 < s.P90 || s.P90 < s.Median {
-		t.Error("percentiles not monotone")
-	}
-	if _, err := Summarize(nil); err != ErrNoData {
-		t.Error("empty summarize should be ErrNoData")
-	}
-}
-
 func TestMeanStddev(t *testing.T) {
 	if _, err := Mean(nil); err != ErrNoData {
 		t.Error("Mean(nil) should be ErrNoData")
@@ -189,10 +143,6 @@ func TestMeanStddev(t *testing.T) {
 	m, _ := Mean([]float64{1, 2, 3})
 	if m != 2 {
 		t.Errorf("mean = %v", m)
-	}
-	sum, _ := Summarize([]float64{2, 2, 2})
-	if sum.Stddev != 0 {
-		t.Errorf("stddev of constant = %v", sum.Stddev)
 	}
 }
 

@@ -10,7 +10,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -47,14 +46,6 @@ func (d Direction) Meets(value, threshold float64) bool {
 	return value <= threshold
 }
 
-// Better reports whether a is strictly better than b under this direction.
-func (d Direction) Better(a, b float64) bool {
-	if d == HigherBetter {
-		return a > b
-	}
-	return a < b
-}
-
 // Throughput is a data rate in megabits per second.
 type Throughput float64
 
@@ -67,9 +58,6 @@ const (
 
 // Mbps returns the rate as a float64 number of megabits per second.
 func (t Throughput) Mbps() float64 { return float64(t) }
-
-// BitsPerSecond returns the rate in bits per second.
-func (t Throughput) BitsPerSecond() float64 { return float64(t) * 1e6 }
 
 // BytesPerSecond returns the rate in bytes per second.
 func (t Throughput) BytesPerSecond() float64 { return float64(t) * 1e6 / 8 }
@@ -86,60 +74,12 @@ func (t Throughput) String() string {
 	}
 }
 
-// TimeToTransfer returns how long it takes to move n bytes at this rate.
-// It returns a very large duration for non-positive rates.
-func (t Throughput) TimeToTransfer(n int64) time.Duration {
-	if t <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	seconds := float64(n) / t.BytesPerSecond()
-	if seconds > math.MaxInt64/float64(time.Second) {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(seconds * float64(time.Second))
-}
-
 // ThroughputFromTransfer computes the achieved rate for n bytes moved in d.
 func ThroughputFromTransfer(n int64, d time.Duration) Throughput {
 	if d <= 0 {
 		return 0
 	}
 	return Throughput(float64(n) * 8 / d.Seconds() / 1e6)
-}
-
-// ParseThroughput parses strings such as "25", "25Mbps", "1.5 Gbit/s",
-// "800kbps" into a Throughput. A bare number is interpreted as Mbps.
-func ParseThroughput(s string) (Throughput, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("units: empty throughput")
-	}
-	num := s
-	mult := 1.0
-	lower := strings.ToLower(s)
-	for _, u := range []struct {
-		suffix string
-		mult   float64
-	}{
-		{"gbit/s", 1000}, {"gbps", 1000}, {"gb/s", 8000},
-		{"mbit/s", 1}, {"mbps", 1}, {"mb/s", 8},
-		{"kbit/s", 0.001}, {"kbps", 0.001}, {"kb/s", 0.008},
-		{"bit/s", 1e-6}, {"bps", 1e-6},
-	} {
-		if strings.HasSuffix(lower, u.suffix) {
-			num = strings.TrimSpace(s[:len(s)-len(u.suffix)])
-			mult = u.mult
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: bad throughput %q: %w", s, err)
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("units: negative throughput %q", s)
-	}
-	return Throughput(v * mult), nil
 }
 
 // Latency is a round-trip time. It is a distinct type from time.Duration so
@@ -171,29 +111,6 @@ func LatencyFromMillis(ms float64) Latency {
 	return Latency(ms * float64(time.Millisecond))
 }
 
-// ParseLatency parses strings such as "50", "50ms", "1.2s" into a Latency.
-// A bare number is interpreted as milliseconds.
-func ParseLatency(s string) (Latency, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("units: empty latency")
-	}
-	if v, err := strconv.ParseFloat(s, 64); err == nil {
-		if v < 0 {
-			return 0, fmt.Errorf("units: negative latency %q", s)
-		}
-		return LatencyFromMillis(v), nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("units: bad latency %q: %w", s, err)
-	}
-	if d < 0 {
-		return 0, fmt.Errorf("units: negative latency %q", s)
-	}
-	return Latency(d), nil
-}
-
 // LossRate is a packet loss fraction in [0, 1].
 type LossRate float64
 
@@ -207,34 +124,6 @@ func (r LossRate) String() string {
 
 // Valid reports whether the rate is within [0, 1].
 func (r LossRate) Valid() bool { return r >= 0 && r <= 1 && !math.IsNaN(float64(r)) }
-
-// LossFromPercent builds a LossRate from a percentage value.
-func LossFromPercent(pct float64) LossRate { return LossRate(pct / 100) }
-
-// ParseLossRate parses strings such as "0.5%", "1%", "0.005" into a LossRate.
-// A bare number is interpreted as a fraction if <= 1, otherwise as a percent.
-func ParseLossRate(s string) (LossRate, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, fmt.Errorf("units: empty loss rate")
-	}
-	pct := strings.HasSuffix(s, "%")
-	s = strings.TrimSuffix(s, "%")
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: bad loss rate %q: %w", s, err)
-	}
-	if pct {
-		v /= 100
-	} else if v > 1 {
-		v /= 100
-	}
-	r := LossRate(v)
-	if !r.Valid() {
-		return 0, fmt.Errorf("units: loss rate %q out of range [0,1]", s)
-	}
-	return r, nil
-}
 
 // trimZeros removes trailing fractional zeros ("25.00" -> "25",
 // "1.50" -> "1.5") without touching integer parts.
