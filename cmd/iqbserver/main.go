@@ -5,7 +5,7 @@
 //
 //	iqbserver [-addr 127.0.0.1:8600] [-seed 42] [-tests 120]
 //	          [-data-dir DIR] [-snapshot-interval 5m] [-snapshot-wal-bytes N]
-//	          [-wal-segment-bytes N] [-wal-group-window D]
+//	          [-wal-segment-bytes N]
 //	          [-ingest-queue-records N] [-ingest-queue-bytes N]
 //	          [-ingest-drain-records N] [-ingest-body-cap N]
 //	          [-score-cache=true] [-metrics=true]
@@ -48,12 +48,11 @@
 // snapshotter cuts a fresh snapshot every -snapshot-interval (0
 // disables it) and compacts WAL segments the snapshot covers.
 //
-// Concurrent WAL appends group-commit: frames queued during the
-// in-flight fsync coalesce into one shared write+sync, so parallel
-// ingestion pays far fewer fsyncs than batches. -wal-group-window D
-// holds each commit open for D longer to collect more writers (0, the
-// default, coalesces only natural pileups; a negative value disables
-// group commit entirely and restores the serial fsync-per-batch path).
+// Every WAL append goes through one group committer: frames queued
+// during the in-flight fsync coalesce into one shared write+sync, so
+// parallel ingestion pays far fewer fsyncs than batches. Snapshots are
+// written in the WAL's own CRC-framed format and recovery streams them
+// frame by frame, so a snapshot never has to fit in memory as bytes.
 //
 // Snapshots also trigger on WAL growth: with -snapshot-wal-bytes N > 0,
 // the background snapshotter cuts a snapshot as soon as the WAL holds
@@ -106,9 +105,6 @@ func main() {
 type bootOptions struct {
 	dataDir      string
 	segmentBytes int64
-	// groupWindow widens WAL group commits; negative disables group
-	// commit (serial fsync per batch).
-	groupWindow time.Duration
 	// snapshotWALBytes arms the WAL-growth snapshot trigger (0 off).
 	snapshotWALBytes int64
 	// metrics instruments the WAL and snapshot manager; nil runs them
@@ -119,17 +115,11 @@ type bootOptions struct {
 // persistOptions translates boot flags into the durable store's
 // options.
 func (o bootOptions) persistOptions() persist.Options {
-	po := persist.Options{
+	return persist.Options{
 		SegmentBytes:     o.segmentBytes,
 		SnapshotWALBytes: o.snapshotWALBytes,
 		Metrics:          o.metrics,
 	}
-	if o.groupWindow < 0 {
-		po.NoGroupCommit = true
-	} else {
-		po.GroupWindow = o.groupWindow
-	}
-	return po
 }
 
 // world is everything a boot produces: the queryable store, the
@@ -235,7 +225,6 @@ func run(args []string) error {
 	snapEvery := fs.Duration("snapshot-interval", 5*time.Minute, "background snapshot period (0 disables)")
 	snapWALBytes := fs.Int64("snapshot-wal-bytes", 0, "also snapshot once this many WAL bytes accumulate past the last snapshot (0 disables the growth trigger)")
 	segBytes := fs.Int64("wal-segment-bytes", persist.DefaultSegmentBytes, "WAL segment rotation threshold")
-	groupWindow := fs.Duration("wal-group-window", 0, "extra time a WAL group commit waits for more writers before its shared fsync (0 coalesces only natural pileups; negative disables group commit)")
 	queueRecords := fs.Int("ingest-queue-records", ingest.DefaultQueueRecords, "live-ingest admission cap in queued records; past it POST /v1/ingest sheds with 429")
 	queueBytes := fs.Int64("ingest-queue-bytes", ingest.DefaultQueueBytes, "live-ingest admission cap in queued wire bytes")
 	drainRecords := fs.Int("ingest-drain-records", ingest.DefaultDrainRecords, "most records the ingest drainer commits per store batch")
@@ -261,7 +250,6 @@ func run(args []string) error {
 	w, err := openWorld(logger, spec, bootOptions{
 		dataDir:          *dataDir,
 		segmentBytes:     *segBytes,
-		groupWindow:      *groupWindow,
 		snapshotWALBytes: *snapWALBytes,
 		metrics:          reg,
 	})

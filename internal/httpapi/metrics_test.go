@@ -259,14 +259,6 @@ func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (persist.WALF
 	return &gateFile{File: f, fs: g}, nil
 }
 
-func (g *gateFS) Open(name string) (persist.WALFile, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &gateFile{File: f, fs: g}, nil
-}
-
 func (g *gateFS) Remove(name string) error { return os.Remove(name) }
 
 // SyncDir is a no-op: directory durability is not what this harness

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"time"
 )
 
 // This file is the fault-injection layer behind persist's crash tests:
@@ -13,7 +14,8 @@ import (
 // errors, failed rollback truncates, and a kill-point after which every
 // operation fails (the in-process stand-in for SIGKILL). It also counts
 // file syncs, which is how the group-commit tests prove that N acked
-// batches cost fewer than N fsyncs.
+// batches cost fewer than N fsyncs, and can slow or park them, which is
+// how those tests fold groups without a timing window.
 
 // Sentinel fault errors. Production code never sees these types; tests
 // match them with errors.Is through the persist error wrapping.
@@ -44,6 +46,15 @@ type faultFS struct {
 	failTruncate bool    // fail Truncate calls while set (breaks rollback)
 	failDirSyncs int     // fail the next N directory syncs (fails a rotation)
 	failRemove   bool    // fail Remove calls while set (leaves leftovers)
+	syncLatency  time.Duration
+	gate         *syncGate // parks the next file Sync until released
+}
+
+// syncGate holds one file Sync: parked closes once the Sync is waiting,
+// and the Sync goes on (through the rest of the fault plan) once the
+// test closes release.
+type syncGate struct {
+	parked, release chan struct{}
 }
 
 func newFaultFS() *faultFS {
@@ -67,6 +78,25 @@ func (f *faultFS) failNextSyncs(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.failSyncs = n
+}
+
+// parkNextSync arms a gate on the next file Sync. While that Sync is
+// parked the committer holds its group open, so appends made meanwhile
+// queue up and fold into the next group — deterministically.
+func (f *faultFS) parkNextSync() *syncGate {
+	g := &syncGate{parked: make(chan struct{}), release: make(chan struct{})}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.gate = g
+	return g
+}
+
+// setSyncLatency makes every file Sync take at least d, like a disk
+// whose flushes are slow enough for concurrent writers to pile up.
+func (f *faultFS) setSyncLatency(d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.syncLatency = d
 }
 
 // setFailTruncate toggles Truncate failures, which turn an append error
@@ -131,20 +161,6 @@ func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (WALFile, er
 		return nil, errKilled
 	}
 	file, err := os.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{fs: f, f: file}, nil
-}
-
-func (f *faultFS) Open(name string) (WALFile, error) {
-	f.mu.Lock()
-	killed := f.killed
-	f.mu.Unlock()
-	if killed {
-		return nil, errKilled
-	}
-	file, err := os.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -245,6 +261,15 @@ func (w *faultFile) Truncate(size int64) error {
 }
 
 func (w *faultFile) Sync() error {
+	w.fs.mu.Lock()
+	gate, latency := w.fs.gate, w.fs.syncLatency
+	w.fs.gate = nil
+	w.fs.mu.Unlock()
+	if gate != nil {
+		close(gate.parked)
+		<-gate.release
+	}
+	time.Sleep(latency)
 	w.fs.mu.Lock()
 	if w.fs.killed {
 		w.fs.mu.Unlock()

@@ -17,7 +17,11 @@ import (
 func TestGroupCommitExactlyOnceFewerFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	fs := newFaultFS()
-	l, err := OpenLog(dir, Options{GroupWindow: 2 * time.Millisecond, FS: fs})
+	// A disk whose flushes take a millisecond: writers pile up behind
+	// each sync even on one CPU, where a fast fsync would let the
+	// committer finish before any other writer runs.
+	fs.setSyncLatency(time.Millisecond)
+	l, err := OpenLog(dir, Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,55 +107,90 @@ func TestGroupCommitExactlyOnceFewerFsyncs(t *testing.T) {
 	}
 }
 
+// waitQueued blocks until n appends wait in the log's group-commit
+// queue.
+func waitQueued(t *testing.T, l *Log, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d queued appends", n), func() bool {
+		l.qmu.Lock()
+		defer l.qmu.Unlock()
+		return len(l.pending) >= n
+	})
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestGroupCommitCloseFlushesQueuedAppends: writers already queued when
 // Close lands must get durable acks, not errors — Close drains the
 // committer, it does not strand it.
 func TestGroupCommitCloseFlushesQueuedAppends(t *testing.T) {
 	dir := t.TempDir()
-	// A wide window so appends are very likely still queued (the
-	// committer holding the group open) when Close arrives.
-	l, err := OpenLog(dir, Options{GroupWindow: 50 * time.Millisecond})
+	fs := newFaultFS()
+	l, err := OpenLog(dir, Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const writers = 4
 	errs := make([]error, writers)
 	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		i := i
+	appendAsync := func(i int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			errs[i] = l.Append(walBatch(fmt.Sprintf("q%d", i), 1))
 		}()
 	}
-	time.Sleep(5 * time.Millisecond) // let the appends enqueue
-	if err := l.Close(); err != nil {
+	// Writer 0 parks in its sync; the other three queue behind it.
+	gate := fs.parkNextSync()
+	appendAsync(0)
+	<-gate.parked
+	for i := 1; i < writers; i++ {
+		appendAsync(i)
+	}
+	waitQueued(t, l, writers-1)
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	waitFor(t, "Close to shut the queue", func() bool {
+		l.qmu.Lock()
+		defer l.qmu.Unlock()
+		return l.qclosed
+	})
+	close(gate.release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	acked := 0
-	for _, err := range errs {
-		if err == nil {
-			acked++
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("append %d queued before Close failed: %v", i, err)
 		}
 	}
-	// Anything acked must be on disk; anything errored must be absent.
 	l2, err := OpenLog(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := int(l2.Offset()); got != acked {
-		t.Fatalf("reopened offset = %d, but %d appends were acked", got, acked)
+	if got := l2.Offset(); got != writers {
+		t.Fatalf("reopened offset = %d, want %d (every queued append acked)", got, writers)
 	}
 }
 
-// TestAppendAfterCloseFails covers both write paths' closed checks.
+// TestAppendAfterCloseFails covers the closed check with and without
+// syncs.
 func TestAppendAfterCloseFails(t *testing.T) {
-	for _, mode := range []string{"group", "serial"} {
+	for _, mode := range []string{"group", "nosync"} {
 		t.Run(mode, func(t *testing.T) {
-			l, err := OpenLog(t.TempDir(), Options{NoGroupCommit: mode == "serial"})
+			l, err := OpenLog(t.TempDir(), Options{NoSync: mode == "nosync"})
 			if err != nil {
 				t.Fatal(err)
 			}

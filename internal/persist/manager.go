@@ -110,7 +110,10 @@ func Open(dir string, o Options) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating data dir: %w", err)
 	}
-	rs, man, hasSnap, err := loadSnapshot(dir)
+	// The snapshot streams into the store before any hook is installed;
+	// on error the partly loaded store is dropped with the manager.
+	store := dataset.NewStore()
+	man, hasSnap, err := loadSnapshot(dir, store)
 	if err != nil {
 		return nil, err
 	}
@@ -118,26 +121,18 @@ func Open(dir string, o Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hasSnap && log.Offset() < man.WALOffset {
+	if log.Offset() < man.WALOffset {
 		return nil, errors.Join(
 			fmt.Errorf("persist: WAL ends at record %d but the snapshot covers %d (missing WAL segments)",
 				log.Offset(), man.WALOffset),
 			log.Close())
 	}
 
-	store := dataset.NewStore()
 	m := &Manager{dir: dir, log: log, store: store,
-		growBytes: o.SnapshotWALBytes, growthC: make(chan struct{}, 1)}
+		growBytes: o.SnapshotWALBytes, growthC: make(chan struct{}, 1),
+		snapOffset: man.WALOffset, snapRecords: man.Records, snapAt: man.SavedAt}
 	m.registerMetrics(o.Metrics)
-	if hasSnap {
-		if err := store.AddBatch(rs); err != nil {
-			return nil, errors.Join(fmt.Errorf("persist: loading snapshot into store: %w", err), log.Close())
-		}
-		m.snapOffset = man.WALOffset
-		m.snapRecords = man.Records
-		m.snapAt = man.SavedAt
-	}
-	rec := Recovery{FromSnapshot: hasSnap, SnapshotRecords: len(rs), TornTail: log.TornTail(),
+	rec := Recovery{FromSnapshot: hasSnap, SnapshotRecords: man.Records, TornTail: log.TornTail(),
 		ScavengedSegments: log.Scavenged()}
 	err = log.Replay(man.WALOffset, func(batch []dataset.Record) error {
 		if err := store.AddBatch(batch); err != nil {
@@ -323,20 +318,7 @@ func (m *Manager) Status() Status {
 // (the iqbserver stores its world seed here so a restart rebuilds the
 // same geography the records were measured against).
 func (m *Manager) SetMeta(meta map[string]string) error {
-	body, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return fmt.Errorf("persist: encoding meta: %w", err)
-	}
-	path := filepath.Join(m.dir, metaName)
-	tmp := path + tmpSuffix
-	if err := writeFileSync(tmp, append(body, '\n')); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: publishing meta: %w", err)
-	}
-	return syncDir(m.dir)
+	return publishJSON(m.dir, metaName, meta)
 }
 
 // Meta reads the metadata written by SetMeta; a missing file yields an

@@ -13,13 +13,13 @@
 // threshold and are named by the record offset at which they start, so
 // offset accounting survives compaction.
 //
-// Concurrent appends group-commit: writers queue their frames and a
-// committer goroutine folds everything queued during the in-flight
-// fsync (plus an optional Options.GroupWindow) into one write and one
-// sync, fanning the shared result back to every waiter — so the
-// per-batch fsync tax amortizes across parallel writers without
-// weakening the ack contract (Append still returns only once the frame
-// is durable).
+// Every append goes through one group committer: writers queue their
+// frames and a committer goroutine folds everything queued during the
+// in-flight fsync into one write and one sync, fanning the shared
+// result back to every waiter — so the per-batch fsync tax amortizes
+// across parallel writers without weakening the ack contract (Append
+// still returns only once the frame is durable). Options.NoSync only
+// drops the syncs; the path is the same.
 //
 // Snapshots are cut on demand, and the manager can additionally signal
 // a WAL-growth trigger (Options.SnapshotWALBytes): once the uncovered
@@ -27,26 +27,31 @@
 // snapshot without waiting for its wall-clock tick, bounding how much
 // replay a recovery can ever owe.
 //
-// A snapshot is the full record set at one instant, written
-// temp-file → fsync → rename, with a MANIFEST (written the same way)
-// naming the snapshot file, its checksum, and the WAL record offset it
-// covers. Snapshots are cut under Store.Quiesce, so the captured
-// records and the captured offset describe the same point in time;
-// compaction then drops WAL segments wholly covered by the manifest.
+// A snapshot is the full record set at one instant, written in the
+// WAL's own format: a segment magic followed by CRC-framed batches of
+// 4096 records (snapFrameRecords), in Select order. The body and then a
+// MANIFEST naming it and the WAL record offset it covers are each
+// published by publishFile (temp file, fsync, rename, directory sync),
+// as is the data dir's META. Snapshots are cut under Store.Quiesce, so
+// the captured records and the captured offset describe the same point
+// in time; compaction then drops WAL segments wholly covered by the
+// manifest.
 //
-// Recovery loads the manifest's snapshot (if any), replays WAL frames
+// Recovery streams the manifest's snapshot frame by frame into the
+// store (the body is never held whole in memory), replays WAL frames
 // past the covered offset, and tolerates a torn tail: a truncated or
-// CRC-broken final frame — the signature of a crash mid-append — is
-// truncated away, while the same damage anywhere else is reported as
-// corruption. Because the store's aggregates are pure functions of the
-// record multiset, a recovered store answers ScoreAll/ranking queries
-// bit-identically to the one that wrote the log.
+// CRC-broken final WAL frame — the signature of a crash mid-append — is
+// truncated away, while the same damage anywhere else, a snapshot
+// included, is reported as corruption. One frame reader serves segment
+// scan, replay and snapshot load. Because the store's aggregates are
+// pure functions of the record multiset, a recovered store answers
+// ScoreAll/ranking queries bit-identically to the one that wrote the
+// log.
 package persist
 
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"iqb/internal/telemetry"
 )
@@ -61,24 +66,11 @@ type Options struct {
 	// SegmentBytes rotates the active WAL segment once it exceeds this
 	// size; <= 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// NoSync skips the fsync after each WAL append. Appends then only
-	// survive an OS crash if the page cache was flushed — acceptable
-	// for tests and throughput benchmarks, not for production. NoSync
-	// also bypasses the group-commit queue: with no fsync to share,
-	// coalescing buys nothing.
+	// NoSync skips the WAL's file and directory syncs. Appends still
+	// go through the group committer, but only survive an OS crash if
+	// the page cache was flushed — acceptable for tests and throughput
+	// benchmarks, not for production.
 	NoSync bool
-	// GroupWindow is how long the WAL's group committer holds a commit
-	// open for more writers after picking up its first queued frame,
-	// trading that much latency for fewer fsyncs. 0 still
-	// group-commits: frames queued while the previous write+sync was
-	// in flight coalesce into the next one. Ignored with NoSync or
-	// NoGroupCommit.
-	GroupWindow time.Duration
-	// NoGroupCommit restores the serial write path: every sync-mode
-	// Append performs its own write and fsync under the log mutex.
-	// Kept as the wal-fsync baseline for benchmarks and bisection;
-	// group commit is otherwise always on in sync mode.
-	NoGroupCommit bool
 	// SnapshotWALBytes arms the manager's WAL-growth snapshot trigger:
 	// once the WAL holds at least this many on-disk bytes not covered
 	// by the latest snapshot, the manager signals Manager.GrowthC so a

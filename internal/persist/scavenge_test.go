@@ -30,7 +30,7 @@ func TestScavengeLeftoverSegmentOnReopen(t *testing.T) {
 	fs := newFaultFS()
 	// SegmentBytes 1: every append crosses the threshold and attempts a
 	// rotation, so the test controls exactly which rotation fails.
-	l, err := OpenLog(dir, Options{SegmentBytes: 1, NoGroupCommit: true, FS: fs})
+	l, err := OpenLog(dir, Options{SegmentBytes: 1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestScavengeLeftoverSegmentOnReopen(t *testing.T) {
 func TestScavengeKeepsLegitimateFreshActive(t *testing.T) {
 	dir := t.TempDir()
 	fs := newFaultFS()
-	l, err := OpenLog(dir, Options{SegmentBytes: 1, NoGroupCommit: true, FS: fs})
+	l, err := OpenLog(dir, Options{SegmentBytes: 1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestScavengeKeepsLegitimateFreshActive(t *testing.T) {
 func TestManagerReportsScavengedSegments(t *testing.T) {
 	dir := t.TempDir()
 	fs := newFaultFS()
-	m, err := Open(dir, Options{SegmentBytes: 1, NoGroupCommit: true, FS: fs})
+	m, err := Open(dir, Options{SegmentBytes: 1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,10 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -18,28 +16,33 @@ import (
 )
 
 // manifestName is the file naming the current snapshot; it is replaced
-// atomically (temp + fsync + rename), so there is always either no
-// manifest or a complete one.
+// atomically (see publishFile), so there is always either no manifest
+// or a complete one.
 const (
 	manifestName = "MANIFEST.json"
 	snapPrefix   = "snap-"
-	snapSuffix   = ".ndjson"
 	tmpSuffix    = ".tmp"
+	// snapFrameRecords is how many records each snapshot frame holds:
+	// frames stay far below maxFrameBytes, and load decodes one frame's
+	// batch at a time.
+	snapFrameRecords = 4096
 )
 
-// manifest describes the current snapshot: which file holds it, its
-// integrity checksum, and the WAL record offset it covers. Recovery
-// loads the snapshot and replays only WAL frames past WALOffset.
+// manifest describes the current snapshot: which file holds it and the
+// WAL record offset it covers. Recovery loads the snapshot and replays
+// only WAL frames past WALOffset. The snapshot's frames carry their own
+// checksums, so the manifest holds none.
 type manifest struct {
 	Version   int       `json:"version"`
 	Snapshot  string    `json:"snapshot"`
 	Records   int       `json:"records"`
 	WALOffset uint64    `json:"wal_offset"`
-	CRC32C    uint32    `json:"crc32c"`
 	SavedAt   time.Time `json:"saved_at"`
 }
 
-const manifestVersion = 1
+// manifestVersion 2 names a WAL-framed snapshot. Version 1 (an NDJSON
+// body with a whole-file checksum) is refused; such a dir is rebuilt.
+const manifestVersion = 2
 
 // SnapshotInfo reports one completed snapshot.
 type SnapshotInfo struct {
@@ -50,104 +53,91 @@ type SnapshotInfo struct {
 	SavedAt   time.Time `json:"saved_at"`
 }
 
-// writeSnapshot atomically persists the record set as the current
-// snapshot covering walOffset: the NDJSON body lands under a temp name,
-// is fsynced, renamed into place, and only then does the manifest flip
-// to it (again via temp + fsync + rename). A crash anywhere in the
-// sequence leaves the previous snapshot intact and loadable.
-func writeSnapshot(dir string, rs []dataset.Record, walOffset uint64, now time.Time) (SnapshotInfo, error) {
-	name := fmt.Sprintf("%s%020d%s", snapPrefix, walOffset, snapSuffix)
+// publishFile atomically replaces dir/name with what write produces:
+// the bytes go to a temp file that is fsynced, closed and renamed over
+// name, and then dir is synced so the rename is durable. A crash at any
+// step leaves the old file or the new one, never a mix, and every
+// failure removes the temp file.
+func publishFile(dir, name string, write func(io.Writer) error) (err error) {
 	path := filepath.Join(dir, name)
 	tmp := path + tmpSuffix
-
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return SnapshotInfo{}, fmt.Errorf("persist: creating snapshot temp: %w", err)
+		return fmt.Errorf("persist: creating %s: %w", filepath.Base(tmp), err)
 	}
-	// fail abandons the temp file, keeping its close error alongside the
-	// one that got us here.
-	fail := func(ferr error) (SnapshotInfo, error) {
-		cerr := f.Close()
-		os.Remove(tmp)
-		return SnapshotInfo{}, errors.Join(ferr, cerr)
-	}
-	crc := crc32.New(crcTable)
-	bw := bufio.NewWriterSize(io.MultiWriter(f, crc), 256<<10)
-	if err := dataset.WriteNDJSON(bw, rs); err != nil {
-		return fail(fmt.Errorf("persist: encoding snapshot: %w", err))
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(fmt.Errorf("persist: flushing snapshot: %w", err))
-	}
-	size, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return fail(fmt.Errorf("persist: sizing snapshot: %w", err))
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	if err := write(f); err != nil {
+		return errors.Join(fmt.Errorf("persist: writing %s: %w", name, err), f.Close())
 	}
 	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("persist: syncing snapshot: %w", err))
+		return errors.Join(fmt.Errorf("persist: syncing %s: %w", name, err), f.Close())
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return SnapshotInfo{}, fmt.Errorf("persist: closing snapshot: %w", err)
+		return fmt.Errorf("persist: closing %s: %w", name, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return SnapshotInfo{}, fmt.Errorf("persist: publishing snapshot: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return SnapshotInfo{}, err
-	}
-
-	m := manifest{
-		Version:   manifestVersion,
-		Snapshot:  name,
-		Records:   len(rs),
-		WALOffset: walOffset,
-		CRC32C:    crc.Sum32(),
-		SavedAt:   now.UTC(),
-	}
-	if err := writeManifest(dir, m); err != nil {
-		return SnapshotInfo{}, err
-	}
-	removeStaleSnapshots(dir, name)
-	return SnapshotInfo{Path: path, Records: len(rs), WALOffset: walOffset, Bytes: size, SavedAt: m.SavedAt}, nil
-}
-
-func writeManifest(dir string, m manifest) error {
-	body, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("persist: encoding manifest: %w", err)
-	}
-	path := filepath.Join(dir, manifestName)
-	tmp := path + tmpSuffix
-	if err := writeFileSync(tmp, append(body, '\n')); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: publishing manifest: %w", err)
+		return fmt.Errorf("persist: publishing %s: %w", name, err)
 	}
 	return syncDir(dir)
 }
 
-// writeFileSync writes a small file and fsyncs it.
-func writeFileSync(path string, body []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// publishJSON publishes v, indented, as dir/name.
+func publishJSON(dir, name string, v any) error {
+	body, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("persist: creating %s: %w", filepath.Base(path), err)
+		return fmt.Errorf("persist: encoding %s: %w", name, err)
 	}
-	fail := func(ferr error) error {
-		cerr := f.Close()
-		os.Remove(path)
-		return errors.Join(ferr, cerr)
+	return publishFile(dir, name, func(w io.Writer) error {
+		_, err := w.Write(append(body, '\n'))
+		return err
+	})
+}
+
+// writeSnapshot persists the record set as the current snapshot
+// covering walOffset: the framed body is published first, and only then
+// does the manifest flip to it. A crash anywhere in the sequence leaves
+// the previous snapshot intact and loadable.
+func writeSnapshot(dir string, rs []dataset.Record, walOffset uint64, now time.Time) (SnapshotInfo, error) {
+	name := fmt.Sprintf("%s%020d%s", snapPrefix, walOffset, segSuffix)
+	records, size := len(rs), int64(len(segMagic))
+	err := publishFile(dir, name, func(w io.Writer) error {
+		if _, err := io.WriteString(w, segMagic); err != nil {
+			return err
+		}
+		var frame bytes.Buffer
+		for len(rs) > 0 {
+			n := min(len(rs), snapFrameRecords)
+			frame.Reset()
+			if err := encodeFrame(&frame, rs[:n]); err != nil {
+				return err
+			}
+			if _, err := w.Write(frame.Bytes()); err != nil {
+				return err
+			}
+			size += int64(frame.Len())
+			rs = rs[n:]
+		}
+		return nil
+	})
+	if err != nil {
+		return SnapshotInfo{}, err
 	}
-	if _, err := f.Write(body); err != nil {
-		return fail(fmt.Errorf("persist: writing %s: %w", filepath.Base(path), err))
+	m := manifest{
+		Version:   manifestVersion,
+		Snapshot:  name,
+		Records:   records,
+		WALOffset: walOffset,
+		SavedAt:   now.UTC(),
 	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("persist: syncing %s: %w", filepath.Base(path), err))
+	if err := publishJSON(dir, manifestName, m); err != nil {
+		return SnapshotInfo{}, err
 	}
-	return f.Close()
+	removeStaleSnapshots(dir, name)
+	return SnapshotInfo{Path: filepath.Join(dir, name), Records: m.Records, WALOffset: walOffset, Bytes: size, SavedAt: m.SavedAt}, nil
 }
 
 // removeStaleSnapshots deletes snapshot bodies (and orphaned temp
@@ -164,43 +154,57 @@ func removeStaleSnapshots(dir, keep string) {
 			continue
 		}
 		stale := strings.HasSuffix(name, tmpSuffix) ||
-			(strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix))
+			(strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, segSuffix))
 		if stale {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }
 
-// loadSnapshot reads the manifest and its snapshot body, verifying the
-// checksum. ok is false when no manifest exists (a fresh or WAL-only
-// data dir).
-func loadSnapshot(dir string) (rs []dataset.Record, m manifest, ok bool, err error) {
+// loadSnapshot streams the manifest's snapshot into store, one frame's
+// batch at a time. ok is false when no manifest exists (a fresh or
+// WAL-only data dir). The body was fsynced before the manifest named
+// it, so a torn or checksum-broken frame is corruption, not a crash
+// tail; on any error the caller must discard the partly loaded store.
+func loadSnapshot(dir string, store *dataset.Store) (m manifest, ok bool, err error) {
 	body, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, manifest{}, false, nil
+		return manifest{}, false, nil
 	}
 	if err != nil {
-		return nil, manifest{}, false, fmt.Errorf("persist: reading manifest: %w", err)
+		return manifest{}, false, fmt.Errorf("persist: reading manifest: %w", err)
 	}
 	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, manifest{}, false, fmt.Errorf("persist: decoding manifest: %w", err)
+		return manifest{}, false, fmt.Errorf("persist: decoding manifest: %w", err)
 	}
 	if m.Version != manifestVersion {
-		return nil, manifest{}, false, fmt.Errorf("persist: manifest version %d not supported", m.Version)
+		return manifest{}, false, fmt.Errorf("persist: manifest version %d not supported (want %d)", m.Version, manifestVersion)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, m.Snapshot))
+	f, err := os.Open(filepath.Join(dir, m.Snapshot))
 	if err != nil {
-		return nil, manifest{}, false, fmt.Errorf("persist: reading snapshot %s: %w", m.Snapshot, err)
+		return manifest{}, false, fmt.Errorf("persist: opening snapshot %s: %w", m.Snapshot, err)
 	}
-	if sum := crc32.Checksum(snap, crcTable); sum != m.CRC32C {
-		return nil, manifest{}, false, fmt.Errorf("persist: snapshot %s checksum %08x, manifest says %08x (corruption)", m.Snapshot, sum, m.CRC32C)
+	defer f.Close()
+	records := 0
+	_, err = readFrames(f, func(count uint32, payload []byte) error {
+		rs, err := decodeFrame(count, payload)
+		if err != nil {
+			return fmt.Errorf("decoding frame after record %d: %w", records, err)
+		}
+		if err := store.AddBatch(rs); err != nil {
+			return err
+		}
+		records += len(rs)
+		return nil
+	})
+	if errors.Is(err, errTorn) {
+		return manifest{}, false, fmt.Errorf("persist: snapshot %s: torn or checksum-broken frame after record %d (corruption)", m.Snapshot, records)
 	}
-	rs, err = dataset.ReadNDJSON(bytes.NewReader(snap))
 	if err != nil {
-		return nil, manifest{}, false, fmt.Errorf("persist: decoding snapshot %s: %w", m.Snapshot, err)
+		return manifest{}, false, fmt.Errorf("persist: loading snapshot %s: %w", m.Snapshot, err)
 	}
-	if len(rs) != m.Records {
-		return nil, manifest{}, false, fmt.Errorf("persist: snapshot %s holds %d records, manifest says %d", m.Snapshot, len(rs), m.Records)
+	if records != m.Records {
+		return manifest{}, false, fmt.Errorf("persist: snapshot %s holds %d records, manifest says %d", m.Snapshot, records, m.Records)
 	}
-	return rs, m, true, nil
+	return m, true, nil
 }

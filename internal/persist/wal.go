@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"iqb/internal/dataset"
 	"iqb/internal/telemetry"
@@ -29,7 +28,8 @@ import (
 // where the payload is an NDJSON batch in the dataset wire form.
 // Segments are named by the record offset of their first record,
 // zero-padded so lexical order is offset order; the name, not a file
-// header, carries the offset so accounting survives compaction.
+// header, carries the offset so accounting survives compaction. A
+// snapshot body is the same format, read by the same readFrames.
 const (
 	segMagic     = "IQBWAL1\n"
 	frameHdrSize = 12
@@ -65,10 +65,9 @@ type WALFile interface {
 
 // WALFS is the filesystem behind the WAL's segment files. Production
 // code always uses the real filesystem (osFS); tests inject faults via
-// Options.fs.
+// Options.FS.
 type WALFS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (WALFile, error)
-	Open(name string) (WALFile, error)
 	Remove(name string) error
 	SyncDir(dir string) error
 }
@@ -78,14 +77,6 @@ type osFS struct{}
 
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (WALFile, error) {
 	f, err := os.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func (osFS) Open(name string) (WALFile, error) {
-	f, err := os.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -112,23 +103,23 @@ type walReq struct {
 }
 
 // WALStats counts the write path's work over this process's lifetime
-// (not persisted). Under group commit, Fsyncs < AppendedFrames is the
-// whole point: concurrent writers share syncs.
+// (not persisted). Fsyncs < AppendedFrames is the point of group
+// commit: concurrent writers share syncs.
 type WALStats struct {
 	// AppendedFrames counts frames durably appended (one per batch).
 	AppendedFrames uint64 `json:"appended_frames"`
 	// Fsyncs counts syncs performed to make frames durable (segment
 	// creation and compaction syncs are not included).
 	Fsyncs uint64 `json:"fsyncs"`
-	// GroupCommits counts committer rounds, each one write+sync
-	// covering every frame queued while the previous round was in
-	// flight (plus the group window).
+	// GroupCommits counts committer rounds, each one write (and, unless
+	// NoSync, one sync) covering every frame queued while the previous
+	// round was in flight.
 	GroupCommits uint64 `json:"group_commits"`
 	// MaxGroupFrames is the largest number of frames a single group
 	// commit has covered.
 	MaxGroupFrames int `json:"max_group_frames"`
 	// Rollbacks counts failed appends rolled back to the pre-append
-	// boundary (write or sync errors, serial and group paths alike).
+	// boundary (write or sync errors).
 	Rollbacks uint64 `json:"rollbacks"`
 	// Wedges counts rollbacks whose truncate also failed, wedging the
 	// log until a reopen (at most one per process, since a wedged log
@@ -139,15 +130,13 @@ type WALStats struct {
 // Log is a segmented append-only write-ahead log of dataset record
 // batches. It is safe for concurrent use.
 //
-// In sync mode (the default), concurrent Appends coalesce into group
-// commits: each caller frames its batch, queues it, and blocks; a
-// committer goroutine writes every frame queued during the in-flight
-// write+sync as one write and one fsync, then fans the result back to
-// each waiter. A failed group write or sync is rolled back (the file
-// truncated to the pre-group boundary, best-effort) and every waiter in
-// the group receives the error. Options.NoGroupCommit restores the
-// serial fsync-per-Append path; Options.NoSync bypasses the queue
-// entirely, as unsynced appends have no fsync to share.
+// Every Append goes through one group committer: each caller frames its
+// batch, queues it, and blocks; a committer goroutine writes every frame
+// queued during the in-flight write+sync as one write and one fsync
+// (no fsync with Options.NoSync), then fans the result back to each
+// waiter. A failed group write or sync is rolled back (the file
+// truncated to the pre-group boundary) and every waiter in the group
+// receives the error; a rollback that fails wedges the log.
 //
 // Metadata readers (Offset, Stats, SizeBytes, SizePast, Segments) never
 // take l.mu: counters are atomics and segment geometry sits behind the
@@ -161,8 +150,6 @@ type Log struct {
 
 	// Group-commit queue. Appenders push under qmu and block on their
 	// request's done channel; the committer drains pending in batches.
-	group         bool
-	groupWindow   time.Duration
 	qmu           sync.Mutex
 	qcond         *sync.Cond
 	pending       []*walReq
@@ -273,10 +260,7 @@ func OpenLog(dir string, o Options) (*Log, error) {
 		if err := l.createSegmentLocked(0); err != nil {
 			return nil, err
 		}
-		l.startCommitter(o)
-		return l, nil
 	}
-
 	for i, sc := range kept {
 		seg, records, goodEnd, torn := sc.seg, sc.records, sc.goodEnd, sc.torn
 		last := i == len(kept)-1
@@ -314,7 +298,10 @@ func OpenLog(dir string, o Options) (*Log, error) {
 		l.activeSize = goodEnd
 		l.offset.Store(seg.start + records)
 	}
-	l.startCommitter(o)
+	// Every Append goes through this one group committer.
+	l.qcond = sync.NewCond(&l.qmu)
+	l.committerDone = make(chan struct{})
+	go l.committer()
 	return l, nil
 }
 
@@ -378,7 +365,7 @@ func (l *Log) registerMetrics(r *telemetry.Registry) {
 		return
 	}
 	l.fsyncSeconds = r.Histogram("iqb_wal_fsync_seconds",
-		"Latency of WAL durability fsyncs (serial and group commit).", nil)
+		"Latency of WAL group-commit fsyncs.", nil)
 	l.groupFrames = r.Histogram("iqb_wal_group_frames",
 		"Frames folded into each group commit.", nil)
 	r.CounterFunc("iqb_wal_appended_frames_total",
@@ -408,19 +395,6 @@ func (l *Log) registerMetrics(r *telemetry.Registry) {
 	r.GaugeFunc("iqb_wal_segments",
 		"WAL segment files currently on disk.", nil,
 		func() float64 { return float64(l.Segments()) })
-}
-
-// startCommitter launches the group-commit goroutine when the options
-// call for one (sync mode, group commit not disabled).
-func (l *Log) startCommitter(o Options) {
-	l.group = !o.NoSync && !o.NoGroupCommit
-	if !l.group {
-		return
-	}
-	l.groupWindow = o.GroupWindow
-	l.qcond = sync.NewCond(&l.qmu)
-	l.committerDone = make(chan struct{})
-	go l.committer()
 }
 
 // truncateSegment cuts a segment back to its last clean frame boundary,
@@ -454,64 +428,81 @@ func truncateSegment(fs WALFS, path string, goodEnd int64) (err error) {
 
 // scanSegment validates one segment's frames without decoding payloads.
 // It returns the record count, the byte offset just past the last clean
-// frame, and whether the segment ends in a torn frame.
+// frame, and whether the segment ends in a torn frame (a segment shorter
+// than its magic — a crash during creation — counts as torn).
 func scanSegment(fs WALFS, path string) (records uint64, goodEnd int64, torn bool, err error) {
-	f, err := fs.Open(path)
+	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
+	goodEnd, err = readFrames(f, func(count uint32, _ []byte) error {
+		records += uint64(count)
+		return nil
+	})
+	if errors.Is(err, errTorn) {
+		return records, goodEnd, true, nil
+	}
+	return records, goodEnd, false, err
+}
+
+// readFrames is the one reader of the frame format, shared by segment
+// scan, replay and snapshot load. It checks the magic, then calls fn
+// with each frame's record count and payload (valid only during the
+// call), and returns the offset just past the last whole frame. errTorn
+// means the bytes give out mid-frame or a checksum fails. The payload
+// buffer grows only as bytes arrive, so a damaged header claiming a
+// huge frame costs no more memory than the file holds.
+func readFrames(r io.Reader, fn func(count uint32, payload []byte) error) (goodEnd int64, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		// Shorter than the magic: a crash during segment creation.
-		return 0, 0, true, nil
+		return 0, errTorn
 	}
 	if string(magic) != segMagic {
-		return 0, 0, false, fmt.Errorf("bad segment magic %q", magic)
+		return 0, fmt.Errorf("bad segment magic %q", magic)
 	}
 	goodEnd = int64(len(segMagic))
+	var payload bytes.Buffer
 	for {
-		count, payload, ferr := readFrame(br)
-		if ferr == io.EOF {
-			return records, goodEnd, false, nil
+		var hdr [frameHdrSize]byte
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			if err == io.EOF {
+				return goodEnd, nil
+			}
+			return goodEnd, errTorn // partial header
 		}
-		if errors.Is(ferr, errTorn) {
-			return records, goodEnd, true, nil
+		length := binary.LittleEndian.Uint32(hdr[0:4])
+		count := binary.LittleEndian.Uint32(hdr[4:8])
+		sum := binary.LittleEndian.Uint32(hdr[8:12])
+		if length == 0 || length > maxFrameBytes {
+			return goodEnd, errTorn
 		}
-		if ferr != nil {
-			return 0, 0, false, ferr
+		payload.Reset()
+		if n, _ := io.CopyN(&payload, br, int64(length)); n < int64(length) {
+			return goodEnd, errTorn // partial payload
 		}
-		records += uint64(count)
-		goodEnd += frameHdrSize + int64(len(payload))
+		if crc32.Checksum(payload.Bytes(), crcTable) != sum {
+			return goodEnd, errTorn
+		}
+		if err := fn(count, payload.Bytes()); err != nil {
+			return goodEnd, err
+		}
+		goodEnd += frameHdrSize + int64(length)
 	}
 }
 
-// readFrame reads one frame. io.EOF means a clean end at a frame
-// boundary; errTorn means the bytes give out mid-frame or the checksum
-// fails.
-func readFrame(br *bufio.Reader) (count uint32, payload []byte, err error) {
-	var hdr [frameHdrSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, errTorn // partial header
+// decodeFrame decodes a frame payload back into its batch, checking it
+// against the record count in the frame header.
+func decodeFrame(count uint32, payload []byte) ([]dataset.Record, error) {
+	rs, err := dataset.ReadNDJSON(bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	count = binary.LittleEndian.Uint32(hdr[4:8])
-	sum := binary.LittleEndian.Uint32(hdr[8:12])
-	if length == 0 || length > maxFrameBytes {
-		return 0, nil, errTorn
+	if uint32(len(rs)) != count {
+		return nil, fmt.Errorf("batch decodes to %d records, header says %d", len(rs), count)
 	}
-	payload = make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, errTorn // partial payload
-	}
-	if crc32.Checksum(payload, crcTable) != sum {
-		return 0, nil, errTorn
-	}
-	return count, payload, nil
+	return rs, nil
 }
 
 // createSegmentLocked starts a fresh segment at the given record offset
@@ -563,21 +554,24 @@ func (l *Log) createSegmentLocked(start uint64) error {
 	return nil
 }
 
-// encodeFrame wraps a batch in the WAL's [len|count|crc|payload] frame.
-func encodeFrame(rs []dataset.Record) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := dataset.WriteNDJSON(&payload, rs); err != nil {
-		return nil, fmt.Errorf("persist: encoding batch: %w", err)
+// encodeFrame appends a batch to buf as one [len|count|crc|payload]
+// frame. Reusing buf across frames (as snapshots do) keeps encoding
+// from allocating a fresh payload per frame.
+func encodeFrame(buf *bytes.Buffer, rs []dataset.Record) error {
+	start := buf.Len()
+	buf.Write(make([]byte, frameHdrSize)) // header, filled in below
+	if err := dataset.WriteNDJSON(buf, rs); err != nil {
+		return fmt.Errorf("persist: encoding batch: %w", err)
 	}
-	if payload.Len() > maxFrameBytes {
-		return nil, fmt.Errorf("persist: batch frame %d bytes exceeds %d; split the batch", payload.Len(), maxFrameBytes)
+	frame := buf.Bytes()[start:]
+	payload := frame[frameHdrSize:]
+	if len(payload) > maxFrameBytes {
+		return fmt.Errorf("persist: batch frame %d bytes exceeds %d; split the batch", len(payload), maxFrameBytes)
 	}
-	frame := make([]byte, frameHdrSize+payload.Len())
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(payload.Len()))
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(rs)))
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.Checksum(payload.Bytes(), crcTable))
-	copy(frame[frameHdrSize:], payload.Bytes())
-	return frame, nil
+	binary.LittleEndian.PutUint32(frame[8:12], crc32.Checksum(payload, crcTable))
+	return nil
 }
 
 // Append frames the batch and makes it durable. When Append returns nil
@@ -585,21 +579,18 @@ func encodeFrame(rs []dataset.Record) ([]byte, error) {
 // NoSync); a non-nil error means the batch must be treated as not
 // written (a torn partial write is truncated away on the next open).
 //
-// Under group commit, concurrent callers block while the committer
-// folds their frames into one shared write+sync; a group failure
-// surfaces the same error to every caller in the group.
+// Concurrent callers block while the committer folds their frames into
+// one shared write+sync; a group failure surfaces the same error to
+// every caller in the group.
 func (l *Log) Append(rs []dataset.Record) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	frame, err := encodeFrame(rs)
-	if err != nil {
+	var frame bytes.Buffer
+	if err := encodeFrame(&frame, rs); err != nil {
 		return err
 	}
-	if !l.group {
-		return l.appendSerial(frame, uint32(len(rs)))
-	}
-	req := &walReq{frame: frame, count: uint32(len(rs)), done: make(chan error, 1)}
+	req := &walReq{frame: frame.Bytes(), count: uint32(len(rs)), done: make(chan error, 1)}
 	l.qmu.Lock()
 	if l.qclosed {
 		l.qmu.Unlock()
@@ -609,54 +600,6 @@ func (l *Log) Append(rs []dataset.Record) error {
 	l.qcond.Signal()
 	l.qmu.Unlock()
 	return <-req.done
-}
-
-// appendSerial is the non-grouped write path: one frame, one write,
-// one fsync (unless NoSync), all under the log mutex.
-func (l *Log) appendSerial(frame []byte, count uint32) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errLogClosed
-	}
-	if l.wedged {
-		return errWedged
-	}
-	// On any failure the frame's durability is unknown, so roll the
-	// file back to the pre-append boundary: the caller treats an
-	// errored batch as not written, and a frame that survived anyway
-	// would resurface on recovery as a batch the store never applied.
-	// Replay tolerates those (exact-duplicate skip, or an unacked
-	// batch the workload submitted), but the rollback itself must not
-	// be best-effort — see rollbackLocked, which wedges the log when
-	// the truncate fails too.
-	if _, err := l.active.Write(frame); err != nil {
-		l.rollbackLocked()
-		return fmt.Errorf("persist: appending frame: %w", err)
-	}
-	if !l.noSync {
-		stop := l.fsyncSeconds.Time()
-		//iqbvet:ignore lockio l.mu serializes the segment file itself, never its metadata: health and metric readers use atomics and segMu, and group commit moves waiting writers onto channels
-		err := l.active.Sync()
-		stop()
-		if err != nil {
-			l.rollbackLocked()
-			return fmt.Errorf("persist: syncing frame: %w", err)
-		}
-		l.fsyncs.Add(1)
-	}
-	l.appendedFrames.Add(1)
-	l.segMu.Lock()
-	l.activeSize += int64(len(frame))
-	l.segMu.Unlock()
-	l.offset.Add(uint64(count))
-	if l.activeSize >= l.segMax {
-		// The frame is already durable, so a failed rotation must not
-		// turn the ack into an error: keep the oversized segment
-		// active and let the next append retry the rotation.
-		_ = l.createSegmentLocked(l.offset.Load())
-	}
-	return nil
 }
 
 // rollbackLocked rolls the active segment back to the pre-append
@@ -680,10 +623,9 @@ func (l *Log) rollbackLocked() {
 }
 
 // committer is the group-commit loop: it drains every frame queued
-// while the previous round's write+sync was in flight (plus frames
-// arriving during the configured group window) and commits them as one
-// group. It exits once the log is closed and the queue is empty, so a
-// Close never strands a blocked writer — frames already queued are
+// while the previous round's write+sync was in flight and commits them
+// as one group. It exits once the log is closed and the queue is empty,
+// so a Close never strands a blocked writer — frames already queued are
 // flushed, not failed.
 func (l *Log) committer() {
 	defer close(l.committerDone)
@@ -698,26 +640,15 @@ func (l *Log) committer() {
 		}
 		group := l.pending
 		l.pending = nil
-		closing := l.qclosed
 		l.qmu.Unlock()
-		if l.groupWindow > 0 && !closing {
-			// Hold the commit open briefly so writers that arrive
-			// just behind the first frame share its fsync instead of
-			// paying for their own in the next round.
-			time.Sleep(l.groupWindow)
-			l.qmu.Lock()
-			group = append(group, l.pending...)
-			l.pending = nil
-			l.qmu.Unlock()
-		}
 		l.commitGroup(group)
 	}
 }
 
-// commitGroup writes every queued frame in one write, fsyncs once, and
-// fans the shared result back to each waiter. On failure the file is
-// rolled back to the pre-group boundary (best-effort) and every waiter
-// in the group receives the same error.
+// commitGroup writes every queued frame in one write, fsyncs once
+// (unless NoSync), and fans the shared result back to each waiter. On
+// failure the file is rolled back to the pre-group boundary and every
+// waiter in the group receives the same error.
 func (l *Log) commitGroup(group []*walReq) {
 	total := 0
 	var records uint64
@@ -742,6 +673,9 @@ func (l *Log) commitGroup(group []*walReq) {
 			l.rollbackLocked()
 			return fmt.Errorf("persist: appending group of %d frames: %w", len(group), werr)
 		}
+		if l.noSync {
+			return nil
+		}
 		stop := l.fsyncSeconds.Time()
 		//iqbvet:ignore lockio the committer's shared fsync is the point of group commit; writers wait on ack channels, and metadata readers use atomics and segMu — nothing queues behind this l.mu hold
 		serr := l.active.Sync()
@@ -750,6 +684,7 @@ func (l *Log) commitGroup(group []*walReq) {
 			l.rollbackLocked()
 			return fmt.Errorf("persist: syncing group of %d frames: %w", len(group), serr)
 		}
+		l.fsyncs.Add(1)
 		return nil
 	}()
 	if err == nil {
@@ -758,7 +693,6 @@ func (l *Log) commitGroup(group []*walReq) {
 		l.segMu.Unlock()
 		l.offset.Add(records)
 		l.appendedFrames.Add(uint64(len(group)))
-		l.fsyncs.Add(1)
 		l.groupCommits.Add(1)
 		if int64(len(group)) > l.maxGroupFrames.Load() {
 			// Only this goroutine writes maxGroupFrames, so the
@@ -767,9 +701,9 @@ func (l *Log) commitGroup(group []*walReq) {
 		}
 		l.groupFrames.Observe(float64(len(group)))
 		if l.activeSize >= l.segMax {
-			// Frames are already durable; a failed rotation must not
-			// turn the acks into errors (same contract as the serial
-			// path).
+			// The frames are already durable, so a failed rotation
+			// must not turn the acks into errors: keep the oversized
+			// segment active and let the next group retry the rotation.
 			_ = l.createSegmentLocked(l.offset.Load())
 		}
 	}
@@ -803,48 +737,37 @@ func (l *Log) Replay(from uint64, fn func(rs []dataset.Record) error) error {
 }
 
 func (l *Log) replaySegment(seg walSegment, from uint64, fn func(rs []dataset.Record) error) error {
-	f, err := l.fs.Open(filepath.Join(l.dir, seg.name))
+	f, err := l.fs.OpenFile(filepath.Join(l.dir, seg.name), os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != segMagic {
-		return fmt.Errorf("bad segment magic")
-	}
 	cum := seg.start
-	for {
-		count, payload, ferr := readFrame(br)
-		if ferr == io.EOF || errors.Is(ferr, errTorn) {
-			// A torn tail past the open-time truncation point cannot
-			// happen on the sealed prefix; the active segment was
-			// already truncated at open, so EOF semantics apply.
-			return nil
-		}
-		if ferr != nil {
-			return ferr
-		}
+	_, err = readFrames(f, func(count uint32, payload []byte) error {
 		frameEnd := cum + uint64(count)
 		if frameEnd <= from {
 			cum = frameEnd
-			continue
+			return nil
 		}
 		if cum < from {
 			return fmt.Errorf("offset %d splits a batch spanning [%d,%d) (manifest/log mismatch)", from, cum, frameEnd)
 		}
-		rs, err := dataset.ReadNDJSON(bytes.NewReader(payload))
+		rs, err := decodeFrame(count, payload)
 		if err != nil {
 			return fmt.Errorf("decoding batch at offset %d: %w", cum, err)
-		}
-		if uint32(len(rs)) != count {
-			return fmt.Errorf("batch at offset %d decodes to %d records, header says %d", cum, len(rs), count)
 		}
 		if err := fn(rs); err != nil {
 			return err
 		}
 		cum = frameEnd
+		return nil
+	})
+	if errors.Is(err, errTorn) {
+		// Open already truncated every torn tail, so a tear here can only
+		// be bytes past the accounted end; EOF semantics apply.
+		return nil
 	}
+	return err
 }
 
 // Compact seals the active segment if it holds records covered by
@@ -981,17 +904,15 @@ func (l *Log) SizePast(offset uint64) int64 {
 // segment. Appends already queued are committed and acknowledged;
 // further appends fail.
 func (l *Log) Close() error {
-	if l.group {
-		l.qmu.Lock()
-		if !l.qclosed {
-			l.qclosed = true
-			l.qcond.Broadcast()
-		}
-		l.qmu.Unlock()
-		// The committer drains the queue before exiting, so waiters
-		// enqueued ahead of Close get durable acks, not errors.
-		<-l.committerDone
+	l.qmu.Lock()
+	if !l.qclosed {
+		l.qclosed = true
+		l.qcond.Broadcast()
 	}
+	l.qmu.Unlock()
+	// The committer drains the queue before exiting, so waiters enqueued
+	// ahead of Close get durable acks, not errors.
+	<-l.committerDone
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

@@ -1,64 +1,18 @@
 package persist
 
 import (
-	"os"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"iqb/internal/dataset"
 )
 
-// gatedFS parks file Syncs on a channel so a test can hold the
-// committer inside its fsync (under l.mu) and probe what still answers.
-type gatedFS struct {
-	blocking atomic.Bool
-	parked   chan struct{}
-	gate     chan struct{}
-}
-
-func newGatedFS() *gatedFS {
-	return &gatedFS{parked: make(chan struct{}, 8), gate: make(chan struct{})}
-}
-
-func (g *gatedFS) OpenFile(name string, flag int, perm os.FileMode) (WALFile, error) {
-	f, err := os.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &gatedFile{File: f, fs: g}, nil
-}
-
-func (g *gatedFS) Open(name string) (WALFile, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &gatedFile{File: f, fs: g}, nil
-}
-
-func (g *gatedFS) Remove(name string) error { return os.Remove(name) }
-func (g *gatedFS) SyncDir(dir string) error { return nil }
-
-type gatedFile struct {
-	*os.File
-	fs *gatedFS
-}
-
-func (f *gatedFile) Sync() error {
-	if f.fs.blocking.Load() {
-		f.fs.parked <- struct{}{}
-		<-f.fs.gate
-	}
-	return f.File.Sync()
-}
-
 // TestMetadataReadersNeverTakeCommitterMutex pins the lock-free
 // metadata contract directly on the Log: with an append parked inside
 // its fsync — the committer holding l.mu — Offset, Stats, SizeBytes,
 // SizePast, and Segments must all return immediately.
 func TestMetadataReadersNeverTakeCommitterMutex(t *testing.T) {
-	fs := newGatedFS()
+	fs := newFaultFS()
 	l, err := OpenLog(t.TempDir(), Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +21,13 @@ func TestMetadataReadersNeverTakeCommitterMutex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs.blocking.Store(true)
+	gate := fs.parkNextSync()
 	appendDone := make(chan error, 1)
 	go func() {
 		appendDone <- l.Append([]dataset.Record{walRecord("meta-probe-2", 50)})
 	}()
 	select {
-	case <-fs.parked:
+	case <-gate.parked:
 	case <-time.After(5 * time.Second):
 		t.Fatal("append never reached the gated fsync")
 	}
@@ -104,8 +58,7 @@ func TestMetadataReadersNeverTakeCommitterMutex(t *testing.T) {
 		t.Fatal("metadata readers blocked behind the committer's fsync")
 	}
 
-	fs.blocking.Store(false)
-	close(fs.gate)
+	close(gate.release)
 	if err := <-appendDone; err != nil {
 		t.Fatalf("gated append failed: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +201,45 @@ func TestLogTornTailVariants(t *testing.T) {
 				t.Fatalf("replay after post-tear append returned %d batches, want 2", len(got))
 			}
 		})
+	}
+}
+
+// TestHostileFrameLengthAllocatesOnlyWhatArrives: a torn header that
+// claims a 200 MiB payload must read as a torn tail, and the frame
+// reader must not allocate the claimed size before the bytes arrive.
+func TestHostileFrameLengthAllocatesOnlyWhatArrives(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(walBatch("good", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [frameHdrSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], 200<<20)
+	binary.LittleEndian.PutUint32(hdr[4:8], 1)
+	corruptTail(t, dir, hdr[:])
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l2, err := OpenLog(dir, Options{NoSync: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("open after hostile header: %v", err)
+	}
+	defer l2.Close()
+	if !l2.TornTail() {
+		t.Fatal("hostile header not reported as a torn tail")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("open allocated %d bytes for a 12-byte torn header, want < 4 MiB", grew)
+	}
+	if got := l2.Offset(); got != 3 {
+		t.Fatalf("offset = %d, want 3", got)
 	}
 }
 
