@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -293,4 +294,64 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Fatalf("CSV round-trip changed record %d:\n in: %+v\nout: %+v", i, rs[i], back[i])
 		}
 	}
+}
+
+// benchBody is a 50-record NDJSON body, the size of one ingest POST.
+func benchBody(b *testing.B) ([]Record, []byte) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(7))
+	rs := make([]Record, 50)
+	for i := range rs {
+		rs[i] = randomRecord(rng, i)
+	}
+	var body bytes.Buffer
+	if err := WriteNDJSON(&body, rs); err != nil {
+		b.Fatal(err)
+	}
+	return rs, body.Bytes()
+}
+
+// reportPerRecord adds ns and heap allocations per record to the
+// per-op figures -benchmem prints.
+func reportPerRecord(b *testing.B, records int, run func()) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * records)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+}
+
+// BenchmarkNDJSONDecode decodes a 50-record body the way POST
+// /v1/ingest does: a fresh decoder, records in one chunk.
+func BenchmarkNDJSONDecode(b *testing.B) {
+	rs, body := benchBody(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	reportPerRecord(b, len(rs), func() {
+		got, _, err := NewNDJSONDecoder(bytes.NewReader(body)).Next(0)
+		if err != nil || len(got) != len(rs) {
+			b.Fatalf("decoded %d records: %v", len(got), err)
+		}
+	})
+}
+
+// BenchmarkWriteNDJSON encodes a 50-record batch, one WAL frame's
+// worth, into a reused buffer.
+func BenchmarkWriteNDJSON(b *testing.B) {
+	rs, body := benchBody(b)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	reportPerRecord(b, len(rs), func() {
+		buf.Reset()
+		if err := WriteNDJSON(&buf, rs); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

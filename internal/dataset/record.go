@@ -36,6 +36,19 @@
 // writers answers bit-identically to one built serially from the same
 // records — the property the pipeline's fixed-seed reproducibility
 // guarantee is built on.
+//
+// # NDJSON codec
+//
+// Records travel as NDJSON — ingest request bodies, WAL frames and
+// snapshot frames — through one hand-written codec (codec.go).
+// WriteNDJSON appends each line with strconv into the caller's buffer,
+// writing exactly the bytes json.Encoder writes for the jsonRecord wire
+// form, so data dirs written before the codec stay valid byte for byte.
+// The decoders (NDJSONDecoder, ReadNDJSON, ParseNDJSON) parse a line in
+// the canonical form — the encoder's keys in any order, no whitespace,
+// no null, strings without escapes — straight into a Record; any other
+// line goes to json.Unmarshal, so what is accepted and every error and
+// line number are encoding/json's for all input.
 package dataset
 
 import (

@@ -38,7 +38,8 @@
 // manifest.
 //
 // Recovery streams the manifest's snapshot frame by frame into the
-// store (the body is never held whole in memory), replays WAL frames
+// store (the body is never held whole in memory, and each frame's
+// payload is parsed in place by dataset.ParseNDJSON), replays WAL frames
 // past the covered offset, and tolerates a torn tail: a truncated or
 // CRC-broken final WAL frame — the signature of a crash mid-append — is
 // truncated away, while the same damage anywhere else, a snapshot

@@ -492,10 +492,10 @@ func readFrames(r io.Reader, fn func(count uint32, payload []byte) error) (goodE
 	}
 }
 
-// decodeFrame decodes a frame payload back into its batch, checking it
-// against the record count in the frame header.
+// decodeFrame decodes a frame payload back into its batch, in place,
+// checking it against the record count in the frame header.
 func decodeFrame(count uint32, payload []byte) ([]dataset.Record, error) {
-	rs, err := dataset.ReadNDJSON(bytes.NewReader(payload))
+	rs, err := dataset.ParseNDJSON(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -559,7 +559,8 @@ func (l *Log) createSegmentLocked(start uint64) error {
 // from allocating a fresh payload per frame.
 func encodeFrame(buf *bytes.Buffer, rs []dataset.Record) error {
 	start := buf.Len()
-	buf.Write(make([]byte, frameHdrSize)) // header, filled in below
+	var hdr [frameHdrSize]byte
+	buf.Write(hdr[:]) // filled in below
 	if err := dataset.WriteNDJSON(buf, rs); err != nil {
 		return fmt.Errorf("persist: encoding batch: %w", err)
 	}
