@@ -11,6 +11,7 @@ package repro
 import (
 	"context"
 	"io"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -248,7 +249,7 @@ func BenchmarkStoreWindowRead(b *testing.B) {
 	})
 	b.Run("gather", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			store.Gather(f)
+			store.Gather(f, nil)
 		}
 	})
 }
@@ -290,6 +291,39 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkStoreLiveBytes reports the live heap one stored record
+// holds, as live-B/record: 400k benchRecords go into a fresh store in
+// 256-record batches, the input is dropped, and the heap left after a
+// forced GC, less the heap before the input existed, is divided by the
+// record count. The figure covers everything the store keeps: rows,
+// indexes, the (dataset, ID) set and the cell index.
+func BenchmarkStoreLiveBytes(b *testing.B) {
+	const n = 400000
+	var before, after runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		recs := benchRecords(n)
+		b.StartTimer()
+		store := dataset.NewStore()
+		for lo := 0; lo < n; lo += 256 {
+			if err := store.AddBatch(recs[lo:min(lo+256, n)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		// Only what the store retains stays reachable: the input records
+		// and their strings are garbage from here on.
+		recs = nil
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(store)
+		b.StartTimer()
+	}
+	b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/n, "live-B/record")
 }
 
 // BenchmarkStoreAddParallel measures contended single-record ingestion

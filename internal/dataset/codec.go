@@ -464,9 +464,16 @@ type NDJSONDecoder struct {
 	done bool
 }
 
-// NewNDJSONDecoder returns a decoder reading from r.
+// NewNDJSONDecoder returns a decoder reading from r. A *bufio.Reader is
+// read as it is, so the caller sizes the buffer (POST /v1/ingest sizes
+// it to the body); any other reader gets a 64 KiB one. Lines longer than
+// the buffer are accumulated either way.
 func NewNDJSONDecoder(r io.Reader) *NDJSONDecoder {
-	return &NDJSONDecoder{br: bufio.NewReaderSize(r, 64<<10)}
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReaderSize(r, 64<<10)
+	}
+	return &NDJSONDecoder{br: br}
 }
 
 // Next decodes up to max records (max <= 0 means unbounded) and

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -141,13 +142,23 @@ func sameRecords(t *testing.T, how string, got, want []Record) {
 }
 
 // FuzzNDJSONDecoder: for any input, NDJSONDecoder.Next (unbounded and
-// one record at a time) and ParseNDJSON return the records and the
-// *LineError the encoding/json reference returns.
+// one record at a time, and over a 16-byte reader, so that almost every
+// line takes the long-line path) and ParseNDJSON return the records and
+// the *LineError the encoding/json reference returns.
 func FuzzNDJSONDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := referenceDecode(data)
-		for _, chunk := range []int{0, 1} {
-			dec := NewNDJSONDecoder(bytes.NewReader(data))
+		for _, arm := range []struct {
+			how   string
+			chunk int
+			size  int
+		}{{"Next(0)", 0, 0}, {"Next(1)", 1, 0}, {"Next(0) over a 16-byte reader", 0, 16}} {
+			chunk, how := arm.chunk, arm.how
+			var r io.Reader = bytes.NewReader(data)
+			if arm.size > 0 {
+				r = bufio.NewReaderSize(r, arm.size)
+			}
+			dec := NewNDJSONDecoder(r)
 			var got []Record
 			var consumed int64
 			var err error
@@ -162,10 +173,6 @@ func FuzzNDJSONDecoder(f *testing.F) {
 			}
 			if err == io.EOF {
 				err = nil
-			}
-			how := "Next(0)"
-			if chunk == 1 {
-				how = "Next(1)"
 			}
 			sameLineError(t, how, err, wantErr)
 			if wantErr == nil || chunk == 1 {

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -328,13 +329,15 @@ func reportPerRecord(b *testing.B, records int, run func()) {
 }
 
 // BenchmarkNDJSONDecode decodes a 50-record body the way POST
-// /v1/ingest does: a fresh decoder, records in one chunk.
+// /v1/ingest does: a fresh decoder over a reader sized to the body
+// (between 4 and 64 KiB), records in one chunk.
 func BenchmarkNDJSONDecode(b *testing.B) {
 	rs, body := benchBody(b)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(body)))
+	size := min(max(len(body), 4<<10), 64<<10)
 	reportPerRecord(b, len(rs), func() {
-		got, _, err := NewNDJSONDecoder(bytes.NewReader(body)).Next(0)
+		got, _, err := NewNDJSONDecoder(bufio.NewReaderSize(bytes.NewReader(body), size)).Next(0)
 		if err != nil || len(got) != len(rs) {
 			b.Fatalf("decoded %d records: %v", len(got), err)
 		}

@@ -155,13 +155,13 @@ func TestStoreEnumerations(t *testing.T) {
 
 func TestFilterBasics(t *testing.T) {
 	s := fill(t)
-	if n := len(s.Gather(Filter{})); n != 5 {
+	if n := len(s.Gather(Filter{}, nil).Rows); n != 5 {
 		t.Errorf("unfiltered count = %d", n)
 	}
-	if n := len(s.Gather(Filter{Dataset: "ndt"})); n != 3 {
+	if n := len(s.Gather(Filter{Dataset: "ndt"}, nil).Rows); n != 3 {
 		t.Errorf("ndt count = %d", n)
 	}
-	if n := len(s.Gather(Filter{ASN: 64501})); n != 2 {
+	if n := len(s.Gather(Filter{ASN: 64501}, nil).Rows); n != 2 {
 		t.Errorf("ASN count = %d", n)
 	}
 	got := s.Select(Filter{Dataset: "ookla"})
@@ -169,14 +169,15 @@ func TestFilterBasics(t *testing.T) {
 		t.Errorf("Select = %+v", got)
 	}
 	// Gather selects what Select does, in shard order.
-	key := func(r Record) string { return r.Dataset + "/" + r.ID }
 	for _, f := range []Filter{{}, {ASN: 64501}, {RegionPrefix: "XA-01"}, {Dataset: "ndt", RegionPrefix: "XA-01"}, {To: t0}} {
 		var got, want []string
-		for _, r := range s.Gather(f) {
-			got = append(got, key(*r))
+		datasets := []string{"ookla", "cloudflare", "ndt"}
+		v := s.Gather(f, datasets)
+		for _, r := range v.Rows {
+			got = append(got, datasets[v.DatasetIndex(r)]+"/"+string(s.id(r)))
 		}
 		for _, r := range s.Select(f) {
-			want = append(want, key(r))
+			want = append(want, r.Dataset+"/"+r.ID)
 		}
 		sort.Strings(got)
 		sort.Strings(want)
@@ -189,20 +190,20 @@ func TestFilterBasics(t *testing.T) {
 func TestFilterRegionHierarchy(t *testing.T) {
 	s := fill(t)
 	// County exact.
-	if n := len(s.Gather(Filter{RegionPrefix: "XA-01-001"})); n != 3 {
+	if n := len(s.Gather(Filter{RegionPrefix: "XA-01-001"}, nil).Rows); n != 3 {
 		t.Errorf("county count = %d", n)
 	}
 	// State subtree.
-	if n := len(s.Gather(Filter{RegionPrefix: "XA-01"})); n != 4 {
+	if n := len(s.Gather(Filter{RegionPrefix: "XA-01"}, nil).Rows); n != 4 {
 		t.Errorf("state count = %d", n)
 	}
 	// Country subtree.
-	if n := len(s.Gather(Filter{RegionPrefix: "XA"})); n != 5 {
+	if n := len(s.Gather(Filter{RegionPrefix: "XA"}, nil).Rows); n != 5 {
 		t.Errorf("country count = %d", n)
 	}
 	// Prefix must respect code boundaries: "XA-01-00" is not a region
 	// prefix of "XA-01-001" in the hierarchical sense.
-	if n := len(s.Gather(Filter{RegionPrefix: "XA-01-00"})); n != 0 {
+	if n := len(s.Gather(Filter{RegionPrefix: "XA-01-00"}, nil).Rows); n != 0 {
 		t.Errorf("non-boundary prefix matched %d records", n)
 	}
 }
@@ -216,13 +217,13 @@ func TestFilterTimeRange(t *testing.T) {
 	if err := s.AddBatch([]Record{early, late}); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(s.Gather(Filter{From: t0})); n != 1 {
+	if n := len(s.Gather(Filter{From: t0}, nil).Rows); n != 1 {
 		t.Errorf("From filter count = %d", n)
 	}
-	if n := len(s.Gather(Filter{To: t0})); n != 1 {
+	if n := len(s.Gather(Filter{To: t0}, nil).Rows); n != 1 {
 		t.Errorf("To filter count = %d", n)
 	}
-	if n := len(s.Gather(Filter{From: t0.Add(-2 * time.Hour), To: t0.Add(2 * time.Hour)})); n != 2 {
+	if n := len(s.Gather(Filter{From: t0.Add(-2 * time.Hour), To: t0.Add(2 * time.Hour)}, nil).Rows); n != 2 {
 		t.Errorf("range count = %d", n)
 	}
 }
@@ -364,7 +365,7 @@ func TestStoreConcurrency(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			for i := 0; i < 200; i++ {
-				s.Gather(Filter{Dataset: "ndt"})
+				s.Gather(Filter{Dataset: "ndt"}, nil)
 				s.Values(Filter{}, Download)
 			}
 			done <- nil

@@ -15,17 +15,52 @@
 // global insertion sequence where insertion order is part of the
 // contract (Select, Values). Gather skips that merge and the copies for
 // callers that derive many order-free aggregates from one fan-out, such
-// as every cell and window of a windowed score. A separate stripe set
-// enforces (dataset, ID) uniqueness across shards, and AddBatch
-// validates and dedup-checks an entire batch before mutating anything,
-// so a mid-batch failure never leaves the store partially updated.
+// as every cell and window of a windowed score: it hands out a view of
+// the stored rows (Row: Time, Value), and tells each row's dataset as
+// its position among names the caller gives (View.DatasetIndex). A
+// separate stripe set enforces (dataset, ID) uniqueness across shards,
+// and AddBatch validates and dedup-checks an entire batch before
+// mutating anything, so a mid-batch failure never leaves the store
+// partially updated.
+//
+// Stored records hold no pointers, so the garbage collector never scans
+// them:
+//
+//   - The slot. A shard keeps each record as an 80-byte Row: its
+//     insertion sequence, the time as Unix seconds and nanoseconds, the
+//     four metrics bit for bit (NaN still meaning missing), the ASN, and
+//     uint32 indexes for Dataset, Region, Tech and the time zone. Rows
+//     sit in 256-row chunks that never move once full.
+//   - The dictionary. Each store has one append-only table of the
+//     Dataset, Region and Tech strings and one of zones; a batch that
+//     would push an index past uint32 fails whole. Looking a name up
+//     takes no lock, and a batch interns its names only once its
+//     duplicate check has passed, so a rejected batch adds none. The
+//     dictionary stays inside the package: callers name datasets by
+//     string.
+//   - The ID arena. An ID's bytes are stored once, in its dedup stripe's
+//     append-only arena of chunks that never move; a row names them by
+//     stripe and arena reference. The stripe's (dataset, ID) set is an
+//     open-addressing table of arena references, probed under the
+//     stripe lock. IDs of any length fit: a shared chunk is never
+//     smaller than the entry that opens it, and one too long for a
+//     shared chunk gets a chunk of its own.
+//   - The zone rule. UTC and time.Local come back as themselves; any
+//     other location comes back as one shared time.FixedZone per (name,
+//     offset) of the stored instant. A Select'ed time is therefore Equal
+//     to the stored one, with the same zone name and offset — what the
+//     NDJSON codec writes. Years outside 0–9999 and nanoseconds survive.
+//
+// Filters compare dictionary indexes and Unix times. Records go back to
+// Record at the edges — Select, Store.Cut (snapshots), the hooks and
+// the codecs — with the IDs of one call sharing one string.
 //
 // Quantile aggregation is streaming: every insert folds metric values
 // into a per-(dataset, region, metric) cell that is exact up to a
 // cutover and then promotes to a DDSketch, so Aggregate answers
 // region-scoped percentile queries without materializing values. Filters
-// the cells cannot express (ASN, time windows, cross-metric presence)
-// fall back to an exact indexed scan.
+// the cells cannot express (ASN, time windows) fall back to an exact
+// indexed scan.
 //
 // # Determinism contract
 //

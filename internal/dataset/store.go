@@ -32,7 +32,9 @@ const (
 	// cells promote and become O(buckets).
 	DefaultSketchCutover = 1024
 
-	idStripeCount = 64
+	// idStripeBits is log2 of the number of (dataset, ID) stripes.
+	idStripeBits  = 6
+	idStripeCount = 1 << idStripeBits
 )
 
 // Options configures store geometry and its cell index. The zero value
@@ -55,12 +57,14 @@ type Options struct {
 // # Architecture
 //
 // Records are striped over Options.Shards shards by hash(dataset,
-// region); each shard has its own mutex, records slice, and region/ASN
-// indexes, so writers for different regions never contend and readers
-// fan out across shards and merge (sorting by a global insertion
-// sequence wherever insertion order is part of the contract). A second,
+// region); each shard has its own mutex, rows, and region/ASN indexes,
+// so writers for different regions never contend and readers fan out
+// across shards and merge (sorting by a global insertion sequence
+// wherever insertion order is part of the contract). A second,
 // independent stripe set enforces (dataset, ID) uniqueness across the
-// whole store.
+// whole store and keeps every ID's bytes. A shard stores each record
+// as a pointer-free Row naming its strings and zone by index into the
+// store's dictionary (see the package doc's "Store architecture").
 //
 // Beside the record shards sits the store's cell index, a Sketcher with
 // one stripe per shard, striped by the same hash: every committed batch
@@ -85,6 +89,7 @@ type Options struct {
 type Store struct {
 	shards  []*shard
 	cells   *Sketcher
+	dict    *dictionary
 	stripes [idStripeCount]idStripe
 	seq     atomic.Uint64
 
@@ -159,12 +164,13 @@ func NewStoreWith(o Options) *Store {
 	s := &Store{
 		shards: make([]*shard, o.Shards),
 		cells:  newSketcher(o.Shards, o.SketchCutover, o.SketchAlpha),
+		dict:   newDictionary(),
 	}
 	for i := range s.shards {
 		s.shards[i] = newShard()
 	}
 	for i := range s.stripes {
-		s.stripes[i].ids = make(map[string]struct{})
+		s.stripes[i].arena.limit = maxArenaChunks
 	}
 	return s
 }
@@ -247,124 +253,60 @@ func (s *Store) Quiesce(fn func()) {
 	fn()
 }
 
-// unclaim releases (dataset, ID) reservations after a vetoed ingest.
-func (s *Store) unclaim(keys []string) {
-	for _, k := range keys {
-		st := s.stripeFor(k)
-		st.mu.Lock()
-		delete(st.ids, k)
-		st.mu.Unlock()
-	}
-}
-
-func (s *Store) stripeFor(key string) *idStripe {
-	return &s.stripes[fnv64a(key)%idStripeCount]
-}
-
 // Add validates and inserts a record. Duplicate (dataset, ID) pairs are
-// rejected.
-func (s *Store) Add(r Record) error {
-	s.ingestMu.RLock()
-	defer s.ingestMu.RUnlock()
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	key := r.Dataset + "/" + r.ID
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	if _, dup := st.ids[key]; dup {
-		st.mu.Unlock()
-		return fmt.Errorf("dataset: %w %s", ErrDuplicate, key)
-	}
-	st.ids[key] = struct{}{}
-	st.mu.Unlock()
-
-	rs := []Record{r}
-	if err := s.runIngestHooks(rs); err != nil {
-		s.unclaim([]string{key})
-		return fmt.Errorf("dataset: ingest hook: %w", err)
-	}
-
-	si := fnv64a(r.Dataset, r.Region) % uint64(len(s.shards))
-	sh := s.shards[si]
-	sh.mu.Lock()
-	sh.insertLocked(s.seq.Add(1), r)
-	sh.mu.Unlock()
-	s.cells.fold(si, rs, []int{0})
-	s.runCommitHooks(rs)
-	return nil
-}
+// rejected. It is AddBatch of one record.
+func (s *Store) Add(r Record) error { return s.AddBatch([]Record{r}) }
 
 // AddBatch validates and inserts a batch atomically with respect to
 // errors: the whole batch is validated and checked for duplicates
 // (against the store and within itself) before any record is stored, so
-// a mid-batch failure leaves the store unchanged. If an ingest hook is
-// installed it runs after the checks and before any shard mutation; a
-// hook error likewise leaves the store unchanged. Records land with
-// consecutive insertion sequence numbers, and each destination shard and
-// its cell-index stripe are locked once for the whole batch rather than
-// per record.
+// a mid-batch failure stores no record and claims no ID. A batch that
+// fails validation or the duplicate check leaves the store unchanged. If
+// an ingest hook is installed it runs after the checks and before any
+// shard mutation; a hook error likewise stores and claims nothing, but
+// the batch's new names stay in the dictionary and its IDs' bytes in
+// their arenas, unreferenced. Records land with consecutive insertion
+// sequence numbers, and each destination shard and its cell-index
+// stripe are locked once for the whole batch rather than per record.
 func (s *Store) AddBatch(rs []Record) error {
 	if len(rs) == 0 {
 		return nil
 	}
 	s.ingestMu.RLock()
 	defer s.ingestMu.RUnlock()
-	keys := make([]string, len(rs))
-	seen := make(map[string]int, len(rs))
-	for i, r := range rs {
+	type idKey struct{ dataset, id string }
+	seen := make(map[idKey]int, len(rs))
+	hashes := make([]uint64, len(rs))
+	rows := make([]Row, len(rs))
+	for i := range rs {
+		r := &rs[i]
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("dataset: record %d of %d: %w", i+1, len(rs), err)
 		}
-		k := r.Dataset + "/" + r.ID
+		k := idKey{r.Dataset, r.ID}
 		if first, dup := seen[k]; dup {
-			return fmt.Errorf("dataset: record %d of %d: %w %s within batch (first at record %d)", i+1, len(rs), ErrDuplicate, k, first+1)
+			return fmt.Errorf("dataset: record %d of %d: %w %s/%s within batch (first at record %d)", i+1, len(rs), ErrDuplicate, r.Dataset, r.ID, first+1)
 		}
 		seen[k] = i
-		keys[i] = k
+		// The low idStripeBits pick the ID stripe, the bits above them
+		// the slot in the stripe's table.
+		hashes[i] = fnv64a(r.Dataset, r.ID)
+		rows[i] = newRow(r)
 	}
-
-	// Claim every ID atomically: lock all involved stripes in sorted
-	// order (deadlock-free against other batches, and against Add, which
-	// holds at most one stripe), check every key, then insert every key.
-	// Holding the locks for the whole check+insert means a failing batch
-	// is invisible to concurrent writers — no transient reservations to
-	// roll back or collide with.
-	byStripe := make(map[uint64][]int)
-	for i, k := range keys {
-		si := fnv64a(k) % idStripeCount
-		byStripe[si] = append(byStripe[si], i)
+	if err := s.claim(rs, rows, hashes); err != nil {
+		return err
 	}
-	order := make([]uint64, 0, len(byStripe))
-	for si := range byStripe {
-		order = append(order, si)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-
-	for _, si := range order {
-		s.stripes[si].mu.Lock()
-	}
-	unlock := func() {
-		for _, si := range order {
-			s.stripes[si].mu.Unlock()
-		}
-	}
-	for i, k := range keys {
-		if _, dup := s.stripes[fnv64a(k)%idStripeCount].ids[k]; dup {
-			unlock()
-			return fmt.Errorf("dataset: record %d of %d: %w %s", i+1, len(rs), ErrDuplicate, k)
-		}
-	}
-	for _, k := range keys {
-		s.stripes[fnv64a(k)%idStripeCount].ids[k] = struct{}{}
-	}
-	unlock()
 
 	// The batch is now validated and its IDs claimed, so the hook chain
 	// sees exactly what the shards are about to absorb; a veto releases
 	// the claims and leaves the store untouched.
 	if err := s.runIngestHooks(rs); err != nil {
-		s.unclaim(keys)
+		for i := range rs {
+			st := &s.stripes[hashes[i]%idStripeCount]
+			st.mu.Lock()
+			st.release(hashes[i], rows[i].ds, rs[i].ID)
+			st.mu.Unlock()
+		}
 		return fmt.Errorf("dataset: ingest hook: %w", err)
 	}
 
@@ -378,7 +320,8 @@ func (s *Store) AddBatch(rs []Record) error {
 		sh := s.shards[si]
 		sh.mu.Lock()
 		for _, i := range idxs {
-			sh.insertLocked(base+uint64(i)+1, rs[i])
+			rows[i].seq = base + uint64(i) + 1
+			sh.insertLocked(rows[i])
 		}
 		sh.mu.Unlock()
 		s.cells.fold(si, rs, idxs)
@@ -387,12 +330,62 @@ func (s *Store) AddBatch(rs []Record) error {
 	return nil
 }
 
+// claim checks every (dataset, ID) of rs against the store and, when
+// none is held, interns the batch's names into rows and claims every ID,
+// setting each row's ID reference. It locks every involved stripe in
+// ascending order (deadlock-free against other batches) for the whole
+// check and claim, so a failing batch is invisible to concurrent
+// writers: there are no transient reservations to roll back or collide
+// with. The check only looks names up: a dataset the dictionary has
+// never held owns no stored ID, so a duplicate batch interns nothing.
+func (s *Store) claim(rs []Record, rows []Row, hashes []uint64) error {
+	var involved [idStripeCount]bool
+	for _, h := range hashes {
+		involved[h%idStripeCount] = true
+	}
+	for si := range involved {
+		if involved[si] {
+			s.stripes[si].mu.Lock()
+		}
+	}
+	defer func() {
+		for si := range involved {
+			if involved[si] {
+				s.stripes[si].mu.Unlock()
+			}
+		}
+	}()
+	var last lastName
+	for i := range rs {
+		ds, _ := last.resolve(rs[i].Dataset, s.dict.find)
+		if ds != noSym && s.stripes[hashes[i]%idStripeCount].has(hashes[i], ds, rs[i].ID) {
+			return fmt.Errorf("dataset: record %d of %d: %w %s/%s", i+1, len(rs), ErrDuplicate, rs[i].Dataset, rs[i].ID)
+		}
+	}
+	if err := s.dict.fill(rows, rs); err != nil {
+		return err
+	}
+	names := s.dict.nameList()
+	for i := range rs {
+		si := hashes[i] % idStripeCount
+		ref, err := s.stripes[si].claim(hashes[i], rows[i].ds, rs[i].ID, names)
+		if err != nil {
+			for j := 0; j < i; j++ {
+				s.stripes[hashes[j]%idStripeCount].release(hashes[j], rows[j].ds, rs[j].ID)
+			}
+			return err
+		}
+		rows[i].id = si<<32 | uint64(ref)
+	}
+	return nil
+}
+
 // Len returns the number of stored records.
 func (s *Store) Len() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		n += len(sh.records)
+		n += sh.n
 		sh.mu.RUnlock()
 	}
 	return n
@@ -415,8 +408,9 @@ func (s *Store) DatasetCounts() map[string]int {
 	counts := map[string]int{}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
+		names := s.dict.nameList()
 		for d, n := range sh.byDataset {
-			counts[d] += n
+			counts[names[d]] += n
 		}
 		sh.mu.RUnlock()
 	}
@@ -428,8 +422,9 @@ func (s *Store) Regions() []string {
 	set := map[string]bool{}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
+		names := s.dict.nameList()
 		for r := range sh.byRegion {
-			set[r] = true
+			set[names[r]] = true
 		}
 		sh.mu.RUnlock()
 	}
@@ -451,23 +446,44 @@ type Filter struct {
 	From, To     time.Time // [From, To); zero means unbounded
 }
 
-func (f Filter) matches(r *Record) bool {
-	if f.Dataset != "" && r.Dataset != f.Dataset {
-		return false
+// query is a Filter compiled against a store's dictionary: the dataset
+// as its sym, the time bounds as Unix seconds and nanoseconds.
+type query struct {
+	dict             *dictionary
+	hasDS            bool
+	ds               sym
+	region           string
+	regionSym        sym
+	asn              uint32
+	hasFrom, hasTo   bool
+	fromSec, toSec   int64
+	fromNsec, toNsec uint32
+}
+
+func (s *Store) compile(f Filter) *query {
+	q := &query{dict: s.dict, region: f.RegionPrefix, asn: f.ASN}
+	if f.Dataset != "" {
+		q.hasDS, q.ds = true, s.dict.lookup(f.Dataset)
 	}
-	if f.RegionPrefix != "" && !regionMatch(f.RegionPrefix, r.Region) {
-		return false
+	if f.RegionPrefix != "" {
+		q.regionSym = s.dict.lookup(f.RegionPrefix)
 	}
-	if f.ASN != 0 && r.ASN != f.ASN {
-		return false
+	if !f.From.IsZero() {
+		q.hasFrom, q.fromSec, q.fromNsec = true, f.From.Unix(), uint32(f.From.Nanosecond())
 	}
-	if !f.From.IsZero() && r.Time.Before(f.From) {
-		return false
+	if !f.To.IsZero() {
+		q.hasTo, q.toSec, q.toNsec = true, f.To.Unix(), uint32(f.To.Nanosecond())
 	}
-	if !f.To.IsZero() && !r.Time.Before(f.To) {
-		return false
-	}
-	return true
+	return q
+}
+
+// matches checks everything but the region, which the shard scan
+// settles.
+func (q *query) matches(r *Row) bool {
+	return (!q.hasDS || r.ds == q.ds) &&
+		(q.asn == 0 || r.asn == q.asn) &&
+		(!q.hasFrom || !r.before(q.fromSec, q.fromNsec)) &&
+		(!q.hasTo || r.before(q.toSec, q.toNsec))
 }
 
 // regionMatch reports whether code is prefix itself or a hierarchical
@@ -486,43 +502,104 @@ func (f Filter) CellIndexed() bool {
 	return f.ASN == 0 && f.From.IsZero() && f.To.IsZero()
 }
 
-// gather passes every stored record matching f to keep, shard by shard
-// under each shard's read lock: the one shard walk behind Select and
-// Gather.
-func (s *Store) gather(f Filter, keep func(*seqRecord)) {
+// gather passes every stored row matching f to keep, shard by shard
+// under each shard's read lock: the one shard walk behind Select,
+// Gather, Values and TimeBounds.
+func (s *Store) gather(f Filter, keep func(*Row)) {
+	q := s.compile(f)
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for _, idx := range sh.candidatesLocked(f) {
-			if sr := &sh.records[idx]; f.matches(&sr.rec) {
-				keep(sr)
-			}
-		}
+		sh.scanLocked(q, keep)
 		sh.mu.RUnlock()
 	}
 }
 
 // Select returns a copy of all records matching f, in insertion order.
+// A time comes back Equal to the one stored, with the same zone name
+// and offset (see the package doc's zone rule).
 func (s *Store) Select(f Filter) []Record {
-	var hits []*seqRecord
-	s.gather(f, func(sr *seqRecord) { hits = append(hits, sr) })
-	slices.SortFunc(hits, func(a, b *seqRecord) int { return cmp.Compare(a.seq, b.seq) })
+	var hits []*Row
+	s.gather(f, func(r *Row) { hits = append(hits, r) })
+	slices.SortFunc(hits, func(a, b *Row) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]Record, len(hits))
-	for i, sr := range hits {
-		out[i] = sr.rec
-	}
+	s.records(out, hits)
 	return out
 }
 
-// Gather returns every record matching f in shard order, which is not
-// insertion order: Select without the copies and the merge by sequence
-// number, for callers whose answer does not depend on record order, such
-// as every (dataset, metric) cell and every window of a windowed score.
-// The records are the store's own, which never change once stored;
-// callers must not modify them.
-func (s *Store) Gather(f Filter) []*Record {
-	var out []*Record
-	s.gather(f, func(sr *seqRecord) { out = append(out, &sr.rec) })
-	return out
+// records rebuilds out[i] from rows[i]. The rows' IDs share one string.
+func (s *Store) records(out []Record, rows []*Row) {
+	names, zones := s.dict.nameList(), s.dict.zoneList()
+	var ids strings.Builder
+	n := 0
+	for _, r := range rows {
+		n += len(s.id(r))
+	}
+	ids.Grow(n)
+	for _, r := range rows {
+		ids.Write(s.id(r))
+	}
+	all, off := ids.String(), 0
+	for i, r := range rows {
+		n := len(s.id(r))
+		out[i] = Record{
+			ID:           all[off : off+n],
+			Time:         rowTime(r, zones),
+			Dataset:      names[r.ds],
+			Region:       names[r.region],
+			ASN:          r.asn,
+			Tech:         names[r.tech],
+			DownloadMbps: r.vals[Download],
+			UploadMbps:   r.vals[Upload],
+			LatencyMS:    r.vals[Latency],
+			LossFrac:     r.vals[Loss],
+		}
+		off += n
+	}
+}
+
+// id returns the bytes of a stored row's ID, in its stripe's arena.
+func (s *Store) id(r *Row) []byte {
+	_, id := s.stripes[r.id>>32].arena.entry(uint32(r.id))
+	return id
+}
+
+// View is what Gather returns: the matching rows, and which of the
+// datasets Gather was asked about each row belongs to.
+type View struct {
+	// Rows are the store's own, which never change once stored; callers
+	// must not modify them.
+	Rows []*Row
+	// syms[i] is the dictionary index of the i-th dataset name given to
+	// Gather, or noSym.
+	syms []sym
+}
+
+// DatasetIndex returns the position of r's dataset among the names
+// given to Gather, or -1 when it is none of them.
+func (v *View) DatasetIndex(r *Row) int {
+	for i, y := range v.syms {
+		if y == r.ds {
+			return i
+		}
+	}
+	return -1
+}
+
+// Gather returns a view of every record matching f in shard order,
+// which is not insertion order: Select without the copies and the
+// merge by sequence number, for callers whose answer does not depend on
+// record order, such as every (dataset, metric) cell and every window
+// of a windowed score. The view tells rows apart by the given dataset
+// names (View.DatasetIndex).
+func (s *Store) Gather(f Filter, datasets []string) View {
+	v := View{syms: make([]sym, len(datasets))}
+	s.gather(f, func(r *Row) { v.Rows = append(v.Rows, r) })
+	// Resolved after the scan: the dictionary only grows, so every
+	// dataset the gathered rows carry resolves.
+	for i, d := range datasets {
+		v.syms[i] = s.dict.lookup(d)
+	}
+	return v
 }
 
 // Values extracts the metric values of all records matching f, in
@@ -533,20 +610,12 @@ func (s *Store) Values(f Filter, m Metric) []float64 {
 		v   float64
 	}
 	var hits []seqVal
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, idx := range sh.candidatesLocked(f) {
-			sr := &sh.records[idx]
-			if !f.matches(&sr.rec) {
-				continue
-			}
-			if v, ok := sr.rec.Value(m); ok {
-				hits = append(hits, seqVal{sr.seq, v})
-			}
+	s.gather(f, func(r *Row) {
+		if v, ok := r.Value(m); ok {
+			hits = append(hits, seqVal{r.seq, v})
 		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].seq < hits[j].seq })
+	})
+	slices.SortFunc(hits, func(a, b seqVal) int { return cmp.Compare(a.seq, b.seq) })
 	out := make([]float64, len(hits))
 	for i, h := range hits {
 		out[i] = h.v
@@ -576,24 +645,20 @@ func (s *Store) Aggregate(f Filter, m Metric, q float64) (float64, int, error) {
 }
 
 // TimeBounds returns the earliest and latest record timestamps matching
-// f. ok is false when nothing matches.
+// f, each in its record's zone. ok is false when nothing matches.
 func (s *Store) TimeBounds(f Filter) (min, max time.Time, ok bool) {
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, idx := range sh.candidatesLocked(f) {
-			r := &sh.records[idx].rec
-			if !f.matches(r) {
-				continue
-			}
-			if !ok || r.Time.Before(min) {
-				min = r.Time
-			}
-			if !ok || r.Time.After(max) {
-				max = r.Time
-			}
-			ok = true
+	var lo, hi *Row
+	s.gather(f, func(r *Row) {
+		if lo == nil || r.before(lo.sec, lo.nsec) {
+			lo = r
 		}
-		sh.mu.RUnlock()
+		if hi == nil || hi.before(r.sec, r.nsec) {
+			hi = r
+		}
+	})
+	if lo == nil {
+		return time.Time{}, time.Time{}, false
 	}
-	return min, max, ok
+	zones := s.dict.zoneList()
+	return rowTime(lo, zones), rowTime(hi, zones), true
 }

@@ -131,8 +131,10 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 				default:
 				}
 				s.Select(Filter{RegionPrefix: "XA-01"})
-				for _, r := range s.Gather(Filter{RegionPrefix: "XA-02", From: t0}) {
-					_ = r.DownloadMbps
+				v := s.Gather(Filter{RegionPrefix: "XA-02", From: t0}, []string{"ndt"})
+				for _, r := range v.Rows {
+					r.Value(Download)
+					v.DatasetIndex(r)
 				}
 				s.Aggregate(Filter{Dataset: "ndt", RegionPrefix: "XA"}, Download, 95)
 				s.Sketcher().AggregateCells("XA-01", []CellQuery{

@@ -514,3 +514,16 @@ func waitForCond(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestIngestReaderSize: the body's read buffer fits the body, from 4 KiB
+// to 64 KiB, and is 64 KiB when the length is unknown.
+func TestIngestReaderSize(t *testing.T) {
+	for _, tc := range []struct {
+		contentLength int64
+		want          int
+	}{{-1, 64 << 10}, {0, 4 << 10}, {100, 4 << 10}, {9000, 9000}, {64 << 10, 64 << 10}, {1 << 30, 64 << 10}} {
+		if got := ingestReaderSize(tc.contentLength); got != tc.want {
+			t.Errorf("ingestReaderSize(%d) = %d, want %d", tc.contentLength, got, tc.want)
+		}
+	}
+}

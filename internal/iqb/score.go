@@ -296,9 +296,10 @@ func (c Config) AggregateFiltered(store *dataset.Store, base dataset.Filter) (*A
 		return c.AggregateSketcher(store.Sketcher(), base.RegionPrefix)
 	}
 	base.Dataset = ""
+	v := store.Gather(base, c.names())
 	cv := c.newCellValues()
-	for _, r := range store.Gather(base) {
-		cv.add(c.Datasets, r)
+	for _, r := range v.Rows {
+		c.add(cv, v.DatasetIndex(r), r)
 	}
 	return c.aggregateValues(cv)
 }
@@ -358,18 +359,26 @@ func (c Config) newCellValues() cellValues {
 	return cv
 }
 
-// add files r's metric values under its dataset's cells; records of
-// datasets the configuration does not name are ignored, as they are by
-// the per-cell filters.
-func (cv cellValues) add(ds []DatasetInfo, r *dataset.Record) {
-	for i := range ds {
-		if ds[i].Name != r.Dataset {
-			continue
-		}
-		for j, req := range ds[i].Capabilities {
-			if v, ok := r.Value(req); ok {
-				cv[i][j] = append(cv[i][j], v)
-			}
+// names lists the configured datasets' names in order, for
+// Gather to tell rows apart by.
+func (c Config) names() []string {
+	names := make([]string, len(c.Datasets))
+	for i, d := range c.Datasets {
+		names[i] = d.Name
+	}
+	return names
+}
+
+// add files r's metric values under the cells of configured dataset i,
+// its View.DatasetIndex. Rows of datasets the configuration does not
+// name (i < 0) are ignored, as they are by the per-cell filters.
+func (c Config) add(cv cellValues, i int, r *dataset.Row) {
+	if i < 0 {
+		return
+	}
+	for j, req := range c.Datasets[i].Capabilities {
+		if v, ok := r.Value(req); ok {
+			cv[i][j] = append(cv[i][j], v)
 		}
 	}
 }

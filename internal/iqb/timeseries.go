@@ -61,12 +61,12 @@ func (c Config) ScoreWindows(store *dataset.Store, region string, start, end tim
 	// Order the records by window so one pass sweeps the windows in turn.
 	type binned struct {
 		window int64
-		rec    *dataset.Record
+		row    *dataset.Row
 	}
-	recs := store.Gather(dataset.Filter{RegionPrefix: region, From: start, To: end})
-	bins := make([]binned, len(recs))
-	for i, r := range recs {
-		bins[i] = binned{int64(r.Time.Sub(start) / window), r}
+	v := store.Gather(dataset.Filter{RegionPrefix: region, From: start, To: end}, c.names())
+	bins := make([]binned, len(v.Rows))
+	for i, r := range v.Rows {
+		bins[i] = binned{int64(r.Time().Sub(start) / window), r}
 	}
 	slices.SortFunc(bins, func(a, b binned) int { return cmp.Compare(a.window, b.window) })
 	var out []TimePoint
@@ -79,7 +79,7 @@ func (c Config) ScoreWindows(store *dataset.Store, region string, start, end tim
 		p := TimePoint{From: from, To: to, NoData: true}
 		n := 0
 		for ; n < len(bins) && bins[n].window == w; n++ {
-			cv.add(c.Datasets, bins[n].rec)
+			c.add(cv, v.DatasetIndex(bins[n].row), bins[n].row)
 		}
 		if n > 0 {
 			bins = bins[n:]
@@ -134,17 +134,18 @@ func (c Config) ScoreByHourOfDay(store *dataset.Store, region string, bandHours 
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	bands := make([][]*dataset.Record, 24/bandHours)
-	for _, r := range store.Gather(dataset.Filter{RegionPrefix: region}) {
-		b := r.Time.UTC().Hour() / bandHours
+	bands := make([][]*dataset.Row, 24/bandHours)
+	v := store.Gather(dataset.Filter{RegionPrefix: region}, c.names())
+	for _, r := range v.Rows {
+		b := r.Time().Hour() / bandHours
 		bands[b] = append(bands[b], r)
 	}
 	out := make([]HourBucket, len(bands))
 	cv := c.newCellValues()
-	for i, recs := range bands {
-		out[i] = HourBucket{FromHour: i * bandHours, ToHour: (i + 1) * bandHours, Records: len(recs), NoData: true}
-		for _, r := range recs {
-			cv.add(c.Datasets, r)
+	for i, rows := range bands {
+		out[i] = HourBucket{FromHour: i * bandHours, ToHour: (i + 1) * bandHours, Records: len(rows), NoData: true}
+		for _, r := range rows {
+			c.add(cv, v.DatasetIndex(r), r)
 		}
 		score, err := c.scoreValues(cv)
 		cv.reset()

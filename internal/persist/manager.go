@@ -89,6 +89,8 @@ type Manager struct {
 	// collectors when Options.Metrics is set.
 	snapshots     atomic.Uint64
 	growthSignals atomic.Uint64
+	// fenceSeconds times how long each snapshot holds writers out.
+	fenceSeconds *telemetry.Histogram
 
 	// snapMu serializes snapshots; mu guards only the status fields,
 	// so Status never waits behind a snapshot's file I/O.
@@ -210,6 +212,8 @@ func (m *Manager) registerMetrics(r *telemetry.Registry) {
 	r.CounterFunc("iqb_snapshot_growth_signals_total",
 		"WAL-growth snapshot trigger firings (coalesced signals counted individually).", nil,
 		func() float64 { return float64(m.growthSignals.Load()) })
+	m.fenceSeconds = r.Histogram("iqb_persist_snapshot_fence_seconds",
+		"Time each snapshot holds ingest writers out while it cuts the store and reads the WAL offset.", nil)
 	r.GaugeFunc("iqb_wal_since_snapshot_bytes",
 		"On-disk WAL bytes a recovery would replay past the latest snapshot.", nil,
 		func() float64 {
@@ -238,9 +242,9 @@ func (m *Manager) Recovery() Recovery {
 }
 
 // Snapshot cuts an atomic point-in-time snapshot and compacts WAL
-// segments it covers. The store is quiesced only while the record set
-// and WAL offset are captured; the file writes happen with ingestion
-// already flowing again.
+// segments it covers. The store is quiesced only while the cut and the
+// WAL offset are captured; the records are read and written with
+// ingestion already flowing again.
 func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()
@@ -268,17 +272,21 @@ func (m *Manager) SnapshotIfGrown() (info SnapshotInfo, cut bool, err error) {
 	return info, err == nil, err
 }
 
-// snapshotLocked is the snapshot body; the caller holds snapMu.
+// snapshotLocked is the snapshot body; the caller holds snapMu. The
+// fence only cuts the store and reads the WAL offset, O(shards); the
+// records stream from the cut with writers running again.
 func (m *Manager) snapshotLocked() (SnapshotInfo, error) {
 	var (
-		rs  []dataset.Record
+		cut *dataset.Cut
 		off uint64
 	)
+	stop := m.fenceSeconds.Time()
 	m.store.Quiesce(func() {
-		rs = m.store.Select(dataset.Filter{})
+		cut = m.store.Cut()
 		off = m.log.Offset()
 	})
-	info, err := writeSnapshot(m.dir, rs, off, time.Now())
+	stop()
+	info, err := writeSnapshot(m.dir, cut, off, time.Now())
 	if err != nil {
 		return SnapshotInfo{}, err
 	}

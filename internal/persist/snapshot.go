@@ -97,31 +97,27 @@ func publishJSON(dir, name string, v any) error {
 	})
 }
 
-// writeSnapshot persists the record set as the current snapshot
-// covering walOffset: the framed body is published first, and only then
-// does the manifest flip to it. A crash anywhere in the sequence leaves
-// the previous snapshot intact and loadable.
-func writeSnapshot(dir string, rs []dataset.Record, walOffset uint64, now time.Time) (SnapshotInfo, error) {
+// writeSnapshot persists the cut's records, in insertion order, as the
+// current snapshot covering walOffset: the framed body is published
+// first, and only then does the manifest flip to it. A crash anywhere
+// in the sequence leaves the previous snapshot intact and loadable.
+func writeSnapshot(dir string, cut *dataset.Cut, walOffset uint64, now time.Time) (SnapshotInfo, error) {
 	name := fmt.Sprintf("%s%020d%s", snapPrefix, walOffset, segSuffix)
-	records, size := len(rs), int64(len(segMagic))
+	records, size := cut.Len(), int64(len(segMagic))
 	err := publishFile(dir, name, func(w io.Writer) error {
 		if _, err := io.WriteString(w, segMagic); err != nil {
 			return err
 		}
 		var frame bytes.Buffer
-		for len(rs) > 0 {
-			n := min(len(rs), snapFrameRecords)
+		return cut.Each(snapFrameRecords, func(rs []dataset.Record) error {
 			frame.Reset()
-			if err := encodeFrame(&frame, rs[:n]); err != nil {
+			if err := encodeFrame(&frame, rs); err != nil {
 				return err
 			}
-			if _, err := w.Write(frame.Bytes()); err != nil {
-				return err
-			}
+			_, err := w.Write(frame.Bytes())
 			size += int64(frame.Len())
-			rs = rs[n:]
-		}
-		return nil
+			return err
+		})
 	})
 	if err != nil {
 		return SnapshotInfo{}, err

@@ -6,10 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"iqb/internal/dataset"
+	"iqb/internal/telemetry"
 )
 
 // snapRecords builds n distinct records with every metric present, so
@@ -151,5 +155,118 @@ func TestSnapshotDamageRefusesOpen(t *testing.T) {
 				t.Fatal("Open returned a manager alongside its error")
 			}
 		})
+	}
+}
+
+// TestSnapshotCutWhileWriting: a writer keeps appending while a
+// snapshot streams, so shard slices grow past the cut. The snapshot
+// holds exactly the records the WAL held at the cut, and a reopened
+// store selects the same records in the same order as the store that
+// wrote them. The writer is one goroutine, as the ingest drainer is:
+// concurrent AddBatch callers may log batches in another order than
+// they take sequence numbers.
+func TestSnapshotCutWhileWriting(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The writer logs 60 batches before the snapshot starts, keeps
+	// writing while it runs, and stops 20 batches after it returns.
+	const perBatch = 50
+	var (
+		wg       sync.WaitGroup
+		snapDone atomic.Bool
+		started  = make(chan struct{})
+		start    = sync.OnceFunc(func() { close(started) })
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer start() // a failed writer must not leave the snapshot waiting
+		after := 0
+		for b := 0; after < 20; b++ {
+			if snapDone.Load() {
+				after++
+			}
+			rs := snapRecords(perBatch)
+			for i := range rs {
+				rs[i].ID = fmt.Sprintf("b%d-%d", b, i)
+			}
+			if err := m.Store().AddBatch(rs); err != nil {
+				t.Error(err)
+				return
+			}
+			if b == 60 {
+				start()
+			}
+		}
+	}()
+	<-started
+	info, err := m.Snapshot()
+	snapDone.Store(true)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(info.Records) != info.WALOffset {
+		t.Fatalf("snapshot holds %d records, the WAL held %d at the cut", info.Records, info.WALOffset)
+	}
+	want := m.Store().Select(dataset.Filter{})
+	if info.Records < 61*perBatch || len(want) < info.Records+20*perBatch {
+		t.Fatalf("snapshot of %d records amid %d writes: the writes did not straddle the cut", info.Records, len(want))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err = Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if rec := m.Recovery(); rec.SnapshotRecords != info.Records || rec.WALRecords != len(want)-info.Records {
+		t.Fatalf("recovery = %+v, want %d snapshot and %d WAL records", rec, info.Records, len(want)-info.Records)
+	}
+	if got := m.Store().Select(dataset.Filter{}); !reflect.DeepEqual(got, want) {
+		t.Fatal("reopened store selects other records, or another order, than the one that wrote them")
+	}
+}
+
+// TestSnapshotFenceHistogram: /metrics carries the time each snapshot
+// held writers out, one observation per snapshot.
+func TestSnapshotFenceHistogram(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m, err := Open(t.TempDir(), Options{NoSync: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	count := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "iqb_persist_snapshot_fence_seconds_count "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no iqb_persist_snapshot_fence_seconds family in\n%s", b.String())
+		return ""
+	}
+	if got := count(); got != "0" {
+		t.Fatalf("fence observations before any snapshot = %s", got)
+	}
+	for want := 1; want <= 2; want++ {
+		if err := m.Store().AddBatch(snapRecords(10)[(want-1)*5 : want*5]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if got := count(); got != fmt.Sprint(want) {
+			t.Fatalf("fence observations after %d snapshots = %s", want, got)
+		}
 	}
 }
