@@ -48,9 +48,10 @@
 // snapshotter cuts a fresh snapshot every -snapshot-interval (0
 // disables it) and compacts WAL segments the snapshot covers.
 //
-// Every WAL append goes through one group committer: frames queued
-// during the in-flight fsync coalesce into one shared write+sync, so
-// parallel ingestion pays far fewer fsyncs than batches. Snapshots are
+// The ingest drainer folds the client batches queued during a commit
+// into one AddBatch, so parallel ingestion pays far fewer fsyncs than
+// batches; the WAL appends that batch inline, one frame and one fsync,
+// in the order the store gives batches their sequence numbers. Snapshots are
 // written in the WAL's own CRC-framed format and recovery streams them
 // frame by frame, so a snapshot never has to fit in memory as bytes.
 //

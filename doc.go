@@ -10,17 +10,19 @@
 // CRC-framed write-ahead log and atomic snapshots, so cmd/iqbserver
 // started with -data-dir recovers its store from disk (tolerating a
 // torn WAL tail after a crash) instead of re-running the measurement
-// pipeline. Every append goes through one group committer — frames
-// queued during the in-flight fsync share one write+sync — and a
-// snapshot is a sealed WAL segment in the same CRC-framed format, read
-// back by the same frame reader and streamed into the store. Snapshots
-// trigger on WAL growth (-snapshot-wal-bytes) as well as wall clock,
-// bounding replay debt under heavy ingest. The durability contract is
-// executable: a fault-injection file layer (short writes, fsync errors,
-// kill-points mid-frame) drives a randomized crash-recovery property
-// test, and internal/persist's benchmarks quantify the WAL ingest tax,
-// the fsyncs group commit shares under parallel writers, and the
-// recovery-vs-replay win.
+// pipeline. The ingest drainer folds concurrent client batches into
+// one AddBatch, and the WAL appends each batch inline, one frame and one
+// fsync, inside the store's ordered step, so the log holds batches in
+// the order Select returns them. A snapshot is a sealed WAL segment in
+// the same CRC-framed format, read back by the same frame reader and
+// streamed into the store. Snapshots trigger on WAL growth
+// (-snapshot-wal-bytes) as well as wall clock, bounding replay debt
+// under heavy ingest. The durability contract is executable: a
+// fault-injection file layer (short writes, fsync errors, kill-points
+// mid-frame) drives a randomized crash-recovery property test, and the
+// benchmarks quantify the WAL ingest tax, the fsyncs per batch the
+// drainer's folding leaves under parallel writers
+// (internal/ingest), and the recovery-vs-replay win.
 //
 // Read path: internal/scorecache caches per-region scores keyed by
 // (region, time window, config hash) and invalidates them precisely

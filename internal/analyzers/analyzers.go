@@ -20,9 +20,8 @@
 //   - lockio flags blocking I/O (os.File method calls, os filesystem
 //     calls, net dials/listens, interface methods named Sync or
 //     Truncate, time.Sleep) reached while a sync.Mutex or sync.RWMutex
-//     is held — the invariant the persist group-commit redesign exists
-//     to preserve: an fsync under a shared lock stalls every reader
-//     and writer behind disk latency.
+//     is held: an fsync under a shared lock stalls every reader and
+//     writer of that lock behind disk latency.
 //
 //   - syncerr flags discarded errors from Sync and Truncate, and from
 //     Close on write-path files, in the packages that write under

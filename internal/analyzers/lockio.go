@@ -9,10 +9,10 @@ import (
 // is held: os.File method calls, filesystem calls in package os,
 // net dials and listens (and any net type's methods), interface
 // methods named Sync or Truncate (the shape of persist's WALFile), and
-// time.Sleep. Holding a lock across disk or network latency is the
-// invariant the persist group-commit redesign exists to preserve —
-// one fsync under a shared lock parks every other reader and writer
-// behind the disk.
+// time.Sleep. Holding a lock across disk or network latency parks
+// every other reader and writer of that lock behind the disk; a lock
+// that exists to order the I/O (the WAL's append mutex) says so in an
+// ignore directive.
 //
 // The analysis is intra-procedural and tracks lock state linearly
 // through each function body (branches are explored with the entry

@@ -55,7 +55,7 @@ func badRenameUnderLock(s *store, from, to string) error {
 }
 
 // goodIOAfterUnlock releases the lock before touching the disk — the
-// shape the group-commit write path preserves.
+// shape of the WAL's final sync on Close.
 func goodIOAfterUnlock(s *store) error {
 	s.mu.Lock()
 	name := s.f.Name()

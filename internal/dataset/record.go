@@ -176,7 +176,7 @@ func NewRecord(id, ds, region string, t time.Time) Record {
 }
 
 // Value returns the metric value and whether it is present.
-func (r Record) Value(m Metric) (float64, bool) {
+func (r *Record) Value(m Metric) (float64, bool) {
 	var v float64
 	switch m {
 	case Download:
@@ -211,7 +211,7 @@ func (r *Record) SetValue(m Metric, v float64) {
 }
 
 // Has reports whether the metric is present.
-func (r Record) Has(m Metric) bool {
+func (r *Record) Has(m Metric) bool {
 	_, ok := r.Value(m)
 	return ok
 }
@@ -221,7 +221,7 @@ func (r Record) Has(m Metric) bool {
 // rejected here because JSON cannot carry them: a record that validated
 // but held +Inf would make WriteNDJSON fail mid-stream. (NaN is the
 // internal "missing" sentinel, so it is never observable as a value.)
-func (r Record) Validate() error {
+func (r *Record) Validate() error {
 	if r.ID == "" {
 		return fmt.Errorf("dataset: record missing ID")
 	}
@@ -234,10 +234,13 @@ func (r Record) Validate() error {
 	if r.Time.IsZero() {
 		return fmt.Errorf("dataset: record %s missing time", r.ID)
 	}
+	hasAny := false
 	for _, m := range AllMetrics() {
-		if v, ok := r.Value(m); ok && math.IsInf(v, 0) {
+		v, ok := r.Value(m)
+		if ok && math.IsInf(v, 0) {
 			return fmt.Errorf("dataset: record %s non-finite %s %v", r.ID, m, v)
 		}
+		hasAny = hasAny || ok
 	}
 	if v, ok := r.Value(Download); ok && v < 0 {
 		return fmt.Errorf("dataset: record %s negative download %v", r.ID, v)
@@ -250,13 +253,6 @@ func (r Record) Validate() error {
 	}
 	if v, ok := r.Value(Loss); ok && (v < 0 || v > 1) {
 		return fmt.Errorf("dataset: record %s loss %v out of [0,1]", r.ID, v)
-	}
-	hasAny := false
-	for _, m := range AllMetrics() {
-		if r.Has(m) {
-			hasAny = true
-			break
-		}
 	}
 	if !hasAny {
 		return fmt.Errorf("dataset: record %s carries no metrics", r.ID)

@@ -76,7 +76,7 @@ func at(chunks [][]Row, i int) *Row { return &chunks[i/rowChunk][i%rowChunk] }
 // sh.mu. Rows are append-only: a stored row is never modified, so a
 // pointer to one taken under the read lock (Select, Gather) stays valid
 // and unchanged after the lock is released.
-func (sh *shard) insertLocked(r Row) {
+func (sh *shard) insertLocked(r *Row) {
 	idx := sh.n
 	c := idx / rowChunk
 	if c == len(sh.rows) {
@@ -91,7 +91,7 @@ func (sh *shard) insertLocked(r Row) {
 		copy(grown, chunk)
 		sh.rows[c] = grown
 	}
-	sh.rows[c] = append(sh.rows[c], r)
+	sh.rows[c] = append(sh.rows[c], *r)
 	sh.n++
 	sh.byRegion[r.region] = append(sh.byRegion[r.region], uint32(idx))
 	if r.asn != 0 {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iqb/internal/stats"
@@ -91,7 +90,6 @@ type Store struct {
 	cells   *Sketcher
 	dict    *dictionary
 	stripes [idStripeCount]idStripe
-	seq     atomic.Uint64
 
 	// ingestMu fences writers against Quiesce: every mutation holds it
 	// shared for the full validate→hooks→insert→commit sequence, so an
@@ -102,6 +100,8 @@ type Store struct {
 	ingestMu   sync.RWMutex
 	hooks      []hookEntry
 	nextHookID uint64
+	orderMu    sync.Mutex // makes Ingest hooks + sequence reservation one ordered step
+	seq        uint64     // sequence numbers reserved so far
 }
 
 // IngestHook observes every batch that is about to enter the store —
@@ -129,7 +129,8 @@ type BatchNotify func(rs []Record)
 // the whole chain accepts, the batch is applied to the shards and then
 // every observer's Commit runs, again in registration order. The entire
 // sequence happens inside the write fence, so Quiesce never observes a
-// batch between its durable tee and its commit notifications.
+// batch between its durable tee and its commit notifications. Ingest
+// runs one batch at a time, in the order Select returns the batches.
 //
 // A write-ahead log registers {Ingest: tee}; a derived-result cache
 // registers {Ingest: markPending, Commit: invalidate, Abort: unmark} —
@@ -206,10 +207,12 @@ func (s *Store) AddHooks(h Hooks) (remove func()) {
 	}
 }
 
-// runIngestHooks walks the chain's Ingest phase in registration order.
-// On a veto it aborts, in reverse order, the observers that already
-// ran, and returns the vetoing error. Callers hold ingestMu shared.
-func (s *Store) runIngestHooks(rs []Record) error {
+// runIngestHooks runs the chain's Ingest phase in registration order,
+// then reserves the batch's sequence block; a veto aborts, in reverse
+// order, the observers that already ran. Callers hold ingestMu shared.
+func (s *Store) runIngestHooks(rs []Record) (uint64, error) {
+	s.orderMu.Lock()
+	defer s.orderMu.Unlock()
 	for i, e := range s.hooks {
 		if e.h.Ingest == nil {
 			continue
@@ -224,10 +227,11 @@ func (s *Store) runIngestHooks(rs []Record) error {
 					s.hooks[j].h.Abort(rs)
 				}
 			}
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	s.seq += uint64(len(rs))
+	return s.seq - uint64(len(rs)), nil
 }
 
 // runCommitHooks fires the chain's Commit phase in registration order,
@@ -266,8 +270,9 @@ func (s *Store) Add(r Record) error { return s.AddBatch([]Record{r}) }
 // shard mutation; a hook error likewise stores and claims nothing, but
 // the batch's new names stay in the dictionary and its IDs' bytes in
 // their arenas, unreferenced. Records land with consecutive insertion
-// sequence numbers, and each destination shard and its cell-index
-// stripe are locked once for the whole batch rather than per record.
+// sequence numbers, taken in the hook chain's ordered step, and each
+// destination shard and its cell-index stripe are locked once for the
+// whole batch rather than per record.
 func (s *Store) AddBatch(rs []Record) error {
 	if len(rs) == 0 {
 		return nil
@@ -299,8 +304,10 @@ func (s *Store) AddBatch(rs []Record) error {
 
 	// The batch is now validated and its IDs claimed, so the hook chain
 	// sees exactly what the shards are about to absorb; a veto releases
-	// the claims and leaves the store untouched.
-	if err := s.runIngestHooks(rs); err != nil {
+	// the claims and leaves the store untouched. The sequence block is
+	// contiguous, so the batch keeps its internal order under Select.
+	base, err := s.runIngestHooks(rs)
+	if err != nil {
 		for i := range rs {
 			st := &s.stripes[hashes[i]%idStripeCount]
 			st.mu.Lock()
@@ -310,10 +317,6 @@ func (s *Store) AddBatch(rs []Record) error {
 		return fmt.Errorf("dataset: ingest hook: %w", err)
 	}
 
-	// Sequence numbers are claimed as one contiguous block so the batch
-	// keeps its internal order under Select regardless of which shard
-	// each record lands in.
-	base := s.seq.Add(uint64(len(rs))) - uint64(len(rs))
 	byShard := make(map[uint64][]int)
 	groupByStripe(byShard, rs, len(s.shards))
 	for si, idxs := range byShard {
@@ -321,7 +324,7 @@ func (s *Store) AddBatch(rs []Record) error {
 		sh.mu.Lock()
 		for _, i := range idxs {
 			rows[i].seq = base + uint64(i) + 1
-			sh.insertLocked(rows[i])
+			sh.insertLocked(&rows[i])
 		}
 		sh.mu.Unlock()
 		s.cells.fold(si, rs, idxs)

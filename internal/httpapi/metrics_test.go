@@ -238,7 +238,7 @@ func TestMetricsConcurrentWithIngest(t *testing.T) {
 // gateFS is a persist.WALFS over the real filesystem whose file Syncs
 // can be parked on a gate and whose file Writes can be made to fail —
 // the fault-injection layer for proving that observability reads never
-// queue behind the committer's fsync, that Close drains ingest before
+// queue behind an append's fsync, that Close drains ingest before
 // the WAL, and that a failed WAL write leaves nothing visible.
 type gateFS struct {
 	blocking   atomic.Bool
@@ -286,15 +286,15 @@ func (f *gateFile) Sync() error {
 }
 
 // TestScrapeSucceedsDuringBlockedFsync is the acceptance test for the
-// lock-free WAL metadata: with the committer parked mid-fsync (holding
-// l.mu), both /metrics and /v1/health must still answer — neither path
-// may acquire the committer's mutex.
+// lock-free WAL metadata: with an append parked mid-fsync (holding the
+// log's l.mu), both /metrics and /v1/health must still answer — neither
+// path may acquire the log's append mutex.
 func TestScrapeSucceedsDuringBlockedFsync(t *testing.T) {
 	fs := newGateFS()
 	ts, _, m := newInstrumentedServer(t, persist.Options{FS: fs})
 
-	// Park the committer: this append's fsync blocks on the gate while
-	// the committer goroutine holds l.mu.
+	// Park an append: its fsync blocks on the gate while it holds the
+	// log's l.mu (and the store's ordered step).
 	fs.blocking.Store(true)
 	appendDone := make(chan error, 1)
 	go func() {

@@ -2,10 +2,11 @@
 // an admission-controlled streaming pipeline: writers enqueue record
 // batches cheaply and block for a durable acknowledgment, while a
 // single drainer goroutine swaps the whole pending queue and feeds it
-// to Store.AddBatch in large merged batches — so the WAL tee underneath
-// group-commits a flood of small client batches into a few fsyncs, and
-// the score cache and snapshot-growth hooks fire exactly as they would
-// for a direct AddBatch.
+// to Store.AddBatch in large merged batches. The drainer is the write
+// path's one group commit: the WAL tee underneath appends each merged
+// batch as one frame with one fsync, so a flood of small client
+// batches costs a few fsyncs, and the score cache and snapshot-growth
+// hooks fire exactly as they would for a direct AddBatch.
 //
 // # Admission control
 //

@@ -3,8 +3,6 @@ package persist
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"iqb/internal/dataset"
@@ -48,57 +46,6 @@ func BenchmarkIngest(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(per), "records/op")
-		})
-	}
-}
-
-// BenchmarkIngestParallel measures the write-path cost group commit
-// exists to amortize: 1/4/16 parallel writers pushing batches through
-// the fsynced WAL. The fsyncs/batch metric shows the sharing directly:
-// 1.0 with one writer, shrinking with writer count.
-func BenchmarkIngestParallel(b *testing.B) {
-	const per = 64
-	for _, writers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("writers=%d/group-commit", writers), func(b *testing.B) {
-			m, err := Open(b.TempDir(), Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Close()
-			store := m.Store()
-			batches := benchBatches(b.N, per)
-			b.ResetTimer()
-			var next atomic.Int64
-			next.Store(-1)
-			var wg sync.WaitGroup
-			errs := make([]error, writers)
-			for w := 0; w < writers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := next.Add(1)
-						if i >= int64(b.N) {
-							return
-						}
-						if err := store.AddBatch(batches[i]); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			st := m.Status()
-			b.ReportMetric(float64(st.WALWrite.Fsyncs)/float64(b.N), "fsyncs/batch")
 			b.ReportMetric(float64(per), "records/op")
 		})
 	}

@@ -21,72 +21,40 @@ import (
 // contract promises — every acknowledged batch, whole batches only,
 // nothing from outside the submitted workload.
 
-// TestGroupAppendErrorFansOutToAllWaiters: when the shared fsync of a
-// group commit fails, every writer whose frame rode in that group must
-// see the error (none may believe its batch is durable), and the log
-// must keep working once the fault clears.
-func TestGroupAppendErrorFansOutToAllWaiters(t *testing.T) {
+// TestFailedSyncFailsOnlyItsAppend: a failed fsync fails its own
+// append — rolled back, unacknowledged, unaccounted — and no other: an
+// append waiting behind it on l.mu writes its own frame and syncs it.
+// The log keeps appending once the fault clears.
+func TestFailedSyncFailsOnlyItsAppend(t *testing.T) {
 	dir := t.TempDir()
 	fs := newFaultFS()
 	l, err := OpenLog(dir, Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.failNextSyncs(100) // every sync fails until cleared
-
-	// Writer 0's group parks in its sync; writers 1-3 queue behind it
-	// and must fold into one second group.
-	const writers = 4
-	errs := make([]error, writers)
-	var done sync.WaitGroup
-	appendAsync := func(i int) {
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			errs[i] = l.Append(walBatch(fmt.Sprintf("w%d", i), 2))
-		}()
-	}
-	gate := fs.parkNextSync()
-	appendAsync(0)
-	<-gate.parked
-	for i := 1; i < writers; i++ {
-		appendAsync(i)
-	}
-	waitQueued(t, l, writers-1)
+	fs.failNextSyncs(1)
+	gate, failed := parkedAppend(t, l, fs, walBatch("failed", 2))
+	next := make(chan error, 1)
+	go func() { next <- l.Append(walBatch("next", 3)) }()
+	stillBlocked(t, "the append behind the failing sync", next)
 	close(gate.release)
-	done.Wait()
-
-	// Every waiter errored, and the errors trace back to exactly two
-	// sync attempts — writer 0's group and the group queued behind it —
-	// proof that waiters shared a group's fsync (and its failure)
-	// rather than each paying alone.
-	instances := fs.syncErrors()
-	distinct := map[error]bool{}
-	for i, e := range errs {
-		if e == nil {
-			t.Fatalf("writer %d was acked although every fsync failed", i)
-		}
-		if !errors.Is(e, errSyncInjected) {
-			t.Fatalf("writer %d error %v does not wrap the injected sync failure", i, e)
-		}
-		for _, inst := range instances {
-			if errors.Is(e, inst) {
-				distinct[inst] = true
-			}
-		}
+	if err := <-failed; !errors.Is(err, errSyncInjected) {
+		t.Fatalf("append whose sync failed = %v, want the injected sync failure", err)
 	}
-	if len(distinct) != 2 {
-		t.Fatalf("%d waiters saw %d distinct sync failures, want 2 (one per group)", writers, len(distinct))
+	if err := <-next; err != nil {
+		t.Fatalf("append behind the failed sync: %v", err)
 	}
-	// The failed groups were rolled back: nothing was acknowledged,
-	// nothing is accounted.
-	if got := l.Offset(); got != 0 {
-		t.Fatalf("offset after failed groups = %d, want 0", got)
+	if got := l.Offset(); got != 3 {
+		t.Fatalf("offset = %d, want 3 (the failed append rolled back)", got)
 	}
 
-	// The same log recovers in place once the fault clears.
+	// The same log appends again once the fault clears.
+	fs.failNextSyncs(1)
+	if err := l.Append(walBatch("failed-again", 1)); !errors.Is(err, errSyncInjected) {
+		t.Fatalf("append with a failing sync = %v, want the injected sync failure", err)
+	}
 	fs.clearFaults()
-	if err := l.Append(walBatch("after", 3)); err != nil {
+	if err := l.Append(walBatch("after", 4)); err != nil {
 		t.Fatalf("append after fault cleared: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -97,12 +65,12 @@ func TestGroupAppendErrorFansOutToAllWaiters(t *testing.T) {
 		t.Fatalf("reopen after injected sync failures: %v", err)
 	}
 	defer l2.Close()
-	if got := l2.Offset(); got != 3 {
-		t.Fatalf("reopened offset = %d, want 3 (only the post-fault batch)", got)
+	if got := l2.Offset(); got != 7 {
+		t.Fatalf("reopened offset = %d, want 7 (only the acked batches)", got)
 	}
 	got := replayAll(t, l2, 0)
-	if len(got) != 1 || got[0][0].ID != "after-0" {
-		t.Fatalf("replay after reopen returned %d batches, want 1 post-fault batch", len(got))
+	if len(got) != 2 || got[0][0].ID != "next-0" || got[1][0].ID != "after-0" {
+		t.Fatalf("replay after reopen returned %d batches, want the 2 acked ones in order", len(got))
 	}
 }
 
@@ -298,13 +266,15 @@ func crashFingerprint(t *testing.T, s *dataset.Store) map[string]any {
 
 // TestCrashRecoveryRandomized is the property test pinning the
 // durability contract under chaos: randomized interleavings of
-// concurrent group-committed appends, snapshots, and compactions, with
+// concurrent appends, snapshots, and compactions, with
 // transient sync/truncate faults and (usually) a kill-point somewhere
 // in the WAL byte stream. After the crash, recovery must yield a store
 // that (a) contains every durably-acknowledged batch, (b) contains only
 // whole batches from the submitted workload — an unacked batch may be
-// dropped or may survive, both are legal crash outcomes — and (c) is
-// bit-identical to a reference store fed the same surviving batches.
+// dropped or may survive, both are legal crash outcomes — (c) is
+// bit-identical to a reference store fed the same surviving batches, and
+// (d) selects the acknowledged records in the order the store that
+// wrote them did.
 func TestCrashRecoveryRandomized(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		seed := seed
@@ -323,7 +293,7 @@ func crashIteration(t *testing.T, seed int64) {
 		SegmentBytes: int64(256 + rng.Intn(2048)),
 		FS:           fs,
 	}
-	// A slow disk lets concurrent appends pile up, so groups fold wide.
+	// A slow disk lets concurrent appends pile up on the log's mutex.
 	fs.setSyncLatency(time.Duration(rng.Intn(3)) * time.Millisecond)
 	m, err := Open(dir, opts)
 	if err != nil {
@@ -406,6 +376,9 @@ func crashIteration(t *testing.T, seed int64) {
 		}
 	}()
 	wg.Wait()
+	// The writing store holds exactly the acked batches, in the order
+	// recovery must reproduce.
+	written := m.Store().Select(dataset.Filter{})
 	m.Close() // dead or alive, recovery below starts from the files
 
 	m2, err := Open(dir, Options{NoSync: true})
@@ -443,6 +416,32 @@ func crashIteration(t *testing.T, seed int64) {
 	if m2.Store().Len() != total {
 		t.Fatalf("recovered store holds %d records but only %d belong to submitted batches",
 			m2.Store().Len(), total)
+	}
+
+	// (d): unacked survivors dropped, the recovered store selects the
+	// acked records in the writing store's order.
+	ackedIDs := map[string]bool{}
+	for w := range acked {
+		for prefix := range acked[w] {
+			for _, r := range submitted[w][prefix] {
+				ackedIDs[r.ID] = true
+			}
+		}
+	}
+	var recovered []string
+	for _, r := range m2.Store().Select(dataset.Filter{}) {
+		if ackedIDs[r.ID] {
+			recovered = append(recovered, r.ID)
+		}
+	}
+	if len(recovered) != len(written) {
+		t.Fatalf("recovered %d acked records, the writing store held %d", len(recovered), len(written))
+	}
+	for i, r := range written {
+		if recovered[i] != r.ID {
+			t.Fatalf("recovered store selects %s at %d of %d acked records, the writing store %s",
+				recovered[i], i, len(written), r.ID)
+		}
 	}
 
 	ref := dataset.NewStore()

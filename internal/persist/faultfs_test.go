@@ -2,7 +2,6 @@ package persist
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"sync"
 	"time"
@@ -12,10 +11,10 @@ import (
 // a WALFS that wraps the real filesystem and injects the failures a
 // disk and a dying process actually produce — short writes, fsync
 // errors, failed rollback truncates, and a kill-point after which every
-// operation fails (the in-process stand-in for SIGKILL). It also counts
-// file syncs, which is how the group-commit tests prove that N acked
-// batches cost fewer than N fsyncs, and can slow or park them, which is
-// how those tests fold groups without a timing window.
+// operation fails (the in-process stand-in for SIGKILL). It can also
+// slow file syncs or park one, which is how the append tests hold an
+// append inside its fsync, with l.mu held, while Close or another
+// append arrives.
 
 // Sentinel fault errors. Production code never sees these types; tests
 // match them with errors.Is through the persist error wrapping.
@@ -34,18 +33,16 @@ type faultFS struct {
 	mu sync.Mutex
 
 	// Counters.
-	fileSyncs int   // file Sync attempts (successful or injected-fail)
-	dirSyncs  int   // directory syncs
-	wrote     int64 // bytes successfully written through the layer
+	dirSyncs int   // directory syncs
+	wrote    int64 // bytes successfully written through the layer
 
 	// Fault plan.
 	killAt       int64 // kill once wrote reaches this many bytes; <0 disarmed
 	killed       bool
-	failSyncs    int     // fail the next N file Syncs (transient)
-	syncErrs     []error // the distinct injected sync-error instances, in order
-	failTruncate bool    // fail Truncate calls while set (breaks rollback)
-	failDirSyncs int     // fail the next N directory syncs (fails a rotation)
-	failRemove   bool    // fail Remove calls while set (leaves leftovers)
+	failSyncs    int  // fail the next N file Syncs (transient)
+	failTruncate bool // fail Truncate calls while set (breaks rollback)
+	failDirSyncs int  // fail the next N directory syncs (fails a rotation)
+	failRemove   bool // fail Remove calls while set (leaves leftovers)
 	syncLatency  time.Duration
 	gate         *syncGate // parks the next file Sync until released
 }
@@ -71,9 +68,8 @@ func (f *faultFS) killAfterBytes(n int64) {
 	f.killAt = f.wrote + n
 }
 
-// failNextSyncs makes the next n file Sync calls fail, each with a
-// distinct error instance (so tests can count how many sync attempts a
-// set of waiter errors traces back to).
+// failNextSyncs makes the next n file Sync calls fail with
+// errSyncInjected.
 func (f *faultFS) failNextSyncs(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -81,8 +77,8 @@ func (f *faultFS) failNextSyncs(n int) {
 }
 
 // parkNextSync arms a gate on the next file Sync. While that Sync is
-// parked the committer holds its group open, so appends made meanwhile
-// queue up and fold into the next group — deterministically.
+// parked its append holds l.mu, so appends and a Close made meanwhile
+// wait behind it.
 func (f *faultFS) parkNextSync() *syncGate {
 	g := &syncGate{parked: make(chan struct{}), release: make(chan struct{})}
 	f.mu.Lock()
@@ -133,18 +129,6 @@ func (f *faultFS) clearFaults() {
 	f.failTruncate = false
 	f.failDirSyncs = 0
 	f.failRemove = false
-}
-
-func (f *faultFS) fileSyncCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fileSyncs
-}
-
-func (f *faultFS) syncErrors() []error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]error(nil), f.syncErrs...)
 }
 
 func (f *faultFS) isKilled() bool {
@@ -275,13 +259,10 @@ func (w *faultFile) Sync() error {
 		w.fs.mu.Unlock()
 		return errKilled
 	}
-	w.fs.fileSyncs++
 	if w.fs.failSyncs > 0 {
 		w.fs.failSyncs--
-		err := fmt.Errorf("%w #%d", errSyncInjected, len(w.fs.syncErrs))
-		w.fs.syncErrs = append(w.fs.syncErrs, err)
 		w.fs.mu.Unlock()
-		return err
+		return errSyncInjected
 	}
 	w.fs.mu.Unlock()
 	return w.f.Sync()

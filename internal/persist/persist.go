@@ -13,13 +13,13 @@
 // threshold and are named by the record offset at which they start, so
 // offset accounting survives compaction.
 //
-// Every append goes through one group committer: writers queue their
-// frames and a committer goroutine folds everything queued during the
-// in-flight fsync into one write and one sync, fanning the shared
-// result back to every waiter — so the per-batch fsync tax amortizes
-// across parallel writers without weakening the ack contract (Append
-// still returns only once the frame is durable). Options.NoSync only
-// drops the syncs; the path is the same.
+// Each append writes its frame and fsyncs inline under the log's
+// mutex, and the store calls it from its ordered step, the one place a
+// batch takes its sequence numbers: the WAL holds batches in the order
+// Select returns them, and Append returns only once its frame is
+// durable. Folding many small client batches into one frame, and so
+// into one fsync, is the ingest drainer's job upstream. Options.NoSync
+// only drops the syncs; the path is the same.
 //
 // Snapshots are cut on demand, and the manager can additionally signal
 // a WAL-growth trigger (Options.SnapshotWALBytes): once the uncovered
@@ -77,9 +77,9 @@ type Options struct {
 	// size; <= 0 means DefaultSegmentBytes.
 	SegmentBytes int64
 	// NoSync skips the WAL's file and directory syncs. Appends still
-	// go through the group committer, but only survive an OS crash if
-	// the page cache was flushed — acceptable for tests and throughput
-	// benchmarks, not for production.
+	// write in order under the log's mutex, but only survive an OS
+	// crash if the page cache was flushed — acceptable for tests and
+	// throughput benchmarks, not for production.
 	NoSync bool
 	// SnapshotWALBytes arms the manager's WAL-growth snapshot trigger:
 	// once the WAL holds at least this many on-disk bytes not covered
@@ -90,10 +90,10 @@ type Options struct {
 	SnapshotWALBytes int64
 	// Metrics, when non-nil, registers the WAL's and snapshot
 	// manager's self-observability series (append/fsync/rollback
-	// counters, fsync-latency and group-fold-size histograms, replay
-	// debt gauges) on the given registry. All registered collectors
-	// read lock-free counters or short in-memory mutexes, so a scrape
-	// never waits behind the committer's fsync.
+	// counters, the fsync-latency histogram, replay debt gauges) on the
+	// given registry. All registered collectors read lock-free counters
+	// or short in-memory mutexes, so a scrape never waits behind an
+	// append's fsync.
 	Metrics *telemetry.Registry
 
 	// FS substitutes the WAL's file operations; nil means the real

@@ -162,46 +162,58 @@ func TestSnapshotDamageRefusesOpen(t *testing.T) {
 // snapshot streams, so shard slices grow past the cut. The snapshot
 // holds exactly the records the WAL held at the cut, and a reopened
 // store selects the same records in the same order as the store that
-// wrote them. The writer is one goroutine, as the ingest drainer is:
-// concurrent AddBatch callers may log batches in another order than
-// they take sequence numbers.
-func TestSnapshotCutWhileWriting(t *testing.T) {
+// wrote them.
+func TestSnapshotCutWhileWriting(t *testing.T) { snapshotCutWhileWriting(t, 1) }
+
+// TestSnapshotCutWhileThreeWritersWrite is the same check with three
+// concurrent AddBatch callers: a batch's WAL position and its Select
+// position come from one ordered step, so the store that recovery
+// rebuilds from snapshot and WAL selects in the order the writers'
+// store did.
+func TestSnapshotCutWhileThreeWritersWrite(t *testing.T) { snapshotCutWhileWriting(t, 3) }
+
+func snapshotCutWhileWriting(t *testing.T, writers int) {
 	dir := t.TempDir()
 	m, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The writer logs 60 batches before the snapshot starts, keeps
-	// writing while it runs, and stops 20 batches after it returns.
+	// The writers log 60 batches between them before the snapshot
+	// starts, keep writing while it runs, and each stops 20 batches
+	// after it returns.
 	const perBatch = 50
 	var (
 		wg       sync.WaitGroup
+		logged   atomic.Int64
 		snapDone atomic.Bool
 		started  = make(chan struct{})
 		start    = sync.OnceFunc(func() { close(started) })
 	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer start() // a failed writer must not leave the snapshot waiting
-		after := 0
-		for b := 0; after < 20; b++ {
-			if snapDone.Load() {
-				after++
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer start() // a failed writer must not leave the snapshot waiting
+			after := 0
+			for b := 0; after < 20; b++ {
+				if snapDone.Load() {
+					after++
+				}
+				rs := snapRecords(perBatch)
+				for i := range rs {
+					rs[i].ID = fmt.Sprintf("w%d-b%d-%d", w, b, i)
+				}
+				if err := m.Store().AddBatch(rs); err != nil {
+					t.Error(err)
+					return
+				}
+				if logged.Add(1) == 60 {
+					start()
+				}
 			}
-			rs := snapRecords(perBatch)
-			for i := range rs {
-				rs[i].ID = fmt.Sprintf("b%d-%d", b, i)
-			}
-			if err := m.Store().AddBatch(rs); err != nil {
-				t.Error(err)
-				return
-			}
-			if b == 60 {
-				start()
-			}
-		}
-	}()
+		}()
+	}
 	<-started
 	info, err := m.Snapshot()
 	snapDone.Store(true)
@@ -213,7 +225,7 @@ func TestSnapshotCutWhileWriting(t *testing.T) {
 		t.Fatalf("snapshot holds %d records, the WAL held %d at the cut", info.Records, info.WALOffset)
 	}
 	want := m.Store().Select(dataset.Filter{})
-	if info.Records < 61*perBatch || len(want) < info.Records+20*perBatch {
+	if info.Records < 60*perBatch || len(want) < info.Records+20*writers*perBatch {
 		t.Fatalf("snapshot of %d records amid %d writes: the writes did not straddle the cut", info.Records, len(want))
 	}
 	if err := m.Close(); err != nil {
@@ -228,8 +240,14 @@ func TestSnapshotCutWhileWriting(t *testing.T) {
 	if rec := m.Recovery(); rec.SnapshotRecords != info.Records || rec.WALRecords != len(want)-info.Records {
 		t.Fatalf("recovery = %+v, want %d snapshot and %d WAL records", rec, info.Records, len(want)-info.Records)
 	}
-	if got := m.Store().Select(dataset.Filter{}); !reflect.DeepEqual(got, want) {
-		t.Fatal("reopened store selects other records, or another order, than the one that wrote them")
+	got := m.Store().Select(dataset.Filter{})
+	if len(got) != len(want) {
+		t.Fatalf("reopened store selects %d records, the one that wrote them %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("reopened store's record %d of %d is %s, the writing store's is %s", i, len(want), got[i].ID, want[i].ID)
+		}
 	}
 }
 

@@ -93,31 +93,16 @@ type walSegment struct {
 	size  int64  // on-disk bytes, fixed at seal time
 }
 
-// walReq is one writer's frame waiting in the group-commit queue. The
-// committer answers on done exactly once: nil when the frame is
-// durable, the group's shared error otherwise.
-type walReq struct {
-	frame []byte
-	count uint32
-	done  chan error
-}
-
 // WALStats counts the write path's work over this process's lifetime
-// (not persisted). Fsyncs < AppendedFrames is the point of group
-// commit: concurrent writers share syncs.
+// (not persisted). Each append is one frame and, unless NoSync, one
+// fsync; folding many client batches into one frame is the ingest
+// drainer's job, upstream of the log.
 type WALStats struct {
 	// AppendedFrames counts frames durably appended (one per batch).
 	AppendedFrames uint64 `json:"appended_frames"`
 	// Fsyncs counts syncs performed to make frames durable (segment
 	// creation and compaction syncs are not included).
 	Fsyncs uint64 `json:"fsyncs"`
-	// GroupCommits counts committer rounds, each one write (and, unless
-	// NoSync, one sync) covering every frame queued while the previous
-	// round was in flight.
-	GroupCommits uint64 `json:"group_commits"`
-	// MaxGroupFrames is the largest number of frames a single group
-	// commit has covered.
-	MaxGroupFrames int `json:"max_group_frames"`
 	// Rollbacks counts failed appends rolled back to the pre-append
 	// boundary (write or sync errors).
 	Rollbacks uint64 `json:"rollbacks"`
@@ -130,31 +115,21 @@ type WALStats struct {
 // Log is a segmented append-only write-ahead log of dataset record
 // batches. It is safe for concurrent use.
 //
-// Every Append goes through one group committer: each caller frames its
-// batch, queues it, and blocks; a committer goroutine writes every frame
-// queued during the in-flight write+sync as one write and one fsync
-// (no fsync with Options.NoSync), then fans the result back to each
-// waiter. A failed group write or sync is rolled back (the file
-// truncated to the pre-group boundary) and every waiter in the group
-// receives the error; a rollback that fails wedges the log.
+// Append frames, writes, fsyncs (not with Options.NoSync) and rotates
+// inline under l.mu, so frames land in the order their Appends take the
+// mutex. A failed write or sync is rolled back (the file truncated to
+// the pre-append boundary) and fails that append alone; a rollback that
+// fails wedges the log.
 //
 // Metadata readers (Offset, Stats, SizeBytes, SizePast, Segments) never
 // take l.mu: counters are atomics and segment geometry sits behind the
 // short segMu, so health checks and metric scrapes return immediately
-// even while the committer holds l.mu across an fsync.
+// even while an append holds l.mu across an fsync.
 type Log struct {
 	dir    string
 	segMax int64
 	noSync bool
 	fs     WALFS
-
-	// Group-commit queue. Appenders push under qmu and block on their
-	// request's done channel; the committer drains pending in batches.
-	qmu           sync.Mutex
-	qcond         *sync.Cond
-	pending       []*walReq
-	qclosed       bool
-	committerDone chan struct{}
 
 	// Lock-free write-path counters. Writers bump these while holding
 	// l.mu (so they stay mutually consistent with the file), but
@@ -162,8 +137,6 @@ type Log struct {
 	offset         atomic.Uint64 // records appended across the log's lifetime
 	appendedFrames atomic.Uint64
 	fsyncs         atomic.Uint64
-	groupCommits   atomic.Uint64
-	maxGroupFrames atomic.Int64 // written only by the single committer goroutine
 	rollbacks      atomic.Uint64
 	wedges         atomic.Uint64
 
@@ -190,10 +163,9 @@ type Log struct {
 	// until a reopen re-establishes a clean tail.
 	wedged bool
 
-	// Owned telemetry (nil-safe no-ops when no registry is attached):
-	// distributions the counters above cannot carry.
+	// Owned telemetry (nil-safe no-op when no registry is attached):
+	// the distribution the counters above cannot carry.
 	fsyncSeconds *telemetry.Histogram // latency of each durability fsync
-	groupFrames  *telemetry.Histogram // frames folded into each group commit
 }
 
 // errWedged fails operations on a log whose last failed write could not
@@ -298,10 +270,6 @@ func OpenLog(dir string, o Options) (*Log, error) {
 		l.activeSize = goodEnd
 		l.offset.Store(seg.start + records)
 	}
-	// Every Append goes through this one group committer.
-	l.qcond = sync.NewCond(&l.qmu)
-	l.committerDone = make(chan struct{})
-	go l.committer()
 	return l, nil
 }
 
@@ -365,18 +333,13 @@ func (l *Log) registerMetrics(r *telemetry.Registry) {
 		return
 	}
 	l.fsyncSeconds = r.Histogram("iqb_wal_fsync_seconds",
-		"Latency of WAL group-commit fsyncs.", nil)
-	l.groupFrames = r.Histogram("iqb_wal_group_frames",
-		"Frames folded into each group commit.", nil)
+		"Latency of WAL append fsyncs (one per appended frame).", nil)
 	r.CounterFunc("iqb_wal_appended_frames_total",
 		"Frames durably appended to the WAL (one per batch).", nil,
 		func() float64 { return float64(l.appendedFrames.Load()) })
 	r.CounterFunc("iqb_wal_fsyncs_total",
 		"Fsyncs performed to make WAL frames durable.", nil,
 		func() float64 { return float64(l.fsyncs.Load()) })
-	r.CounterFunc("iqb_wal_group_commits_total",
-		"Group-commit rounds (one shared write+fsync each).", nil,
-		func() float64 { return float64(l.groupCommits.Load()) })
 	r.CounterFunc("iqb_wal_rollbacks_total",
 		"Failed appends rolled back to the pre-append boundary.", nil,
 		func() float64 { return float64(l.rollbacks.Load()) })
@@ -386,9 +349,6 @@ func (l *Log) registerMetrics(r *telemetry.Registry) {
 	r.CounterFunc("iqb_wal_records_total",
 		"Records appended over the log's lifetime (the WAL offset).", nil,
 		func() float64 { return float64(l.offset.Load()) })
-	r.GaugeFunc("iqb_wal_max_group_frames",
-		"Largest number of frames one group commit has covered.", nil,
-		func() float64 { return float64(l.maxGroupFrames.Load()) })
 	r.GaugeFunc("iqb_wal_size_bytes",
 		"On-disk bytes across all WAL segments.", nil,
 		func() float64 { return float64(l.SizeBytes()) })
@@ -580,9 +540,9 @@ func encodeFrame(buf *bytes.Buffer, rs []dataset.Record) error {
 // NoSync); a non-nil error means the batch must be treated as not
 // written (a torn partial write is truncated away on the next open).
 //
-// Concurrent callers block while the committer folds their frames into
-// one shared write+sync; a group failure surfaces the same error to
-// every caller in the group.
+// Concurrent callers take turns on l.mu, one frame and one fsync each;
+// the store calls Append from its ordered step, so frames land in the
+// order the store gives its batches sequence numbers.
 func (l *Log) Append(rs []dataset.Record) error {
 	if len(rs) == 0 {
 		return nil
@@ -591,16 +551,41 @@ func (l *Log) Append(rs []dataset.Record) error {
 	if err := encodeFrame(&frame, rs); err != nil {
 		return err
 	}
-	req := &walReq{frame: frame.Bytes(), count: uint32(len(rs)), done: make(chan error, 1)}
-	l.qmu.Lock()
-	if l.qclosed {
-		l.qmu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
 		return errLogClosed
 	}
-	l.pending = append(l.pending, req)
-	l.qcond.Signal()
-	l.qmu.Unlock()
-	return <-req.done
+	if l.wedged {
+		return errWedged
+	}
+	if _, err := l.active.Write(frame.Bytes()); err != nil {
+		l.rollbackLocked()
+		return fmt.Errorf("persist: appending frame of %d records: %w", len(rs), err)
+	}
+	if !l.noSync {
+		stop := l.fsyncSeconds.Time()
+		//iqbvet:ignore lockio the fsync must finish before l.mu lets the next frame follow, so frames stay in order; metadata readers use atomics and segMu, and Close waits here by design so an in-flight append is acknowledged durably
+		err := l.active.Sync()
+		stop()
+		if err != nil {
+			l.rollbackLocked()
+			return fmt.Errorf("persist: syncing frame of %d records: %w", len(rs), err)
+		}
+		l.fsyncs.Add(1)
+	}
+	l.segMu.Lock()
+	l.activeSize += int64(frame.Len())
+	l.segMu.Unlock()
+	l.offset.Add(uint64(len(rs)))
+	l.appendedFrames.Add(1)
+	if l.activeSize >= l.segMax {
+		// The frame is already durable, so a failed rotation must not
+		// turn the ack into an error: keep the oversized segment active
+		// and let the next append retry the rotation.
+		_ = l.createSegmentLocked(l.offset.Load())
+	}
+	return nil
 }
 
 // rollbackLocked rolls the active segment back to the pre-append
@@ -620,97 +605,6 @@ func (l *Log) rollbackLocked() {
 	if terr := l.active.Truncate(l.activeSize); terr != nil {
 		l.wedged = true
 		l.wedges.Add(1)
-	}
-}
-
-// committer is the group-commit loop: it drains every frame queued
-// while the previous round's write+sync was in flight and commits them
-// as one group. It exits once the log is closed and the queue is empty,
-// so a Close never strands a blocked writer — frames already queued are
-// flushed, not failed.
-func (l *Log) committer() {
-	defer close(l.committerDone)
-	for {
-		l.qmu.Lock()
-		for len(l.pending) == 0 && !l.qclosed {
-			l.qcond.Wait()
-		}
-		if len(l.pending) == 0 && l.qclosed {
-			l.qmu.Unlock()
-			return
-		}
-		group := l.pending
-		l.pending = nil
-		l.qmu.Unlock()
-		l.commitGroup(group)
-	}
-}
-
-// commitGroup writes every queued frame in one write, fsyncs once
-// (unless NoSync), and fans the shared result back to each waiter. On
-// failure the file is rolled back to the pre-group boundary and every
-// waiter in the group receives the same error.
-func (l *Log) commitGroup(group []*walReq) {
-	total := 0
-	var records uint64
-	for _, r := range group {
-		total += len(r.frame)
-		records += uint64(r.count)
-	}
-	buf := make([]byte, 0, total)
-	for _, r := range group {
-		buf = append(buf, r.frame...)
-	}
-
-	l.mu.Lock()
-	err := func() error {
-		if l.closed {
-			return errLogClosed
-		}
-		if l.wedged {
-			return errWedged
-		}
-		if _, werr := l.active.Write(buf); werr != nil {
-			l.rollbackLocked()
-			return fmt.Errorf("persist: appending group of %d frames: %w", len(group), werr)
-		}
-		if l.noSync {
-			return nil
-		}
-		stop := l.fsyncSeconds.Time()
-		//iqbvet:ignore lockio the committer's shared fsync is the point of group commit; writers wait on ack channels, and metadata readers use atomics and segMu — nothing queues behind this l.mu hold
-		serr := l.active.Sync()
-		stop()
-		if serr != nil {
-			l.rollbackLocked()
-			return fmt.Errorf("persist: syncing group of %d frames: %w", len(group), serr)
-		}
-		l.fsyncs.Add(1)
-		return nil
-	}()
-	if err == nil {
-		l.segMu.Lock()
-		l.activeSize += int64(total)
-		l.segMu.Unlock()
-		l.offset.Add(records)
-		l.appendedFrames.Add(uint64(len(group)))
-		l.groupCommits.Add(1)
-		if int64(len(group)) > l.maxGroupFrames.Load() {
-			// Only this goroutine writes maxGroupFrames, so the
-			// load/store pair cannot lose an update.
-			l.maxGroupFrames.Store(int64(len(group)))
-		}
-		l.groupFrames.Observe(float64(len(group)))
-		if l.activeSize >= l.segMax {
-			// The frames are already durable, so a failed rotation
-			// must not turn the acks into errors: keep the oversized
-			// segment active and let the next group retry the rotation.
-			_ = l.createSegmentLocked(l.offset.Load())
-		}
-	}
-	l.mu.Unlock()
-	for _, r := range group {
-		r.done <- err
 	}
 }
 
@@ -828,7 +722,7 @@ func (l *Log) Compact(through uint64) error {
 
 // Offset reports how many records have been appended over the log's
 // lifetime (surviving compaction, which only drops covered segments).
-// Lock-free: never waits on the committer's l.mu.
+// Lock-free: never waits on an append's l.mu.
 func (l *Log) Offset() uint64 { return l.offset.Load() }
 
 // TornTail reports whether opening the log found (and truncated) a torn
@@ -856,8 +750,6 @@ func (l *Log) Stats() WALStats {
 	return WALStats{
 		AppendedFrames: l.appendedFrames.Load(),
 		Fsyncs:         l.fsyncs.Load(),
-		GroupCommits:   l.groupCommits.Load(),
-		MaxGroupFrames: int(l.maxGroupFrames.Load()),
 		Rollbacks:      l.rollbacks.Load(),
 		Wedges:         l.wedges.Load(),
 	}
@@ -901,19 +793,10 @@ func (l *Log) SizePast(offset uint64) int64 {
 	return total
 }
 
-// Close flushes queued group commits, syncs, and closes the active
-// segment. Appends already queued are committed and acknowledged;
-// further appends fail.
+// Close syncs and closes the active segment. An append already holding
+// l.mu finishes first and is acknowledged durably; later appends fail
+// with errLogClosed.
 func (l *Log) Close() error {
-	l.qmu.Lock()
-	if !l.qclosed {
-		l.qclosed = true
-		l.qcond.Broadcast()
-	}
-	l.qmu.Unlock()
-	// The committer drains the queue before exiting, so waiters enqueued
-	// ahead of Close get durable acks, not errors.
-	<-l.committerDone
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

@@ -9,8 +9,8 @@ import (
 
 // TestMetadataReadersNeverTakeCommitterMutex pins the lock-free
 // metadata contract directly on the Log: with an append parked inside
-// its fsync — the committer holding l.mu — Offset, Stats, SizeBytes,
-// SizePast, and Segments must all return immediately.
+// its fsync, holding l.mu, Offset, Stats, SizeBytes, SizePast, and
+// Segments must all return immediately.
 func TestMetadataReadersNeverTakeCommitterMutex(t *testing.T) {
 	fs := newFaultFS()
 	l, err := OpenLog(t.TempDir(), Options{FS: fs})
@@ -55,7 +55,7 @@ func TestMetadataReadersNeverTakeCommitterMutex(t *testing.T) {
 	select {
 	case <-readersDone:
 	case <-time.After(2 * time.Second):
-		t.Fatal("metadata readers blocked behind the committer's fsync")
+		t.Fatal("metadata readers blocked behind an append's fsync")
 	}
 
 	close(gate.release)

@@ -29,7 +29,7 @@
 // Collector callbacks run while the registry lock is held and must not
 // block: reading an atomic or taking a short in-memory mutex is fine,
 // disk or lock-held-across-fsync paths are not. That contract is why
-// persist's metadata readers moved off the committer's mutex — a
+// persist's metadata readers stay off the WAL's append mutex — a
 // scrape must complete while an fsync is in flight.
 //
 // All methods are safe for concurrent use. A nil *Counter, *Gauge, or
