@@ -182,7 +182,7 @@ func checkFilter(t *testing.T, how string, s *Store, f Filter, want []Record) {
 		}
 		for _, q := range []float64{0, 50, 95} {
 			v, n, err := s.Aggregate(f, m, q)
-			wv, werr := stats.PercentileInPlace(slices.Clone(vals), q, stats.Linear)
+			wv, werr := stats.PercentileInPlace(slices.Clone(vals), q)
 			if n != len(vals) || !errors.Is(err, werr) || math.Float64bits(v) != math.Float64bits(wv) {
 				t.Fatalf("%s: Aggregate(%v, p%v) = %v, %d, %v; want %v, %d, %v", how, m, q, v, n, err, wv, len(vals), werr)
 			}

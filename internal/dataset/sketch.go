@@ -268,7 +268,7 @@ func (a *cellAccum) quantile(q01, pct float64) (float64, error) {
 	if a.merged == nil {
 		// Every contributing cell is still exact: answer bit-identically
 		// to a full scan, selecting in place on the values add copied.
-		return stats.PercentileInPlace(a.exact, pct, stats.Linear)
+		return stats.PercentileInPlace(a.exact, pct)
 	}
 	for _, x := range a.exact {
 		a.merged.Add(x)

@@ -640,7 +640,7 @@ func (s *Store) Aggregate(f Filter, m Metric, q float64) (float64, int, error) {
 	}
 	if !f.CellIndexed() {
 		vals := s.Values(f, m)
-		v, err := stats.PercentileInPlace(vals, q, stats.Linear)
+		v, err := stats.PercentileInPlace(vals, q)
 		return v, len(vals), err
 	}
 	a := s.cells.AggregateCells(f.RegionPrefix, []CellQuery{{Dataset: f.Dataset, Metric: m, Q: q}})[0]

@@ -102,9 +102,22 @@ func sameScore(t *testing.T, what string, got Score, gotErr error, want Score, w
 
 func TestGatheredScoresMatchPerCellQueries(t *testing.T) {
 	store := gatherStore(t)
-	cfg := DefaultConfig()
+	// Besides the default, a cell layout unlike it: datasets out of name
+	// order, capabilities out of requirement order with one repeated, and
+	// the same-tail convention at another percentile.
+	odd := DefaultConfig()
+	odd.Datasets = []DatasetInfo{
+		{Name: DatasetOokla, Capabilities: []Requirement{Latency, Download, Latency}},
+		{Name: DatasetNDT, Capabilities: []Requirement{Loss, Upload, Download, Latency}},
+	}
+	odd.DatasetWeights = EqualDatasetWeights(odd.Datasets)
+	odd.Convention, odd.Percentile = SameTail, 90
 	src := rng.New(3)
 	for i := 0; i < 150; i++ {
+		cfg := DefaultConfig()
+		if i%2 == 1 {
+			cfg = odd
+		}
 		f := dataset.Filter{RegionPrefix: gatherRegions[src.Intn(len(gatherRegions))]}
 		if src.Bool(0.8) {
 			from := src.Intn(7 * 24)
@@ -210,5 +223,38 @@ func TestScoreWindowsTinyWindows(t *testing.T) {
 	})
 	if limit := float64(len(points)) / 100; allocs > limit {
 		t.Errorf("%v allocations for %d windows, want at most %v", allocs, len(points), limit)
+	}
+}
+
+// TestScoreAllocs pins what one score allocates on the compiled plan.
+// ScoreAggregates on every default cell makes 11 allocations: 7 to
+// compile the plan, 1 to read the aggregates into it and 3 for the
+// result's use-case, requirement and dataset slices. An unbounded county
+// ScoreRegion answered from the cell index makes 24: the plan's 7 and
+// the result's 3 as above, 1 for the cell aggregates, and the sketcher
+// walk's 13 (its answers, its accumulators and one exact copy per cell).
+// The ceilings leave 2 for toolchain differences.
+func TestScoreAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	agg := NewAggregates()
+	for _, d := range cfg.Datasets {
+		for _, r := range d.Capabilities {
+			agg.Set(d.Name, r, 42, 100)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := cfg.ScoreAggregates(agg); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 11+2 {
+		t.Errorf("ScoreAggregates: %v allocations, want at most 13", n)
+	}
+	store := gatherStore(t)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := cfg.ScoreRegion(store, "XA-01-002", time.Time{}, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 24+2 {
+		t.Errorf("county ScoreRegion: %v allocations, want at most 26", n)
 	}
 }

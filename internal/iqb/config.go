@@ -87,80 +87,12 @@ func DefaultConfig() Config {
 }
 
 // Validate checks the configuration is complete and internally
-// consistent.
+// consistent. It compiles the dense scoring layout every Config method
+// scores with, and discards it, so every method that scores rejects
+// exactly the configs Validate rejects.
 func (c Config) Validate() error {
-	if err := validateDatasets(c.Datasets); err != nil {
-		return err
-	}
-	if err := c.Thresholds.Validate(); err != nil {
-		return err
-	}
-	if c.Percentile <= 0 || c.Percentile >= 100 {
-		return fmt.Errorf("iqb: percentile %v out of (0,100)", c.Percentile)
-	}
-	if c.Quality != MinimumQuality && c.Quality != HighQuality {
-		return fmt.Errorf("iqb: unknown quality level %d", int(c.Quality))
-	}
-	if c.Convention != MirrorTail && c.Convention != SameTail {
-		return fmt.Errorf("iqb: unknown convention %d", int(c.Convention))
-	}
-	if c.MinSamples < 1 {
-		return fmt.Errorf("iqb: min samples %d must be >= 1", c.MinSamples)
-	}
-	if len(c.UseCaseWeights) == 0 {
-		return fmt.Errorf("iqb: no use case weights")
-	}
-	if _, err := NormalizeUseCaseWeights(c.UseCaseWeights); err != nil {
-		return err
-	}
-	for u := range c.UseCaseWeights {
-		if int(u) < 0 || int(u) >= int(numUseCases) {
-			return fmt.Errorf("iqb: weight for unknown use case %d", int(u))
-		}
-		reqs, ok := c.RequirementWeights[u]
-		if !ok {
-			return fmt.Errorf("iqb: no requirement weights for %v", u)
-		}
-		for _, r := range AllRequirements() {
-			if _, ok := reqs[r]; !ok {
-				return fmt.Errorf("iqb: no weight for %v/%v", u, r)
-			}
-			if !reqs[r].Valid() {
-				return fmt.Errorf("iqb: weight %d for %v/%v out of [0,5]", reqs[r], u, r)
-			}
-		}
-		if _, err := NormalizeRequirementWeights(reqs); err != nil {
-			return fmt.Errorf("iqb: %v: %w", u, err)
-		}
-		dsw, ok := c.DatasetWeights[u]
-		if !ok {
-			return fmt.Errorf("iqb: no dataset weights for %v", u)
-		}
-		for _, r := range AllRequirements() {
-			cell, ok := dsw[r]
-			if !ok {
-				return fmt.Errorf("iqb: no dataset weights for %v/%v", u, r)
-			}
-			for name, w := range cell {
-				if !w.Valid() {
-					return fmt.Errorf("iqb: weight %d for %v/%v/%s out of [0,5]", w, u, r, name)
-				}
-				found := false
-				for _, d := range c.Datasets {
-					if d.Name == name {
-						found = true
-						if !d.Measures(r) {
-							return fmt.Errorf("iqb: dataset %s weighted for %v it cannot measure", name, r)
-						}
-					}
-				}
-				if !found {
-					return fmt.Errorf("iqb: weight references unregistered dataset %q", name)
-				}
-			}
-		}
-	}
-	return nil
+	_, err := c.compile()
+	return err
 }
 
 // Hash returns a stable fingerprint of the configuration: two configs

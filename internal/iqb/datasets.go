@@ -1,9 +1,6 @@
 package iqb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Dataset name constants for the three pipelines the poster builds on.
 const (
@@ -59,7 +56,7 @@ func DefaultDatasets() []DatasetInfo {
 // validateDatasets checks names are unique and capabilities non-empty.
 func validateDatasets(ds []DatasetInfo) error {
 	if len(ds) == 0 {
-		return fmt.Errorf("iqb: no datasets configured")
+		return errNoDatasets
 	}
 	seen := map[string]bool{}
 	for _, d := range ds {
@@ -80,14 +77,4 @@ func validateDatasets(ds []DatasetInfo) error {
 		}
 	}
 	return nil
-}
-
-// datasetNames returns the sorted names of the registry.
-func datasetNames(ds []DatasetInfo) []string {
-	out := make([]string, len(ds))
-	for i, d := range ds {
-		out[i] = d.Name
-	}
-	sort.Strings(out)
-	return out
 }

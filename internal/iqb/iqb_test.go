@@ -76,54 +76,62 @@ func TestTable1Exact(t *testing.T) {
 	}
 }
 
+// TestWeightNormalization: on data usable everywhere, every tier's
+// normalized weights of the default config lie in [0, 1] and sum to 1.
 func TestWeightNormalization(t *testing.T) {
-	for u, reqs := range Table1Weights() {
-		norm, err := NormalizeRequirementWeights(reqs)
-		if err != nil {
-			t.Fatalf("%v: %v", u, err)
-		}
+	s, err := DefaultConfig().ScoreAggregates(allPass())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ucSum := 0.0
+	for _, uc := range s.UseCases {
+		ucSum += uc.NormWeight
 		sum := 0.0
-		for _, w := range norm {
-			if w < 0 || w > 1 {
-				t.Errorf("%v: normalized weight %v out of [0,1]", u, w)
+		for _, rs := range uc.Requirements {
+			if rs.NormWeight < 0 || rs.NormWeight > 1 {
+				t.Errorf("%v: normalized weight %v out of [0,1]", uc.UseCase, rs.NormWeight)
 			}
-			sum += w
+			sum += rs.NormWeight
 		}
 		if math.Abs(sum-1) > 1e-12 {
-			t.Errorf("%v: normalized weights sum to %v", u, sum)
+			t.Errorf("%v: normalized weights sum to %v", uc.UseCase, sum)
 		}
+	}
+	if math.Abs(ucSum-1) > 1e-12 {
+		t.Errorf("use-case weights sum to %v", ucSum)
 	}
 	// Gaming latency (5) must be the single largest normalized weight in
 	// its row.
-	norm, _ := NormalizeRequirementWeights(Table1Weights()[Gaming])
-	for r, w := range norm {
-		if r != Latency && w >= norm[Latency] {
-			t.Errorf("gaming: %v weight %v >= latency %v", r, w, norm[Latency])
+	gaming, _ := s.UseCaseByName(Gaming)
+	lat := gaming.Requirements[Latency].NormWeight
+	for _, rs := range gaming.Requirements {
+		if rs.Requirement != Latency && rs.NormWeight >= lat {
+			t.Errorf("gaming: %v weight %v >= latency %v", rs.Requirement, rs.NormWeight, lat)
 		}
 	}
 }
 
-// Property: normalization sums to 1 for any valid non-zero weight map.
+// Property: a use case's requirement weights validate exactly when they
+// sum above 0, and then normalize to 1.
 func TestNormalizationProperty(t *testing.T) {
 	f := func(a, b, c, d uint8) bool {
+		cfg := DefaultConfig()
 		ws := map[Requirement]Weight{
 			Download: Weight(a % 6), Upload: Weight(b % 6),
 			Latency: Weight(c % 6), Loss: Weight(d % 6),
 		}
-		total := 0
-		for _, w := range ws {
-			total += int(w)
-		}
-		norm, err := NormalizeRequirementWeights(ws)
-		if total == 0 {
+		cfg.RequirementWeights[Gaming] = ws
+		s, err := cfg.ScoreAggregates(allPass())
+		if ws[Download]+ws[Upload]+ws[Latency]+ws[Loss] == 0 {
 			return err != nil
 		}
 		if err != nil {
 			return false
 		}
+		gaming, _ := s.UseCaseByName(Gaming)
 		sum := 0.0
-		for _, w := range norm {
-			sum += w
+		for _, rs := range gaming.Requirements {
+			sum += rs.NormWeight
 		}
 		return math.Abs(sum-1) < 1e-12
 	}
@@ -133,11 +141,15 @@ func TestNormalizationProperty(t *testing.T) {
 }
 
 func TestNormalizationErrors(t *testing.T) {
-	if _, err := NormalizeUseCaseWeights(UseCaseWeights{WebBrowsing: 0}); err == nil {
-		t.Error("all-zero weights should error")
+	c := DefaultConfig()
+	c.UseCaseWeights = UseCaseWeights{WebBrowsing: 0}
+	if err := c.Validate(); err == nil || err.Error() != "iqb: weights sum to zero" {
+		t.Errorf("all-zero use-case weights: err = %v", err)
 	}
-	if _, err := NormalizeDatasetWeights(map[string]Weight{"x": 9}); err == nil {
-		t.Error("weight above 5 should error")
+	c = DefaultConfig()
+	c.UseCaseWeights[Gaming] = 9
+	if err := c.Validate(); err == nil || err.Error() != "iqb: weight 9 out of [0,5]" {
+		t.Errorf("use-case weight above 5: err = %v", err)
 	}
 }
 
@@ -193,41 +205,39 @@ func TestThresholdsValidateRejects(t *testing.T) {
 	}
 }
 
+// TestThresholdMeets: a cell meets its bar at the configured quality
+// level, inclusively, in the requirement's direction.
 func TestThresholdMeets(t *testing.T) {
-	th := DefaultThresholds()
-	// Gaming latency high bar is 30 ms.
+	// Gaming's latency bars are 30 ms (high) and 100 ms (minimum), its
+	// download bars 50 and 10 Mbit/s.
 	for _, tc := range []struct {
+		r     Requirement
 		value float64
 		q     QualityLevel
 		want  bool
 	}{
-		{25, HighQuality, true},
-		{30, HighQuality, true},
-		{31, HighQuality, false},
-		{90, MinimumQuality, true},
-		{101, MinimumQuality, false},
+		{Latency, 25, HighQuality, true},
+		{Latency, 30, HighQuality, true},
+		{Latency, 31, HighQuality, false},
+		{Latency, 90, MinimumQuality, true},
+		{Latency, 101, MinimumQuality, false},
+		{Download, 49, HighQuality, false},
+		{Download, 50, HighQuality, true},
+		{Download, 10, MinimumQuality, true},
 	} {
-		got, err := th.Meets(Gaming, Latency, tc.q, tc.value)
+		agg := allPass()
+		agg.Set(DatasetNDT, tc.r, tc.value, 100)
+		c := DefaultConfig()
+		c.Quality = tc.q
+		s, err := c.ScoreAggregates(agg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != tc.want {
-			t.Errorf("Meets(gaming, latency, %v, %v) = %v", tc.q, tc.value, got)
+		// Datasets come in name order: cloudflare, ndt, ookla.
+		gaming, _ := s.UseCaseByName(Gaming)
+		if cell := gaming.Requirements[tc.r].Datasets[1]; cell.Dataset != DatasetNDT || cell.Met != tc.want {
+			t.Errorf("gaming %v %v at %v: %s met %v, want ndt met %v", tc.r, tc.value, tc.q, cell.Dataset, cell.Met, tc.want)
 		}
-	}
-	// Download is a lower bound.
-	if ok, _ := th.Meets(Gaming, Download, HighQuality, 49); ok {
-		t.Error("49 < 50 should fail gaming download high bar")
-	}
-	if ok, _ := th.Meets(Gaming, Download, HighQuality, 50); !ok {
-		t.Error("50 should meet gaming download high bar")
-	}
-	if _, err := th.Meets(UseCase(9), Download, HighQuality, 1); err == nil {
-		t.Error("unknown use case should error")
-	}
-	delete(th[Gaming], Download)
-	if _, err := th.Meets(Gaming, Download, HighQuality, 1); err == nil {
-		t.Error("missing cell should error")
 	}
 }
 
@@ -269,10 +279,6 @@ func TestDefaultDatasets(t *testing.T) {
 	}
 	if err := validateDatasets(ds); err != nil {
 		t.Error(err)
-	}
-	names := datasetNames(ds)
-	if len(names) != 3 || names[0] != "cloudflare" {
-		t.Errorf("names = %v", names)
 	}
 }
 
@@ -325,12 +331,26 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"ds weight out of range", func(c *Config) { c.DatasetWeights[Gaming][Loss][DatasetNDT] = 7 }},
 		{"unregistered ds", func(c *Config) { c.DatasetWeights[Gaming][Loss]["mystery"] = 1 }},
 		{"incapable ds", func(c *Config) { c.DatasetWeights[Gaming][Loss][DatasetOokla] = 1 }},
+		{"unregistered ds out of range", func(c *Config) { c.DatasetWeights[Gaming][Loss]["mystery"] = 8 }},
+		{"no datasets", func(c *Config) { c.Datasets = nil }},
+		{"zero req weights", func(c *Config) {
+			c.RequirementWeights[Gaming] = map[Requirement]Weight{Download: 0, Upload: 0, Latency: 0, Loss: 0}
+		}},
+		{"unknown requirement out of range", func(c *Config) { c.RequirementWeights[Gaming][Requirement(9)] = 7 }},
+		{"use case weight out of range", func(c *Config) { c.UseCaseWeights[Gaming] = 6 }},
 	}
 	for _, m := range mutations {
 		c := DefaultConfig()
 		m.mut(&c)
-		if err := c.Validate(); err == nil {
+		err := c.Validate()
+		if err == nil {
 			t.Errorf("%s: config should be invalid", m.name)
+			continue
+		}
+		// Each mutation makes one fault, so the reference's answer does not
+		// depend on its map iteration order.
+		if want := refValidate(c); err.Error() != want.Error() {
+			t.Errorf("%s: %v, want %v", m.name, err, want)
 		}
 	}
 }
@@ -534,6 +554,42 @@ func TestScoreNoData(t *testing.T) {
 	bad.Percentile = -1
 	if _, err := bad.ScoreAggregates(allPass()); err == nil {
 		t.Error("invalid config should error")
+	}
+}
+
+// TestZeroWeightedUsableRequirements: a use case whose usable
+// requirements all weigh 0 contributes nothing and is left out of the
+// top tier, and a score with no positively weighted use case left is
+// ErrNoUsableData, not a failure of a config that validates.
+func TestZeroWeightedUsableRequirements(t *testing.T) {
+	agg := NewAggregates()
+	agg.Set(DatasetNDT, Upload, 100, 100)
+	c := DefaultConfig()
+	for _, u := range AllUseCases() {
+		c.RequirementWeights[u][Upload] = 0
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ScoreAggregates(agg); !errors.Is(err, ErrNoUsableData) {
+		t.Errorf("upload weighted 0 everywhere, only upload data: err = %v, want ErrNoUsableData", err)
+	}
+	// E7's step down of audio streaming's upload weight from 1 to 0 leaves
+	// audio streaming out; the other five use cases pass on upload alone.
+	c = DefaultConfig()
+	c.RequirementWeights[AudioStreaming][Upload] = 0
+	s, err := c.ScoreAggregates(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(s.IQB-1) > 1e-12 {
+		t.Errorf("IQB = %v, want 1", s.IQB)
+	}
+	if audio, _ := s.UseCaseByName(AudioStreaming); audio.Score != 0 || audio.NormWeight != 0 {
+		t.Errorf("audio streaming scores %v at weight %v, want 0 at 0", audio.Score, audio.NormWeight)
+	}
+	if _, err := DefaultConfig().WeightSensitivity(agg); err != nil {
+		t.Errorf("WeightSensitivity on upload data alone: %v", err)
 	}
 }
 

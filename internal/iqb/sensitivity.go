@@ -1,11 +1,8 @@
 package iqb
 
 import (
-	"errors"
 	"fmt"
 	"sort"
-
-	"iqb/internal/units"
 )
 
 // LeaveOneOut holds the score obtained when one dataset is removed,
@@ -18,35 +15,27 @@ type LeaveOneOut struct {
 }
 
 // LeaveOneOutAnalysis recomputes the score with each dataset excluded in
-// turn. Datasets whose removal leaves no usable data are skipped.
+// turn, in dataset-name order. Datasets whose removal leaves no usable
+// data are skipped. A configuration of one dataset fails: without it no
+// dataset is configured.
 func (c Config) LeaveOneOutAnalysis(agg *Aggregates) (full Score, outs []LeaveOneOut, err error) {
-	full, err = c.ScoreAggregates(agg)
+	p, vals, err := c.read(func(p *plan) ([]cellAggregate, error) { return p.values(agg) })
 	if err != nil {
 		return Score{}, nil, err
 	}
-	for _, d := range c.Datasets {
-		reduced := c
-		reduced.Datasets = nil
-		for _, other := range c.Datasets {
-			if other.Name != d.Name {
-				reduced.Datasets = append(reduced.Datasets, other)
-			}
-		}
-		// Drop the excluded dataset's weights too.
-		reduced.DatasetWeights = cloneDatasetWeights(c.DatasetWeights)
-		for _, u := range AllUseCases() {
-			for _, r := range AllRequirements() {
-				delete(reduced.DatasetWeights[u][r], d.Name)
-			}
-		}
-		s, err := reduced.ScoreAggregates(agg)
-		if errors.Is(err, ErrNoUsableData) {
+	if full, err = p.score(vals); err != nil {
+		return Score{}, nil, err
+	}
+	if len(p.names) == 1 {
+		return Score{}, nil, fmt.Errorf("iqb: leave-one-out without %s: %w", p.names[0], errNoDatasets)
+	}
+	for i, name := range p.names {
+		// A score fails only with ErrNoUsableData.
+		s, err := p.without(i).score(vals)
+		if err != nil {
 			continue
 		}
-		if err != nil {
-			return Score{}, nil, fmt.Errorf("iqb: leave-one-out without %s: %w", d.Name, err)
-		}
-		outs = append(outs, LeaveOneOut{Dataset: d.Name, Score: s.IQB, Delta: s.IQB - full.IQB})
+		outs = append(outs, LeaveOneOut{Dataset: name, Score: s.IQB, Delta: s.IQB - full.IQB})
 	}
 	sort.Slice(outs, func(i, j int) bool { return outs[i].Dataset < outs[j].Dataset })
 	return full, outs, nil
@@ -65,9 +54,15 @@ type WeightPerturbation struct {
 }
 
 // WeightSensitivity perturbs every Table 1 cell by ±1 and reports the
-// induced score ranges, largest first — experiment E7.
+// induced score ranges, largest first — experiment E7. A step down that
+// leaves no positively weighted use case with usable data keeps the base
+// score.
 func (c Config) WeightSensitivity(agg *Aggregates) ([]WeightPerturbation, error) {
-	base, err := c.ScoreAggregates(agg)
+	p, vals, err := c.read(func(p *plan) ([]cellAggregate, error) { return p.values(agg) })
+	if err != nil {
+		return nil, err
+	}
+	base, err := p.score(vals)
 	if err != nil {
 		return nil, err
 	}
@@ -75,58 +70,35 @@ func (c Config) WeightSensitivity(agg *Aggregates) ([]WeightPerturbation, error)
 	for _, u := range AllUseCases() {
 		for _, r := range AllRequirements() {
 			w := c.RequirementWeights[u][r]
-			p := WeightPerturbation{
+			// scoreAt scores a copy of the plan with w(u,r) replaced; a use
+			// case the configuration does not weigh scores as the base.
+			scoreAt := func(w Weight) (Score, error) {
+				q := *p
+				q.useCases[u].reqs[r].weight = w
+				return q.score(vals)
+			}
+			pt := WeightPerturbation{
 				UseCase: u, UseCaseName: u.String(), Requirement: r.String(),
 				Base: w, ScoreDown: base.IQB, ScoreUp: base.IQB,
 			}
+			// A score fails only with ErrNoUsableData, which only a step down
+			// can bring about; such a step keeps the base score.
 			if w > 0 {
-				s, err := c.withRequirementWeight(u, r, w-1).ScoreAggregates(agg)
-				if err != nil && !errors.Is(err, ErrNoUsableData) {
-					return nil, err
-				}
-				if err == nil {
-					p.ScoreDown = s.IQB
+				if s, err := scoreAt(w - 1); err == nil {
+					pt.ScoreDown = s.IQB
 				}
 			}
 			if w < 5 {
-				s, err := c.withRequirementWeight(u, r, w+1).ScoreAggregates(agg)
-				if err != nil {
-					return nil, err
+				if s, err := scoreAt(w + 1); err == nil {
+					pt.ScoreUp = s.IQB
 				}
-				p.ScoreUp = s.IQB
 			}
-			lo, hi := p.ScoreDown, p.ScoreUp
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if base.IQB < lo {
-				lo = base.IQB
-			}
-			if base.IQB > hi {
-				hi = base.IQB
-			}
-			p.Range = hi - lo
-			out = append(out, p)
+			pt.Range = max(pt.ScoreDown, pt.ScoreUp, base.IQB) - min(pt.ScoreDown, pt.ScoreUp, base.IQB)
+			out = append(out, pt)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Range > out[j].Range })
 	return out, nil
-}
-
-// withRequirementWeight returns a copy of the config with one w(u,r)
-// replaced.
-func (c Config) withRequirementWeight(u UseCase, r Requirement, w Weight) Config {
-	out := c
-	out.RequirementWeights = make(RequirementWeights, len(c.RequirementWeights))
-	for uc, reqs := range c.RequirementWeights {
-		m := make(map[Requirement]Weight, len(reqs))
-		for rr, ww := range reqs {
-			m[rr] = ww
-		}
-		out.RequirementWeights[uc] = m
-	}
-	out.RequirementWeights[u][r] = w
-	return out
 }
 
 // SweepPoint is one point of a threshold sweep.
@@ -137,67 +109,38 @@ type SweepPoint struct {
 
 // ThresholdSweep recomputes the score while varying one threshold cell
 // across the given values (at the configured quality level) — experiment
-// E8. The returned points are in input order.
+// E8. The returned points are in input order. A value that no valid band
+// of the cell can hold at that level (a negative bar, or a loss bar
+// above 1) fails the sweep.
 func (c Config) ThresholdSweep(agg *Aggregates, u UseCase, r Requirement, values []float64) ([]SweepPoint, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("iqb: empty threshold sweep")
 	}
+	if u < 0 || u >= numUseCases || r < 0 || r >= numRequirements {
+		return nil, fmt.Errorf("iqb: sweep of unknown cell %v/%v", u, r)
+	}
+	p, err := c.compile()
+	if err != nil {
+		return nil, fmt.Errorf("iqb: sweep at %v: %w", values[0], err)
+	}
+	vals, aggErr := p.values(agg)
 	out := make([]SweepPoint, 0, len(values))
 	for _, v := range values {
-		mod := c
-		mod.Thresholds = cloneThresholds(c.Thresholds)
-		b := mod.Thresholds[u][r]
-		higherBetter := RequirementDirection(r) == units.HigherBetter
-		if c.Quality == HighQuality {
-			b.High = v
-			// Keep the band internally consistent so Validate passes.
-			if higherBetter && b.Minimum > b.High {
-				b.Minimum = b.High
-			} else if !higherBetter && b.Minimum < b.High {
-				b.Minimum = b.High
-			}
-		} else {
-			b.Minimum = v
-			if higherBetter && b.High < b.Minimum {
-				b.High = b.Minimum
-			} else if !higherBetter && b.High > b.Minimum {
-				b.High = b.Minimum
-			}
+		// The other bar of the band can always move to meet a bar at v,
+		// so v is valid exactly when the band {v, v} is.
+		if err := (Band{Minimum: v, High: v}).validate(u, r); err != nil {
+			return nil, fmt.Errorf("iqb: sweep at %v: %w", v, err)
 		}
-		mod.Thresholds[u][r] = b
-		s, err := mod.ScoreAggregates(agg)
+		if aggErr != nil {
+			return nil, fmt.Errorf("iqb: sweep at %v: %w", v, aggErr)
+		}
+		q := *p
+		q.useCases[u].reqs[r].threshold = v
+		s, err := q.score(vals)
 		if err != nil {
 			return nil, fmt.Errorf("iqb: sweep at %v: %w", v, err)
 		}
 		out = append(out, SweepPoint{Threshold: v, Score: s.IQB})
 	}
 	return out, nil
-}
-
-func cloneThresholds(t Thresholds) Thresholds {
-	out := make(Thresholds, len(t))
-	for u, reqs := range t {
-		m := make(map[Requirement]Band, len(reqs))
-		for r, b := range reqs {
-			m[r] = b
-		}
-		out[u] = m
-	}
-	return out
-}
-
-func cloneDatasetWeights(w DatasetWeights) DatasetWeights {
-	out := make(DatasetWeights, len(w))
-	for u, reqs := range w {
-		m := make(map[Requirement]map[string]Weight, len(reqs))
-		for r, cell := range reqs {
-			inner := make(map[string]Weight, len(cell))
-			for name, ww := range cell {
-				inner[name] = ww
-			}
-			m[r] = inner
-		}
-		out[u] = m
-	}
-	return out
 }

@@ -110,38 +110,32 @@ func (t Thresholds) Validate() error {
 			if !ok {
 				return fmt.Errorf("iqb: thresholds missing %v/%v", u, r)
 			}
-			if b.Minimum < 0 || b.High < 0 {
-				return fmt.Errorf("iqb: negative threshold for %v/%v", u, r)
-			}
-			switch RequirementDirection(r) {
-			case units.HigherBetter:
-				if b.High < b.Minimum {
-					return fmt.Errorf("iqb: %v/%v high bar %v below minimum bar %v", u, r, b.High, b.Minimum)
-				}
-			case units.LowerBetter:
-				if b.High > b.Minimum {
-					return fmt.Errorf("iqb: %v/%v high bar %v above minimum bar %v", u, r, b.High, b.Minimum)
-				}
-			}
-			if r == Loss && (b.Minimum > 1 || b.High > 1) {
-				return fmt.Errorf("iqb: %v loss threshold above 1 (must be a fraction)", u)
+			if err := b.validate(u, r); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// Meets reports whether an aggregated metric value satisfies the
-// threshold for (u, r) at quality level q — this is the binary
-// requirement score S(u,r,d) of the paper, for one dataset's aggregate.
-func (t Thresholds) Meets(u UseCase, r Requirement, q QualityLevel, value float64) (bool, error) {
-	reqs, ok := t[u]
-	if !ok {
-		return false, fmt.Errorf("iqb: no thresholds for use case %v", u)
+// validate checks the band of cell (u, r): both bars non-negative,
+// ordered by the requirement's direction, and fractions for loss.
+func (b Band) validate(u UseCase, r Requirement) error {
+	if b.Minimum < 0 || b.High < 0 {
+		return fmt.Errorf("iqb: negative threshold for %v/%v", u, r)
 	}
-	b, ok := reqs[r]
-	if !ok {
-		return false, fmt.Errorf("iqb: no threshold for %v/%v", u, r)
+	switch RequirementDirection(r) {
+	case units.HigherBetter:
+		if b.High < b.Minimum {
+			return fmt.Errorf("iqb: %v/%v high bar %v below minimum bar %v", u, r, b.High, b.Minimum)
+		}
+	case units.LowerBetter:
+		if b.High > b.Minimum {
+			return fmt.Errorf("iqb: %v/%v high bar %v above minimum bar %v", u, r, b.High, b.Minimum)
+		}
 	}
-	return RequirementDirection(r).Meets(value, b.At(q)), nil
+	if r == Loss && (b.Minimum > 1 || b.High > 1) {
+		return fmt.Errorf("iqb: %v loss threshold above 1 (must be a fraction)", u)
+	}
+	return nil
 }

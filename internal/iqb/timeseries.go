@@ -55,7 +55,8 @@ func (c Config) ScoreWindows(store *dataset.Store, region string, start, end tim
 	if store == nil {
 		return nil, fmt.Errorf("iqb: nil store")
 	}
-	if err := c.Validate(); err != nil {
+	p, err := c.compile()
+	if err != nil {
 		return nil, err
 	}
 	// Order the records by window so one pass sweeps the windows in turn.
@@ -63,47 +64,37 @@ func (c Config) ScoreWindows(store *dataset.Store, region string, start, end tim
 		window int64
 		row    *dataset.Row
 	}
-	v := store.Gather(dataset.Filter{RegionPrefix: region, From: start, To: end}, c.names())
+	v := store.Gather(dataset.Filter{RegionPrefix: region, From: start, To: end}, p.names)
 	bins := make([]binned, len(v.Rows))
 	for i, r := range v.Rows {
 		bins[i] = binned{int64(r.Time().Sub(start) / window), r}
 	}
 	slices.SortFunc(bins, func(a, b binned) int { return cmp.Compare(a.window, b.window) })
 	var out []TimePoint
-	cv := c.newCellValues()
+	buckets := make([][]float64, len(p.cells))
+	vals := make([]cellAggregate, len(p.cells))
 	for w, from := int64(0), start; from.Before(end); w, from = w+1, from.Add(window) {
 		to := from.Add(window)
 		if to.After(end) {
 			to = end
 		}
-		p := TimePoint{From: from, To: to, NoData: true}
+		pt := TimePoint{From: from, To: to, NoData: true}
 		n := 0
 		for ; n < len(bins) && bins[n].window == w; n++ {
-			c.add(cv, v.DatasetIndex(bins[n].row), bins[n].row)
+			p.gather(buckets, v.DatasetIndex(bins[n].row), bins[n].row)
 		}
 		if n > 0 {
 			bins = bins[n:]
-			score, err := c.scoreValues(cv)
-			cv.reset()
+			score, err := p.scoreBuckets(buckets, vals)
 			if err == nil {
-				p.Score, p.NoData = score, false
+				pt.Score, pt.NoData = score, false
 			} else if !errors.Is(err, ErrNoUsableData) {
 				return nil, fmt.Errorf("iqb: window %v: %w", from, err)
 			}
 		}
-		out = append(out, p)
+		out = append(out, pt)
 	}
 	return out, nil
-}
-
-// scoreValues scores one scope's gathered cells under a validated
-// configuration.
-func (c Config) scoreValues(cv cellValues) (Score, error) {
-	agg, err := c.aggregateValues(cv)
-	if err != nil {
-		return Score{}, err
-	}
-	return c.scoreAggregates(agg)
 }
 
 // HourBucket is one hour-of-day slice of a diurnal score profile.
@@ -131,24 +122,25 @@ func (c Config) ScoreByHourOfDay(store *dataset.Store, region string, bandHours 
 	if store == nil {
 		return nil, fmt.Errorf("iqb: nil store")
 	}
-	if err := c.Validate(); err != nil {
+	p, err := c.compile()
+	if err != nil {
 		return nil, err
 	}
 	bands := make([][]*dataset.Row, 24/bandHours)
-	v := store.Gather(dataset.Filter{RegionPrefix: region}, c.names())
+	v := store.Gather(dataset.Filter{RegionPrefix: region}, p.names)
 	for _, r := range v.Rows {
 		b := r.Time().Hour() / bandHours
 		bands[b] = append(bands[b], r)
 	}
 	out := make([]HourBucket, len(bands))
-	cv := c.newCellValues()
+	buckets := make([][]float64, len(p.cells))
+	vals := make([]cellAggregate, len(p.cells))
 	for i, rows := range bands {
 		out[i] = HourBucket{FromHour: i * bandHours, ToHour: (i + 1) * bandHours, Records: len(rows), NoData: true}
 		for _, r := range rows {
-			c.add(cv, v.DatasetIndex(r), r)
+			p.gather(buckets, v.DatasetIndex(r), r)
 		}
-		score, err := c.scoreValues(cv)
-		cv.reset()
+		score, err := p.scoreBuckets(buckets, vals)
 		if err == nil {
 			out[i].Score, out[i].NoData = score, false
 		} else if !errors.Is(err, ErrNoUsableData) {

@@ -98,6 +98,8 @@ const (
 	Upload   = dataset.Upload
 	Latency  = dataset.Latency
 	Loss     = dataset.Loss
+	// numRequirements sizes arrays indexed by Requirement.
+	numRequirements = Loss + 1
 )
 
 // AllRequirements returns every requirement in declaration order.

@@ -1,9 +1,5 @@
 package iqb
 
-import (
-	"fmt"
-)
-
 // Weight is an integer importance rating between 0 and 5, as assigned by
 // the paper's expert panel.
 type Weight int
@@ -72,41 +68,4 @@ func EqualDatasetWeights(datasets []DatasetInfo) DatasetWeights {
 		}
 	}
 	return out
-}
-
-// Normalize returns the normalized weights w' = w / Σw over the map's
-// values, preserving keys. It returns an error if the weights sum to
-// zero, which would make the tier undefined.
-func normalizeWeights[K comparable](ws map[K]Weight) (map[K]float64, error) {
-	total := 0
-	for _, w := range ws {
-		if !w.Valid() {
-			return nil, fmt.Errorf("iqb: weight %d out of [0,5]", w)
-		}
-		total += int(w)
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("iqb: weights sum to zero")
-	}
-	out := make(map[K]float64, len(ws))
-	for k, w := range ws {
-		out[k] = float64(w) / float64(total)
-	}
-	return out, nil
-}
-
-// NormalizeUseCaseWeights returns w'(u) for the configured use cases.
-func NormalizeUseCaseWeights(ws UseCaseWeights) (map[UseCase]float64, error) {
-	return normalizeWeights(ws)
-}
-
-// NormalizeRequirementWeights returns w'(u,r) for one use case.
-func NormalizeRequirementWeights(ws map[Requirement]Weight) (map[Requirement]float64, error) {
-	return normalizeWeights(ws)
-}
-
-// NormalizeDatasetWeights returns w'(u,r,d) for one (use case,
-// requirement) pair.
-func NormalizeDatasetWeights(ws map[string]Weight) (map[string]float64, error) {
-	return normalizeWeights(ws)
 }

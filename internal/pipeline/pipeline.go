@@ -17,9 +17,12 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -340,17 +343,11 @@ func (r *Result) RankCounties(cfg iqb.Config) ([]RegionScore, error) {
 		region, _ := r.World.DB.Region(code)
 		out = append(out, RegionScore{Region: code, Character: region.Character, Score: s})
 	}
-	// Stable sort by score descending, then code for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if b.Score.IQB > a.Score.IQB || (b.Score.IQB == a.Score.IQB && b.Region < a.Region) {
-				out[j-1], out[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
+	// Score descending, then code: the codes are unique, so the order is
+	// total and deterministic.
+	slices.SortFunc(out, func(a, b RegionScore) int {
+		return cmp.Or(cmp.Compare(b.Score.IQB, a.Score.IQB), strings.Compare(a.Region, b.Region))
+	})
 	return out, nil
 }
 
@@ -378,15 +375,8 @@ func (r *Result) RankISPs(cfg iqb.Config) ([]ISPScore, error) {
 			Score:       s,
 		})
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if b.Score.IQB > a.Score.IQB || (b.Score.IQB == a.Score.IQB && b.ASN < a.ASN) {
-				out[j-1], out[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
+	slices.SortFunc(out, func(a, b ISPScore) int {
+		return cmp.Or(cmp.Compare(b.Score.IQB, a.Score.IQB), cmp.Compare(a.ASN, b.ASN))
+	})
 	return out, nil
 }

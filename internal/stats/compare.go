@@ -6,9 +6,9 @@ import (
 	"sort"
 )
 
-// Pearson returns the Pearson linear correlation coefficient of the
+// pearson returns the Pearson linear correlation coefficient of the
 // paired samples xs and ys.
-func Pearson(xs, ys []float64) (float64, error) {
+func pearson(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("stats: paired samples differ in length: %d vs %d", len(xs), len(ys))
 	}
@@ -62,7 +62,7 @@ func Spearman(xs, ys []float64) (float64, error) {
 	if len(xs) < 2 {
 		return 0, fmt.Errorf("stats: correlation needs >= 2 pairs, got %d", len(xs))
 	}
-	return Pearson(ranks(xs), ranks(ys))
+	return pearson(ranks(xs), ranks(ys))
 }
 
 // KSStatistic returns the two-sample Kolmogorov-Smirnov statistic: the

@@ -11,13 +11,13 @@ func TestPearson(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	// Perfect positive linear relation.
 	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
+	r, err := pearson(xs, ys)
 	if err != nil || math.Abs(r-1) > 1e-12 {
 		t.Errorf("Pearson = %v, %v, want 1", r, err)
 	}
 	// Perfect negative.
 	neg := []float64{10, 8, 6, 4, 2}
-	r, _ = Pearson(xs, neg)
+	r, _ = pearson(xs, neg)
 	if math.Abs(r+1) > 1e-12 {
 		t.Errorf("Pearson = %v, want -1", r)
 	}
@@ -29,20 +29,20 @@ func TestPearson(t *testing.T) {
 		a[i] = src.Normal(0, 1)
 		b[i] = src.Normal(0, 1)
 	}
-	r, _ = Pearson(a, b)
+	r, _ = pearson(a, b)
 	if math.Abs(r) > 0.03 {
 		t.Errorf("independent Pearson = %v, want ~0", r)
 	}
 }
 
 func TestPearsonErrors(t *testing.T) {
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := pearson([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	if _, err := Pearson([]float64{1}, []float64{2}); err == nil {
+	if _, err := pearson([]float64{1}, []float64{2}); err == nil {
 		t.Error("single pair should error")
 	}
-	if _, err := Pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
+	if _, err := pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
 		t.Error("constant sample should error")
 	}
 }
@@ -55,7 +55,7 @@ func TestSpearman(t *testing.T) {
 	if err != nil || math.Abs(rho-1) > 1e-12 {
 		t.Errorf("Spearman = %v, %v, want 1", rho, err)
 	}
-	pr, _ := Pearson(xs, ys)
+	pr, _ := pearson(xs, ys)
 	if pr >= 1 {
 		t.Errorf("Pearson on cubic = %v, should be < 1", pr)
 	}

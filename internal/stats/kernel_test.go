@@ -9,13 +9,14 @@ import (
 )
 
 // The two kernels behind every exact and sketched percentile: selection
-// for PercentileWith and the dense bucket store for DDSketch. Each is
+// for Percentile and the dense bucket store for DDSketch. Each is
 // checked against the simplest implementation of the same answer — a
 // full sort, and a map of bucket counts built from the whole multiset.
 
-// refPercentileWith is the sort-based PercentileWith the selection
-// kernel replaced: copy, sort.Float64s, read the order statistics.
-func refPercentileWith(xs []float64, q float64, ip Interpolation) (float64, error) {
+// refPercentile is the sort-based Percentile the selection kernel
+// replaced: copy, sort.Float64s, interpolate between the order
+// statistics.
+func refPercentile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrNoData
 	}
@@ -38,44 +39,28 @@ func refPercentileWith(xs []float64, q float64, ip Interpolation) (float64, erro
 		hi = n - 1
 	}
 	frac := pos - float64(lo)
-	switch ip {
-	case Lower:
-		return sorted[lo], nil
-	case Higher:
-		return sorted[hi], nil
-	case Nearest:
-		if frac < 0.5 {
-			return sorted[lo], nil
-		}
-		return sorted[hi], nil
-	case Midpoint:
-		return (sorted[lo] + sorted[hi]) / 2, nil
-	default:
-		return sorted[lo] + frac*(sorted[hi]-sorted[lo]), nil
-	}
+	return sorted[lo] + frac*(sorted[hi]-sorted[lo]), nil
 }
 
-var allRules = []Interpolation{Linear, Lower, Higher, Nearest, Midpoint}
-
-// checkSelectMatchesSort compares PercentileWith with the sort-based
+// checkSelectMatchesSort compares Percentile with the sort-based
 // reference bit for bit. The one licence: -0 and +0, which the sort
 // order treats as equal, may trade places, so a zero answer may carry
 // either sign.
-func checkSelectMatchesSort(t *testing.T, xs []float64, q float64, ip Interpolation) {
+func checkSelectMatchesSort(t *testing.T, xs []float64, q float64) {
 	t.Helper()
 	orig := append([]float64(nil), xs...)
-	want, werr := refPercentileWith(xs, q, ip)
-	got, gerr := PercentileWith(xs, q, ip)
+	want, werr := refPercentile(xs, q)
+	got, gerr := Percentile(xs, q)
 	if (werr == nil) != (gerr == nil) {
-		t.Fatalf("n=%d q=%v %v: error %v, reference error %v", len(xs), q, ip, gerr, werr)
+		t.Fatalf("n=%d q=%v: error %v, reference error %v", len(xs), q, gerr, werr)
 	}
 	if math.Float64bits(got) != math.Float64bits(want) && !(got == 0 && want == 0) {
-		t.Fatalf("n=%d q=%v %v: select %v (%#x), sort %v (%#x); input %v",
-			len(xs), q, ip, got, math.Float64bits(got), want, math.Float64bits(want), xs)
+		t.Fatalf("n=%d q=%v: select %v (%#x), sort %v (%#x); input %v",
+			len(xs), q, got, math.Float64bits(got), want, math.Float64bits(want), xs)
 	}
 	for i := range xs {
 		if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
-			t.Fatalf("PercentileWith modified its input at %d", i)
+			t.Fatalf("Percentile modified its input at %d", i)
 		}
 	}
 }
@@ -122,9 +107,7 @@ func TestPercentileSelectMatchesSort(t *testing.T) {
 	for _, xs := range percentileInputs(src) {
 		qs := []float64{0, 50, 95, 100, src.Float64() * 100, 5, 99.9}
 		for _, q := range qs {
-			for _, ip := range allRules {
-				checkSelectMatchesSort(t, xs, q, ip)
-			}
+			checkSelectMatchesSort(t, xs, q)
 		}
 	}
 }
@@ -135,9 +118,9 @@ func TestPercentileInPlaceReorders(t *testing.T) {
 	for i := range xs {
 		xs[i] = src.NormFloat64()
 	}
-	want, _ := PercentileWith(xs, 95, Linear)
+	want, _ := Percentile(xs, 95)
 	own := append([]float64(nil), xs...)
-	got, err := PercentileInPlace(own, 95, Linear)
+	got, err := PercentileInPlace(own, 95)
 	if err != nil || got != want {
 		t.Fatalf("PercentileInPlace = %v, %v; want %v", got, err, want)
 	}
@@ -147,10 +130,10 @@ func TestPercentileInPlaceReorders(t *testing.T) {
 	if !slices.Equal(own, xs) {
 		t.Fatal("PercentileInPlace changed the values of its input, not just their order")
 	}
-	if _, err := PercentileInPlace(nil, 50, Linear); err != ErrNoData {
+	if _, err := PercentileInPlace(nil, 50); err != ErrNoData {
 		t.Errorf("empty input: err = %v, want ErrNoData", err)
 	}
-	if _, err := PercentileInPlace([]float64{1}, 101, Linear); err == nil {
+	if _, err := PercentileInPlace([]float64{1}, 101); err == nil {
 		t.Error("q=101 should error")
 	}
 }
@@ -177,13 +160,15 @@ func fuzzValues(data []byte) []float64 {
 	return xs
 }
 
+// FuzzPercentileSelect: the corpus (testdata/fuzz) names each entry by
+// its input's shape, some followed by the interpolation rule the entry
+// was written for; every entry runs the linear rule, the only one.
 func FuzzPercentileSelect(f *testing.F) {
-	f.Add([]byte{4, 5, 6, 7}, 95.0, uint8(0))
-	f.Add([]byte{0, 12, 1, 2, 200, 201, 202}, 50.0, uint8(3))
-	f.Add([]byte{9}, 100.0, uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, q float64, rule uint8) {
-		xs := fuzzValues(data)
-		checkSelectMatchesSort(t, xs, q, allRules[int(rule)%len(allRules)])
+	f.Add([]byte{4, 5, 6, 7}, 95.0)
+	f.Add([]byte{0, 12, 1, 2, 200, 201, 202}, 50.0)
+	f.Add([]byte{9}, 100.0)
+	f.Fuzz(func(t *testing.T, data []byte, q float64) {
+		checkSelectMatchesSort(t, fuzzValues(data), q)
 	})
 }
 

@@ -1,14 +1,13 @@
 // Package stats implements the statistical machinery the IQB framework
-// aggregates measurements with: exact percentiles under several
-// interpolation rules (the framework mandates the 95th percentile), the
+// aggregates measurements with: exact percentiles by linear
+// interpolation (the framework mandates the 95th percentile), the
 // DDSketch that the dataset cell index promotes large cells to, rank and
 // distribution comparisons, and the mean.
 //
-// An exact percentile needs only the one or two order statistics its
-// interpolation rule reads, so Percentile and PercentileWith copy their
-// input and select those in expected linear time instead of sorting.
-// PercentileInPlace skips the copy for callers that own their slice, and
-// reorders it. DDSketch keeps its bucket counts in a dense slice capped
+// An exact percentile needs only the two order statistics it
+// interpolates between, so Percentile copies its input and selects those
+// in expected linear time instead of sorting. PercentileInPlace skips
+// the copy for callers that own their slice, and reorders it. DDSketch keeps its bucket counts in a dense slice capped
 // at a fixed bucket span; see its type documentation for how the cap
 // folds the lowest buckets without losing order-independence.
 package stats
@@ -24,61 +23,22 @@ import (
 // ErrNoData is returned by aggregations over empty sample sets.
 var ErrNoData = errors.New("stats: no data")
 
-// Interpolation selects how a percentile between two order statistics is
-// computed. The names follow the Hyndman & Fan taxonomy where applicable.
-type Interpolation int
-
-const (
-	// Linear interpolates between the adjacent order statistics
-	// (Hyndman-Fan type 7, the default of most statistics packages).
-	Linear Interpolation = iota
-	// Lower takes the largest order statistic below the position.
-	Lower
-	// Higher takes the smallest order statistic above the position.
-	Higher
-	// Nearest takes the closest order statistic.
-	Nearest
-	// Midpoint averages the two adjacent order statistics.
-	Midpoint
-)
-
-// String names the interpolation rule.
-func (ip Interpolation) String() string {
-	switch ip {
-	case Linear:
-		return "linear"
-	case Lower:
-		return "lower"
-	case Higher:
-		return "higher"
-	case Nearest:
-		return "nearest"
-	case Midpoint:
-		return "midpoint"
-	default:
-		return fmt.Sprintf("Interpolation(%d)", int(ip))
-	}
-}
-
-// Percentile returns the q-th percentile (q in [0, 100]) of xs using
-// linear interpolation. xs need not be sorted; it is not modified.
+// Percentile returns the q-th percentile (q in [0, 100]) of xs by
+// linear interpolation between the adjacent order statistics
+// (Hyndman-Fan type 7, the default of most statistics packages). xs need
+// not be sorted; it is not modified.
 func Percentile(xs []float64, q float64) (float64, error) {
-	return PercentileWith(xs, q, Linear)
-}
-
-// PercentileWith is Percentile with an explicit interpolation rule.
-func PercentileWith(xs []float64, q float64, ip Interpolation) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrNoData
 	}
-	return PercentileInPlace(append([]float64(nil), xs...), q, ip)
+	return PercentileInPlace(append([]float64(nil), xs...), q)
 }
 
-// PercentileInPlace is PercentileWith without the copy, for callers that
+// PercentileInPlace is Percentile without the copy, for callers that
 // own xs: it reorders xs. The answer is the one sorting xs would give,
 // with NaNs ordered first as sort.Float64s orders them; only -0 and +0,
 // which that order treats as equal, may swap.
-func PercentileInPlace(xs []float64, q float64, ip Interpolation) (float64, error) {
+func PercentileInPlace(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrNoData
 	}
@@ -101,7 +61,7 @@ func PercentileInPlace(xs []float64, q float64, ip Interpolation) (float64, erro
 			}
 		}
 	}
-	return interpolate(a, b, frac, ip), nil
+	return a + frac*(b-a), nil
 }
 
 // rankOf locates the q-th percentile (q in [0, 100]) of n > 1 sorted
@@ -118,26 +78,6 @@ func rankOf(n int, q float64) (lo, hi int, frac float64) {
 		hi = n - 1
 	}
 	return lo, hi, pos - float64(lo)
-}
-
-// interpolate applies rule ip between the order statistics a (at lo)
-// and b (at hi) located by rankOf.
-func interpolate(a, b, frac float64, ip Interpolation) float64 {
-	switch ip {
-	case Lower:
-		return a
-	case Higher:
-		return b
-	case Nearest:
-		if frac < 0.5 {
-			return a
-		}
-		return b
-	case Midpoint:
-		return (a + b) / 2
-	default: // Linear
-		return a + frac*(b-a)
-	}
 }
 
 // less is the order sort.Float64s sorts by: NaN before every number.

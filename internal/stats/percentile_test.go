@@ -62,44 +62,6 @@ func TestPercentileSingle(t *testing.T) {
 	}
 }
 
-func TestInterpolationRules(t *testing.T) {
-	xs := []float64{10, 20} // pos for q=25 is 0.25
-	tests := []struct {
-		ip   Interpolation
-		want float64
-	}{
-		{Linear, 12.5},
-		{Lower, 10},
-		{Higher, 20},
-		{Nearest, 10},
-		{Midpoint, 15},
-	}
-	for _, tt := range tests {
-		got, err := PercentileWith(xs, 25, tt.ip)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tt.want {
-			t.Errorf("%v: got %v, want %v", tt.ip, got, tt.want)
-		}
-	}
-}
-
-func TestInterpolationStrings(t *testing.T) {
-	names := map[Interpolation]string{
-		Linear: "linear", Lower: "lower", Higher: "higher",
-		Nearest: "nearest", Midpoint: "midpoint",
-	}
-	for ip, want := range names {
-		if got := ip.String(); got != want {
-			t.Errorf("String() = %q, want %q", got, want)
-		}
-	}
-	if Interpolation(42).String() == "" {
-		t.Error("unknown interpolation should still format")
-	}
-}
-
 // Property: percentile is bounded by min and max and monotone in q.
 func TestPercentileProperties(t *testing.T) {
 	f := func(raw []float64, q1, q2 uint8) bool {

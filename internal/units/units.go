@@ -49,12 +49,8 @@ func (d Direction) Meets(value, threshold float64) bool {
 // Throughput is a data rate in megabits per second.
 type Throughput float64
 
-// Common throughput constants.
-const (
-	Kbps Throughput = 0.001
-	Mbps Throughput = 1
-	Gbps Throughput = 1000
-)
+// Mbps is one megabit per second.
+const Mbps Throughput = 1
 
 // Mbps returns the rate as a float64 number of megabits per second.
 func (t Throughput) Mbps() float64 { return float64(t) }

@@ -41,11 +41,8 @@ func TestThroughputConversions(t *testing.T) {
 	if got := tp.BytesPerSecond(); got != 12.5e6 {
 		t.Errorf("BytesPerSecond = %v, want 1.25e7", got)
 	}
-	if got := (1 * Gbps).Mbps(); got != 1000 {
-		t.Errorf("Gbps.Mbps = %v, want 1000", got)
-	}
-	if got := (1 * Kbps).Mbps(); got != 0.001 {
-		t.Errorf("Kbps.Mbps = %v, want 0.001", got)
+	if got := tp.Mbps(); got != 100 {
+		t.Errorf("Mbps = %v, want 100", got)
 	}
 }
 
