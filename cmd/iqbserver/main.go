@@ -11,9 +11,10 @@
 //	          [-score-cache=true] [-metrics=true]
 //
 // Endpoints: /v1/health /v1/config /v1/regions /v1/score?region=R
-// (optional from/to RFC 3339 window bounds) /v1/ranking /v1/datasets,
-// plus POST /v1/ingest (streaming NDJSON), plus POST /v1/snapshot with
-// -data-dir, plus GET /metrics unless -metrics=false.
+// (optional from/to RFC 3339 window bounds) /v1/ranking
+// /v1/timeseries?region=R /v1/hourly?region=R /v1/datasets, plus POST
+// /v1/ingest (streaming NDJSON), plus POST /v1/snapshot with -data-dir,
+// plus GET /metrics unless -metrics=false.
 //
 // POST /v1/ingest accepts measurement records as NDJSON and commits
 // them through an admission-controlled queue: a single drainer
@@ -30,8 +31,9 @@
 // With -metrics (the default), the server exposes its own telemetry at
 // GET /metrics in Prometheus text format: per-endpoint request counts,
 // in-flight gauges, and latency quantiles served from the repo's own
-// DDSketch; WAL append/fsync/rollback counters with fsync-latency and
-// group-fold-size distributions; snapshot trigger counts and replay
+// DDSketch; WAL append/fsync/rollback counters with an fsync-latency
+// distribution; the ingest drainer's fold size per commit
+// (iqb_ingest_drain_records); snapshot trigger counts and replay
 // debt; and score-cache hit/miss/eviction counters. Every collector
 // reads lock-free counters, so a scrape never stalls behind an
 // in-flight WAL fsync. -metrics=false serves no /metrics route and
@@ -65,8 +67,8 @@
 // By default the server answers /v1/score and /v1/ranking from a
 // scored-region cache invalidated precisely by ingest: the cache joins
 // the store's hook chain next to the WAL tee, evicts only the (region,
-// window) entries a committed batch touched, and maintains the county
-// ranking as an incrementally repaired sorted view. -score-cache=false
+// window) entries a committed batch touched, and ranks counties from the
+// scores it retains, rescoring only counties with none. -score-cache=false
 // reverts to scoring every request from the store. /v1/health reports
 // hit/miss/eviction counters in its cache block, and /metrics exports
 // them as iqb_scorecache_*.

@@ -25,13 +25,13 @@
 // (internal/ingest), and the recovery-vs-replay win.
 //
 // Read path: internal/scorecache caches per-region scores keyed by
-// (region, time window, config hash) and invalidates them precisely
-// when ingestion commits — it subscribes to the dataset store's ordered
-// hook chain (coexisting with the WAL tee) and maintains the county
-// ranking as an incrementally repaired sorted view, so cmd/iqbserver's
-// /v1/score and /v1/ranking serve cached results that are byte-identical
-// to uncached scoring; internal/httpapi's cold-vs-warm benchmarks
-// quantify the win.
+// (region, time window) under one scoring configuration and invalidates
+// them precisely when ingestion commits — it subscribes to the dataset
+// store's ordered hook chain (coexisting with the WAL tee) and ranks
+// counties from the scores it retains, rescoring only the counties an
+// ingest invalidated, so cmd/iqbserver's /v1/score and /v1/ranking
+// serve cached results that are byte-identical to uncached scoring;
+// internal/httpapi's cold-vs-warm benchmarks quantify the win.
 //
 // Write path: internal/ingest turns the boot-time-only store into a
 // live streaming target. POST /v1/ingest accepts NDJSON record batches

@@ -56,8 +56,9 @@ func benchWorld(b *testing.B, counties, recordsPer int) (*dataset.Store, *geo.DB
 // BenchmarkRankingColdVsWarm measures /v1/ranking with and without the
 // scored-region cache. "cold" re-scores every county per request (the
 // pre-cache behavior, and the behavior after a full invalidation);
-// "warm" serves the incrementally repaired sorted view. The gap is the
-// read-path headroom the cache buys — the acceptance bar is >= 10x.
+// "warm" serves the ranking from the cache's retained county scores.
+// The gap is the read-path headroom the cache buys — the acceptance bar
+// is >= 10x.
 func BenchmarkRankingColdVsWarm(b *testing.B) {
 	run := func(b *testing.B, noCache bool) {
 		b.Helper()
@@ -126,7 +127,8 @@ func BenchmarkScoreColdVsWarm(b *testing.B) {
 func BenchmarkServeScoreWarm(b *testing.B) { serveWarm(b, "/v1/score?region=XA-01-001") }
 
 // BenchmarkServeRankingWarm is the /v1/ranking twin of
-// BenchmarkServeScoreWarm: an unrepaired view served in-process.
+// BenchmarkServeScoreWarm: a ranking whose counties all keep their
+// retained entries, served in-process.
 func BenchmarkServeRankingWarm(b *testing.B) { serveWarm(b, "/v1/ranking") }
 
 func serveWarm(b *testing.B, path string) {

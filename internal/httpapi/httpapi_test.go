@@ -424,6 +424,7 @@ func TestHourlyErrors(t *testing.T) {
 		"region=XA-01-001&band=x": http.StatusBadRequest,
 		"region=XA-01-001&band=5": http.StatusBadRequest,
 		"region=XB-99":            http.StatusNotFound,
+		"":                        http.StatusBadRequest,
 	} {
 		resp, err := http.Get(ts.URL + "/v1/hourly?" + query)
 		if err != nil {

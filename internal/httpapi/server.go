@@ -466,15 +466,26 @@ func (s *Server) timeBound(w http.ResponseWriter, q url.Values, name string) (ti
 	return t, true
 }
 
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query() // parsed once: each Query call re-parses
-	region := q.Get("region")
+// regionQuery parses the query once (each r.URL.Query call re-parses)
+// and reads its required region parameter. ok is false, and a 400 or a
+// 404 already written, when the region is missing or unknown.
+func (s *Server) regionQuery(w http.ResponseWriter, r *http.Request) (q url.Values, region string, ok bool) {
+	q = r.URL.Query()
+	region = q.Get("region")
 	if region == "" {
 		writeError(w, http.StatusBadRequest, "region parameter required")
-		return
+		return nil, "", false
 	}
 	if _, ok := s.db.Region(region); !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown region %q", region))
+		return nil, "", false
+	}
+	return q, region, true
+}
+
+func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
+	q, region, ok := s.regionQuery(w, r)
+	if !ok {
 		return
 	}
 	// Optional [from, to) window; both bounds default to unbounded. The
@@ -549,30 +560,12 @@ func (s *Server) handleRanking(w http.ResponseWriter, r *http.Request) {
 		err  error
 	)
 	if s.cached() {
-		// Served from the incrementally repaired sorted view: only
-		// counties invalidated since the last request are rescored, and
-		// an unrepaired view is served as the bytes it last encoded to.
+		// Ranked from the cache's retained county scores: only counties
+		// with none are rescored, and while every county keeps the entry
+		// the last body was built from, that body is served as is.
 		body, err = s.cache.RankingBody(s.counties, s.encodeRanking)
 	} else {
-		var (
-			ranked  []scorecache.Ranked
-			omitted int
-		)
-		for _, code := range s.counties {
-			sc, err := s.scoreRegion(code, time.Time{}, time.Time{})
-			if err != nil {
-				if errors.Is(err, iqb.ErrNoUsableData) {
-					continue
-				}
-				// One failing region no longer 500s the whole ranking.
-				s.log.Error("ranking: scoring region failed; omitting", "region", code, "err", err)
-				omitted++
-				continue
-			}
-			ranked = append(ranked, scorecache.Ranked{Region: code, Score: sc})
-		}
-		scorecache.SortRanked(ranked)
-		body, err = s.encodeRanking(ranked, omitted)
+		body, err = s.encodeRanking(scorecache.Rank(s.counties, s.scoreRegion, s.log))
 	}
 	if err != nil {
 		s.log.Error("encoding response", "err", err)

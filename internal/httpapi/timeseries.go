@@ -24,17 +24,12 @@ type TimeSeriesResponse struct {
 // series spans the store's record time bounds for the region; a window
 // so narrow that the series would exceed iqb.MaxWindows points is a 400.
 func (s *Server) handleTimeSeries(w http.ResponseWriter, r *http.Request) {
-	region := r.URL.Query().Get("region")
-	if region == "" {
-		writeError(w, http.StatusBadRequest, "region parameter required")
-		return
-	}
-	if _, ok := s.db.Region(region); !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown region %q", region))
+	q, region, ok := s.regionQuery(w, r)
+	if !ok {
 		return
 	}
 	window := 24 * time.Hour
-	if raw := r.URL.Query().Get("window"); raw != "" {
+	if raw := q.Get("window"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d <= 0 {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad window %q", raw))
@@ -69,17 +64,12 @@ type HourlyResponse struct {
 
 // handleHourly serves /v1/hourly?region=R[&band=3].
 func (s *Server) handleHourly(w http.ResponseWriter, r *http.Request) {
-	region := r.URL.Query().Get("region")
-	if region == "" {
-		writeError(w, http.StatusBadRequest, "region parameter required")
-		return
-	}
-	if _, ok := s.db.Region(region); !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown region %q", region))
+	q, region, ok := s.regionQuery(w, r)
+	if !ok {
 		return
 	}
 	band := 3
-	if raw := r.URL.Query().Get("band"); raw != "" {
+	if raw := q.Get("band"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad band %q", raw))

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -774,6 +776,29 @@ func TestLeaveOneOut(t *testing.T) {
 	}
 	if full.IQB >= 1 {
 		t.Error("full score should be below 1 with a dissenter")
+	}
+}
+
+// TestLeaveOneOutOneDataset: removing the only dataset leaves no usable
+// data, so the analysis returns the full score and no rows.
+func TestLeaveOneOutOneDataset(t *testing.T) {
+	c := DefaultConfig()
+	c.Datasets = slices.DeleteFunc(c.Datasets, func(d DatasetInfo) bool { return d.Name != DatasetNDT })
+	c.DatasetWeights = EqualDatasetWeights(c.Datasets)
+	agg := allPass()
+	want, err := c.ScoreAggregates(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, outs, err := c.LeaveOneOutAnalysis(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 0 {
+		t.Fatalf("leave-one-out rows = %+v, want none", outs)
+	}
+	if !reflect.DeepEqual(full, want) {
+		t.Fatalf("full score = %+v, want %+v", full, want)
 	}
 }
 

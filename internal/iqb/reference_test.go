@@ -267,6 +267,9 @@ func refLeaveOneOut(c Config, agg *Aggregates) (full Score, outs []LeaveOneOut, 
 				reduced.Datasets = append(reduced.Datasets, other)
 			}
 		}
+		if len(reduced.Datasets) == 0 {
+			continue // no dataset left, so no usable data
+		}
 		reduced.DatasetWeights = refCloneDatasetWeights(c.DatasetWeights)
 		for _, u := range AllUseCases() {
 			for _, r := range AllRequirements() {
@@ -578,7 +581,7 @@ func sameResult(t *testing.T, what string, got any, gotErr error, want any, want
 // reference returns, bit for bit, except where the reference fails with
 // "weights sum to zero"; there ScoreAggregates scores or returns
 // ErrNoUsableData. The corpus (testdata/fuzz) holds one-dataset configs,
-// whose leave-one-out fails, sweeps through values band validation
+// whose leave-one-out has no rows, sweeps through values band validation
 // rejects, and aggregates on which the reference fails.
 func FuzzScoreMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

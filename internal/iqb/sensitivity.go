@@ -16,8 +16,8 @@ type LeaveOneOut struct {
 
 // LeaveOneOutAnalysis recomputes the score with each dataset excluded in
 // turn, in dataset-name order. Datasets whose removal leaves no usable
-// data are skipped. A configuration of one dataset fails: without it no
-// dataset is configured.
+// data are skipped, so a configuration of one dataset returns its full
+// score and no rows.
 func (c Config) LeaveOneOutAnalysis(agg *Aggregates) (full Score, outs []LeaveOneOut, err error) {
 	p, vals, err := c.read(func(p *plan) ([]cellAggregate, error) { return p.values(agg) })
 	if err != nil {
@@ -25,9 +25,6 @@ func (c Config) LeaveOneOutAnalysis(agg *Aggregates) (full Score, outs []LeaveOn
 	}
 	if full, err = p.score(vals); err != nil {
 		return Score{}, nil, err
-	}
-	if len(p.names) == 1 {
-		return Score{}, nil, fmt.Errorf("iqb: leave-one-out without %s: %w", p.names[0], errNoDatasets)
 	}
 	for i, name := range p.names {
 		// A score fails only with ErrNoUsableData.

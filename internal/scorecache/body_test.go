@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -374,5 +375,121 @@ func TestRankingBodyReusedOnlyWithoutRepair(t *testing.T) {
 	recovered := body(4)
 	if again := body(4); !sameSlice(again, recovered) {
 		t.Fatal("recovered view was not served from its stored body")
+	}
+}
+
+// TestRankingBodyUnderIngestMatchesRank: four goroutines call RankingBody
+// while a writer ingests batches into random counties. Once the writer
+// stops, one more RankingBody equals, byte for byte, Rank over fresh
+// scores under the same encoder, and every repair is accounted for: a
+// county is rescored at the cold fill, after a commit into it, and after
+// a rescore that could not be retained.
+func TestRankingBodyUnderIngestMatchesRank(t *testing.T) {
+	const batches = 20
+	counties := []string{"XA-01-001", "XA-01-002", "XA-01-003", "XA-02-001"}
+	s := dataset.NewStore()
+	for _, county := range counties[:3] {
+		seedCounty(t, s, county, 5) // XA-02-001 starts with no data
+	}
+	c := newCache(t, s)
+	enc := encRanking(new(atomic.Int64))
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.RankingBody(counties, enc); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	rnd := rand.New(rand.NewSource(1))
+	ts := time.Date(2025, 6, 2, 0, 0, 0, 0, time.UTC)
+	var ingestErr error
+	for b := 0; b < batches && ingestErr == nil; b++ {
+		county := counties[rnd.Intn(len(counties))]
+		var batch []dataset.Record
+		for _, ds := range []string{"ndt", "cloudflare", "ookla"} {
+			for i := 0; i < 3; i++ {
+				batch = append(batch, rec(fmt.Sprintf("w%d-%s-%d", b, ds, i), ds, county, ts, float64(1+rnd.Intn(400))))
+			}
+		}
+		ingestErr = s.AddBatch(batch)
+	}
+	close(stop)
+	readers.Wait()
+	if ingestErr != nil {
+		t.Fatal(ingestErr)
+	}
+
+	got, err := c.RankingBody(counties, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := iqb.DefaultConfig()
+	want, err := enc(Rank(counties, func(region string, from, to time.Time) (iqb.Score, error) {
+		return cfg.ScoreRegion(s, region, from, to)
+	}, testLogger()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("ranking body after ingest:\n got %s\nwant %s", got, want)
+	}
+	// Only rankings score here, so Uncacheable counts the rescores that
+	// were not retained: those made while a batch into the county was in
+	// flight or committed.
+	st := c.Stats()
+	if bound := uint64(len(counties)) + st.Invalidations + st.Uncacheable; st.RankingRepairs > bound {
+		t.Fatalf("%d repairs > %d counties + %d single-county commits + %d not retained",
+			st.RankingRepairs, len(counties), st.Invalidations, st.Uncacheable)
+	}
+}
+
+// TestRankingBodyReleasesLockOnPanic: a scoring panic during a ranking
+// reaches RankingBody's caller without leaving the ranking lock held,
+// so the next ranking is served.
+func TestRankingBodyReleasesLockOnPanic(t *testing.T) {
+	s := dataset.NewStore()
+	counties := []string{"XA-01-001"}
+	seedCounty(t, s, "XA-01-001", 15)
+	c := newCache(t, s)
+	enc := encRanking(new(atomic.Int64))
+	inner := c.scoreFn
+	c.scoreFn = func(string, time.Time, time.Time) (iqb.Score, error) {
+		panic("synthetic scoring panic")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the scoring panic did not reach the caller")
+			}
+		}()
+		c.RankingBody(counties, enc)
+	}()
+	c.scoreFn = inner
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RankingBody(counties, enc)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ranking blocked after a scoring panic")
 	}
 }

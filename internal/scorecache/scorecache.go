@@ -5,13 +5,14 @@
 //
 // # Keying and invalidation
 //
-// Entries are keyed by (region, from, to, config hash). Every committed
-// batch bumps an invalidation version for each region code it touched
-// and for every hierarchical ancestor of those codes ("XA-01-002" also
-// invalidates "XA-01" and "XA", whose subtree scores depend on it), and
-// evicts exactly the cached windows that contain at least one of the
-// batch's record timestamps. Cached scores for untouched siblings and
-// for time windows the batch cannot affect survive.
+// A cache is bound to one scoring configuration, and its entries are
+// keyed by (region, from, to). Every committed batch bumps an
+// invalidation version for each region code it touched and for every
+// hierarchical ancestor of those codes ("XA-01-002" also invalidates
+// "XA-01" and "XA", whose subtree scores depend on it), and evicts
+// exactly the cached windows that contain at least one of the batch's
+// record timestamps. Cached scores for untouched siblings and for time
+// windows the batch cannot affect survive.
 //
 // # Consistency
 //
@@ -27,9 +28,11 @@
 //
 // # Ranking
 //
-// The cache also maintains the county ranking as an incrementally
-// repaired sorted view: an invalidated county is rescored and moved to
-// its new position; everything else keeps its cached score and slot.
+// The county ranking is read from the score entries the cache already
+// retains: each county's unbounded-window entry is looked up without
+// counting a hit, and only a county with none is rescored. Rank applies
+// the same policy to scores computed without the cache, so cached and
+// uncached rankings list their rows identically.
 //
 // # Encoded bodies
 //
@@ -44,9 +47,12 @@
 // served from the stored bytes. Eviction and invalidation drop the
 // entry and its body with it.
 //
-// The ranking view keeps the body of its last encoding and drops it
-// whenever a call repairs a row. A ranking that omitted a failed county
-// is never kept, since that county is retried on every call.
+// A ranking body is kept with the exact entries it was built from and
+// served while every county still has the same entry. An entry's score
+// never changes, invalidation replaces the entry, and the kept pointers
+// keep the entries alive, so an unchanged pointer is an unchanged score. A ranking
+// that omitted a failed county, or that used a score not retained, is
+// never kept, since that county is rescored on the next call.
 //
 // The encoders must be deterministic functions of their arguments, the
 // same for every call on one cache, and the returned bytes are shared
@@ -121,8 +127,8 @@ type Stats struct {
 	// entries they dropped.
 	Invalidations uint64 `json:"invalidations"`
 	Evictions     uint64 `json:"evictions"`
-	// RankingRepairs counts county rows rescored and re-sorted in the
-	// incremental ranking view.
+	// RankingRepairs counts counties a ranking rescored because no
+	// score of theirs was retained.
 	RankingRepairs uint64 `json:"ranking_repairs"`
 	// ConfigHash identifies the scoring configuration the entries were
 	// computed under.
@@ -141,7 +147,6 @@ type key struct {
 	region           string
 	fromZero, toZero bool
 	fromNS, toNS     int64
-	cfg              string
 }
 
 func boundNS(t time.Time) (bool, int64) {
@@ -153,9 +158,8 @@ func boundNS(t time.Time) (bool, int64) {
 
 // entry is one retained score (or its deterministic no-data error).
 type entry struct {
-	score  iqb.Score
-	err    error
-	noData bool
+	score iqb.Score
+	err   error
 	// body is the score's encoded response, attached at the entry's
 	// first ScoreBody hit; nil until then. Guarded by Cache.mu.
 	body []byte
@@ -167,16 +171,14 @@ type flight struct {
 	res  result
 }
 
-// result carries a computed score plus the bookkeeping the ranking view
-// needs: the region version it is valid at and whether it was retained
-// (computed from a fully applied record multiset). On a hit, hit is the
-// entry served and body its encoded response, if attached yet.
+// result carries a computed score and kept, the entry it was retained
+// as (computed from a fully applied record multiset), nil when it was
+// not retained. On a hit, body is kept's encoded response, if attached
+// yet.
 type result struct {
 	score iqb.Score
 	err   error
-	ver   uint64
-	clean bool
-	hit   *entry
+	kept  *entry
 	body  []byte
 }
 
@@ -204,14 +206,12 @@ type Cache struct {
 	flights    map[key]*flight
 	stats      Stats
 
-	// rankMu serializes ranking repairs; it is acquired before mu and
-	// never the other way around.
+	// rankMu serializes rankings, so a county without a retained entry
+	// is repaired once, and guards the kept body; it is acquired before
+	// mu and never the other way around.
 	rankMu   sync.Mutex
-	rankRow  map[string]*rankRow
-	ranked   []*rankRow // sorted: IQB descending, ties by code ascending
-	rankVers []uint64   // scratch: county versions read at the start of a repair
-	rankGen  uint64     // bumped by every call that repairs a row
-	rankBody []byte     // encoded view of generation rankGen, once served
+	rankBody []byte   // a ranking's encoded body, once served
+	rankFrom []*entry // each county's entry rankBody was built from
 }
 
 // New builds a cache over store scored with cfg and registers it on the
@@ -238,7 +238,6 @@ func New(store *dataset.Store, cfg iqb.Config, logger *slog.Logger) (*Cache, err
 		ver:        map[string]uint64{},
 		pending:    map[string]int{},
 		flights:    map[key]*flight{},
-		rankRow:    map[string]*rankRow{},
 	}
 	c.stats.ConfigHash = hash
 	c.scoreFn = func(region string, from, to time.Time) (iqb.Score, error) {
@@ -395,24 +394,23 @@ func (c *Cache) ScoreBody(region string, from, to time.Time, enc func(iqb.Score)
 		return res.body, out, nil
 	}
 	body, err := enc(res.score)
-	if err != nil || res.hit == nil {
+	if err != nil || out != Hit {
 		return body, out, err
 	}
 	c.mu.Lock()
-	if c.entries[k] == res.hit {
-		if res.hit.body == nil {
-			res.hit.body = body
+	if c.entries[k] == res.kept {
+		if res.kept.body == nil {
+			res.kept.body = body
 		}
-		body = res.hit.body
+		body = res.kept.body
 	}
 	c.mu.Unlock()
 	return body, out, nil
 }
 
-// key builds the cache key for a region and window under the cache's
-// configuration.
+// key builds the cache key for a region and window.
 func (c *Cache) key(region string, from, to time.Time) key {
-	k := key{region: region, cfg: c.cfgHash}
+	k := key{region: region}
 	k.fromZero, k.fromNS = boundNS(from)
 	k.toZero, k.toNS = boundNS(to)
 	return k
@@ -424,7 +422,7 @@ func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
 	region := k.region
 	c.mu.Lock()
 	if e, ok := c.entries[k]; ok {
-		res := result{score: e.score, err: e.err, ver: c.ver[region], clean: true, hit: e, body: e.body}
+		res := result{score: e.score, err: e.err, kept: e, body: e.body}
 		c.stats.Hits++
 		c.mu.Unlock()
 		return res, Hit
@@ -443,7 +441,7 @@ func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
 
 	// The flight must resolve even if scoring panics (the HTTP layer
 	// recovers panics, so the process lives on): otherwise the key —
-	// and, through the ranking view's lock, every future ranking —
+	// and, through the ranking lock, every future ranking —
 	// would block forever on a done channel nobody closes.
 	completed := false
 	defer func() {
@@ -455,7 +453,7 @@ func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
 		c.stats.Misses++
 		c.stats.Uncacheable++
 		c.mu.Unlock()
-		f.res = result{err: errScorePanic, ver: v0}
+		f.res = result{err: errScorePanic}
 		close(f.done)
 	}()
 	score, err := c.scoreFn(region, from, to)
@@ -463,21 +461,22 @@ func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
 
 	c.mu.Lock()
 	delete(c.flights, k)
-	noData := errors.Is(err, iqb.ErrNoUsableData)
 	// Retain only scores provably computed from a fully applied record
 	// multiset: no overlapping batch in flight when the computation
 	// started or finished, and no commit in between. Deterministic
-	// no-data outcomes are retained too (they spare the ranking view a
-	// rescore of empty counties); other errors are never retained.
+	// no-data outcomes are retained too (they spare the ranking a rescore
+	// of empty counties); other errors are never retained.
 	cacheable := clean0 && c.pending[region] == 0 && c.ver[region] == v0 &&
-		(err == nil || noData)
+		(err == nil || errors.Is(err, iqb.ErrNoUsableData))
 	out := MissUncacheable
 	c.stats.Misses++
+	var kept *entry
 	if cacheable {
 		if len(c.entries) >= c.maxEntries {
 			c.evictForSpaceLocked()
 		}
-		c.entries[k] = &entry{score: score, err: err, noData: noData}
+		kept = &entry{score: score, err: err}
+		c.entries[k] = kept
 		if c.byRegion[region] == nil {
 			c.byRegion[region] = map[key]struct{}{}
 		}
@@ -486,7 +485,7 @@ func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
 	} else {
 		c.stats.Uncacheable++
 	}
-	f.res = result{score: score, err: err, ver: v0, clean: cacheable}
+	f.res = result{score: score, err: err, kept: kept}
 	c.mu.Unlock()
 	close(f.done)
 	return f.res, out
@@ -495,8 +494,8 @@ func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
 // evictForSpaceLocked drops one entry to make room at the cap,
 // preferring a windowed entry: their key space is client-controlled
 // (from/to on /v1/score) and therefore unbounded, while
-// unbounded-window entries back the ranking view and number at most one
-// per region. Map iteration order makes the victim effectively random.
+// unbounded-window entries back the ranking and number at most one per
+// region. Map iteration order makes the victim effectively random.
 // Callers hold c.mu.
 func (c *Cache) evictForSpaceLocked() {
 	var victim *key
@@ -562,7 +561,7 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 		"Cached scores dropped by invalidation or capacity.", nil,
 		sample(func(s Stats) float64 { return float64(s.Evictions) }))
 	r.CounterFunc("iqb_scorecache_ranking_repairs_total",
-		"County rows rescored and re-sorted in the incremental ranking view.", nil,
+		"Counties a ranking rescored because no score of theirs was retained.", nil,
 		sample(func(s Stats) float64 { return float64(s.RankingRepairs) }))
 	r.GaugeFunc("iqb_scorecache_entries",
 		"Scores currently retained.", nil,
