@@ -238,7 +238,7 @@ func BenchmarkScoreRegionCells(b *testing.B) {
 
 // BenchmarkStoreWindowRead compares the two ways to read the records of
 // BenchmarkScoreRegionWindow's window: Select copies them and merges by
-// insertion order, Gather hands out the stored records in shard order.
+// insertion order, Gather hands out the stored records in any order.
 func BenchmarkStoreWindowRead(b *testing.B) {
 	store, start := windowStore(b)
 	f := dataset.Filter{RegionPrefix: "XA-01", From: start.Add(24 * time.Hour), To: start.Add(4 * 24 * time.Hour)}
@@ -271,8 +271,8 @@ func benchRecords(n int) []dataset.Record {
 	return recs
 }
 
-// BenchmarkStoreAddBatch measures batched ingestion into the sharded
-// store — the pipeline's write path (workers flush in batches of 256).
+// BenchmarkStoreAddBatch measures batched ingestion into the store —
+// the pipeline's write path (workers flush in batches of 256).
 func BenchmarkStoreAddBatch(b *testing.B) {
 	recs := benchRecords(10000)
 	b.ResetTimer()
@@ -326,8 +326,8 @@ func BenchmarkStoreLiveBytes(b *testing.B) {
 	b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/n, "live-B/record")
 }
 
-// BenchmarkStoreAddParallel measures contended single-record ingestion
-// across shards, the worst case for the old global-lock store.
+// BenchmarkStoreAddParallel measures contended single-record ingestion,
+// where every writer takes the store's one ordered step.
 func BenchmarkStoreAddParallel(b *testing.B) {
 	recs := benchRecords(1 << 18)
 	store := dataset.NewStore()

@@ -3,8 +3,8 @@
 // gives the tour, PAPER.md the source paper); the runnable tools live
 // under cmd/ and examples/; this package holds the repository-level
 // benchmark suite (bench_test.go) that regenerates every table and
-// figure plus micro-benchmarks for the sharded dataset store's write
-// path and its cell index, the Sketcher that also serves streaming runs.
+// figure plus micro-benchmarks for the dataset store's write path and
+// its cell index, the Sketcher that also serves streaming runs.
 //
 // Durability: internal/persist backs the store with a segmented,
 // CRC-framed write-ahead log and atomic snapshots, so cmd/iqbserver

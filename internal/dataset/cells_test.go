@@ -77,11 +77,11 @@ func cellQueries() []CellQuery {
 // promoted.
 func TestAggregateCellsMatchesAggregate(t *testing.T) {
 	prefixes := []string{"", "XA", "XB", "XA-01", "XB-02", "XA-01-001", "XB-02-003", "XC"}
-	for _, o := range []Options{{}, {SketchCutover: 30}, {SketchCutover: 30, Shards: 3}} {
+	for _, o := range []Options{{}, {SketchCutover: 30}} {
 		s := cellsWorld(t, o)
 		qs := cellQueries()
 		for _, prefix := range prefixes {
-			got := s.Sketcher().AggregateCells(prefix, qs)
+			got := s.AggregateCells(prefix, qs)
 			if len(got) != len(qs) {
 				t.Fatalf("%d answers for %d queries", len(got), len(qs))
 			}
@@ -118,7 +118,7 @@ func TestAggregateCellsMatchesScan(t *testing.T) {
 		s := cellsWorld(t, o)
 		qs := cellQueries()
 		for _, prefix := range []string{"", "XA", "XA-02", "XB-01-002"} {
-			got := s.Sketcher().AggregateCells(prefix, qs)
+			got := s.AggregateCells(prefix, qs)
 			for i, q := range qs {
 				if got[i].Err != nil {
 					continue
@@ -158,7 +158,7 @@ func TestAggregateCellsMatchesScan(t *testing.T) {
 func TestAggregateCellsErrors(t *testing.T) {
 	s := cellsWorld(t, Options{})
 	qs := []CellQuery{{Metric: Download, Q: 95}, {Metric: Download, Q: 101}, {Metric: Latency, Q: math.NaN()}}
-	got := s.Sketcher().AggregateCells("XA", qs)
+	got := s.AggregateCells("XA", qs)
 	if got[0].Err != nil || got[0].Count == 0 {
 		t.Errorf("valid query: %+v", got[0])
 	}
@@ -167,7 +167,7 @@ func TestAggregateCellsErrors(t *testing.T) {
 			t.Errorf("out-of-range percentile should error: %+v", a)
 		}
 	}
-	if got := s.Sketcher().AggregateCells("", nil); len(got) != 0 {
+	if got := s.AggregateCells("", nil); len(got) != 0 {
 		t.Errorf("no queries: %d answers", len(got))
 	}
 }
@@ -181,7 +181,7 @@ func TestStoreCellsMatchStandaloneSketcher(t *testing.T) {
 	recs := cellsRecords()
 	for _, cutover := range []int{30, DefaultSketchCutover} {
 		s := cellsWorld(t, Options{SketchCutover: cutover})
-		sk := newSketcher(DefaultShards, cutover, stats.DefaultDDSketchAlpha)
+		sk := newSketcher(sketchStripes, cutover, stats.DefaultDDSketchAlpha)
 		rev := slices.Clone(recs)
 		slices.Reverse(rev)
 		for len(rev) > 0 {
@@ -191,13 +191,13 @@ func TestStoreCellsMatchStandaloneSketcher(t *testing.T) {
 			}
 			rev = rev[n:]
 		}
-		if s.Sketcher().Cells() != sk.Cells() {
-			t.Fatalf("cutover %d: store has %d cells, sketcher %d", cutover, s.Sketcher().Cells(), sk.Cells())
+		if s.cells.Cells() != sk.Cells() {
+			t.Fatalf("cutover %d: store has %d cells, sketcher %d", cutover, s.cells.Cells(), sk.Cells())
 		}
 		qs := cellQueries()
 		for _, prefix := range []string{"", "XA", "XB", "XA-01", "XB-02", "XA-01-001", "XB-02-003", "XC"} {
 			want := sk.AggregateCells(prefix, qs)
-			for i, a := range s.Sketcher().AggregateCells(prefix, qs) {
+			for i, a := range s.AggregateCells(prefix, qs) {
 				w := want[i]
 				if math.Float64bits(a.Value) != math.Float64bits(w.Value) || a.Count != w.Count || (a.Err == nil) != (w.Err == nil) {
 					t.Fatalf("cutover %d prefix %q %+v: store (%v, %d, %v), sketcher (%v, %d, %v)",

@@ -168,7 +168,7 @@ func TestFilterBasics(t *testing.T) {
 	if len(got) != 1 || got[0].ID != "o1" {
 		t.Errorf("Select = %+v", got)
 	}
-	// Gather selects what Select does, in shard order.
+	// Gather selects what Select does, in any order.
 	for _, f := range []Filter{{}, {ASN: 64501}, {RegionPrefix: "XA-01"}, {Dataset: "ndt", RegionPrefix: "XA-01"}, {To: t0}} {
 		var got, want []string
 		datasets := []string{"ookla", "cloudflare", "ndt"}

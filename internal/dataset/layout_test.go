@@ -105,7 +105,7 @@ func layoutFilter(src *rand.Rand, ref []Record) Filter {
 func TestLayoutMatchesReferenceScan(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		src := rand.New(rand.NewSource(seed))
-		s := NewStoreWith(Options{Shards: 1 + src.Intn(8)})
+		s := NewStore()
 		var ref []Record
 		for len(ref) < 600 {
 			batch := make([]Record, 1+src.Intn(40))
@@ -382,7 +382,7 @@ func TestRejectedBatchInternsNothing(t *testing.T) {
 // to grow the first row chunk and open new ones — stay out of it, and
 // the cut streams exactly the records Select saw when it was taken.
 func TestCutEachWhileWriting(t *testing.T) {
-	s := NewStoreWith(Options{Shards: 3})
+	s := NewStore()
 	src := rand.New(rand.NewSource(9))
 	next := 0
 	add := func(n int) {

@@ -1,7 +1,7 @@
 // Package dataset defines the unified measurement record the IQB
-// framework aggregates, a sharded in-memory store with region/ISP/time
-// indexes, streaming group-by percentile aggregation, and NDJSON/CSV
-// codecs for moving records in and out of the system.
+// framework aggregates, an in-memory store with region/ISP/time indexes,
+// streaming group-by percentile aggregation, and NDJSON/CSV codecs for
+// moving records in and out of the system.
 //
 // Records from different measurement systems carry different subsets of
 // metrics (Ookla aggregates, for example, publish no packet loss), so
@@ -10,27 +10,33 @@
 //
 // # Store architecture
 //
-// The Store stripes records over lock-sharded partitions keyed by
-// hash(dataset, region); queries fan out and merge on read, sorting by a
-// global insertion sequence where insertion order is part of the
-// contract (Select, Values). Gather skips that merge and the copies for
-// callers that derive many order-free aggregates from one fan-out, such
-// as every cell and window of a windowed score: it hands out a view of
-// the stored rows (Row: Time, Value), and tells each row's dataset as
-// its position among names the caller gives (View.DatasetIndex). A
-// separate stripe set enforces (dataset, ID) uniqueness across shards,
-// and AddBatch validates and dedup-checks an entire batch before
-// mutating anything, so a mid-batch failure never leaves the store
-// partially updated.
+// The Store keeps its records in one append-only row log in insertion
+// order, with region, ASN and dataset indexes of log positions, so
+// Select and Values return insertion order without a sequence sort.
+// Gather skips the copies for callers that derive many order-free
+// aggregates from one read, such as every cell and window of a windowed
+// score: it hands out a view of the stored rows (Row: Time, Value), and
+// tells each row's dataset as its position among names the caller
+// gives (View.DatasetIndex). A separate stripe set enforces (dataset, ID)
+// uniqueness, and AddBatch validates and dedup-checks an entire batch
+// before mutating anything, so a mid-batch failure never leaves the
+// store partially updated.
+//
+// A batch becomes visible whole: its rows and cells are added under one
+// exclusive hold of the store's view lock, and every read holds that
+// lock shared for the whole read, so no read — Select, Gather, Values,
+// TimeBounds, the cell index, Cut, Len, DatasetCounts, Regions — sees
+// part of a batch. Writers serialize on one ordered step that runs the
+// hook chain around the insert (see Hooks).
 //
 // Stored records hold no pointers, so the garbage collector never scans
 // them:
 //
-//   - The slot. A shard keeps each record as an 80-byte Row: its
-//     insertion sequence, the time as Unix seconds and nanoseconds, the
-//     four metrics bit for bit (NaN still meaning missing), the ASN, and
-//     uint32 indexes for Dataset, Region, Tech and the time zone. Rows
-//     sit in 256-row chunks that never move once full.
+//   - The slot. The log keeps each record as a 72-byte Row: the time
+//     as Unix seconds and nanoseconds, the four metrics bit for bit
+//     (NaN still meaning missing), the ASN, and uint32 indexes for
+//     Dataset, Region, Tech and the time zone. Rows sit in 256-row
+//     chunks that never move once full.
 //   - The dictionary. Each store has one append-only table of the
 //     Dataset, Region and Tech strings and one of zones; a batch that
 //     would push an index past uint32 fails whole. Looking a name up

@@ -31,13 +31,12 @@ var errDictFull = errors.New("dataset: dictionary full")
 // as Unix seconds, nanoseconds and a zone index, the metrics bit for
 // bit (NaN still means missing), the ASN, and dictionary indexes for
 // Dataset, Region, Tech and the zone. The ID lives once, in its dedup
-// stripe's arena. A Row is 80 bytes and the garbage collector never
-// scans it.
+// stripe's arena. Its place in the store's row log is its insertion
+// order. A Row is 72 bytes and the garbage collector never scans it.
 //
 // Store.Gather hands out pointers to stored rows; rows never change
 // once stored, and callers must not modify them.
 type Row struct {
-	seq  uint64
 	sec  int64
 	vals [numMetrics]float64
 	// id locates the ID: its stripe in the high 32 bits, its arena

@@ -8,13 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// The store is lock-striped two ways: rows live in shards keyed by
-// hash(dataset, region) so concurrent writers for different regions
-// never contend, and (dataset, ID) uniqueness is enforced by a separate
-// set of ID stripes keyed by hash(dataset, ID) — a record's dedup key
-// and its shard key disagree on purpose, because duplicates must be
-// caught across regions while records should cluster by region for
-// query locality.
+// The store keeps its rows in one append-only log in insertion order,
+// guarded by the store's view lock, and stripes only (dataset, ID)
+// uniqueness: ID stripes keyed by hash(dataset, ID) let concurrent
+// writers check and claim IDs before their batches take the store's
+// ordered step, and catch duplicates across regions.
 
 // fnv64a is the 64-bit FNV-1a hash of a and b separated by a byte, so
 // ("ab","c") and ("a","bc") differ, inlined to keep the per-record
@@ -38,128 +36,106 @@ func fnv64a[T string | []byte](a string, b T) uint64 {
 	return h
 }
 
-// rowChunk is how many rows one chunk of a shard holds. Chunks never
-// move once full, so a stored row stays where it is: a 20 KiB chunk
-// bounds a shard's unused capacity without the copy a growing slice
-// makes.
+// rowChunk is how many rows one chunk of the row log holds. Chunks
+// never move once full, so a stored row stays where it is: a 18 KiB
+// chunk bounds the log's unused capacity without the copy a growing
+// slice makes.
 const rowChunk = 256
 
-// shard is one lock stripe of the store: its rows in fixed-size chunks
-// with shard-local region/ASN indexes. The metric cells of the shard's
-// (dataset, region) pairs live in the same-numbered stripe of the
-// store's Sketcher.
-type shard struct {
-	mu sync.RWMutex
-	// rows[c] holds rows c*rowChunk onward. Only the first chunk grows
-	// by reallocation, while the shard is small; every later one is
-	// made at full size.
-	rows      [][]Row
+// rowLog is the store's rows in insertion order, in fixed-size chunks,
+// with region, ASN and dataset indexes of log positions. A position
+// is a uint32: 2^32 rows of 72 bytes would need 288 GiB.
+type rowLog struct {
+	// chunks[c] holds rows c*rowChunk onward. Only the first chunk grows
+	// by reallocation, while the log is small; every later one is made
+	// at full size.
+	chunks    [][]Row
 	n         int
 	byRegion  map[sym][]uint32
 	byASN     map[uint32][]uint32
 	byDataset map[sym]int
 }
 
-func newShard() *shard {
-	return &shard{
+func newRowLog() rowLog {
+	return rowLog{
 		byRegion:  make(map[sym][]uint32),
 		byASN:     make(map[uint32][]uint32),
 		byDataset: make(map[sym]int),
 	}
 }
 
-// at returns row i of chunks, a shard's rows or a copy of their chunk
-// list.
+// at returns row i of chunks, a log's chunks or a copy of their list.
 func at(chunks [][]Row, i int) *Row { return &chunks[i/rowChunk][i%rowChunk] }
 
-// insertLocked appends a validated, dedup-cleared row. The caller holds
-// sh.mu. Rows are append-only: a stored row is never modified, so a
-// pointer to one taken under the read lock (Select, Gather) stays valid
-// and unchanged after the lock is released.
-func (sh *shard) insertLocked(r *Row) {
-	idx := sh.n
+// append stores a validated, dedup-cleared row. The caller holds the
+// view lock exclusively. A stored row is never modified, so a pointer
+// to one taken under the read lock (Select, Gather) stays valid and
+// unchanged after the lock is released.
+func (l *rowLog) append(r *Row) {
+	idx := l.n
 	c := idx / rowChunk
-	if c == len(sh.rows) {
+	if c == len(l.chunks) {
 		capacity := rowChunk
 		if c == 0 {
 			capacity = 8
 		}
-		sh.rows = append(sh.rows, make([]Row, 0, capacity))
+		l.chunks = append(l.chunks, make([]Row, 0, capacity))
 	}
-	if chunk := sh.rows[c]; len(chunk) == cap(chunk) {
+	if chunk := l.chunks[c]; len(chunk) == cap(chunk) {
 		grown := make([]Row, len(chunk), min(2*cap(chunk), rowChunk))
 		copy(grown, chunk)
-		sh.rows[c] = grown
+		l.chunks[c] = grown
 	}
-	sh.rows[c] = append(sh.rows[c], *r)
-	sh.n++
-	sh.byRegion[r.region] = append(sh.byRegion[r.region], uint32(idx))
+	l.chunks[c] = append(l.chunks[c], *r)
+	l.n++
+	l.byRegion[r.region] = append(l.byRegion[r.region], uint32(idx))
 	if r.asn != 0 {
-		sh.byASN[r.asn] = append(sh.byASN[r.asn], uint32(idx))
+		l.byASN[r.asn] = append(l.byASN[r.asn], uint32(idx))
 	}
-	sh.byDataset[r.ds]++
+	l.byDataset[r.ds]++
 }
 
-// scanLocked passes every row of the shard that q matches to visit,
-// narrowing the scan by index where q allows. The caller holds at least
-// a read lock.
-func (sh *shard) scanLocked(q *query, visit func(*Row)) {
-	var idxs []uint32
+// scan passes every row q matches to visit, narrowing the scan by index
+// where q allows. With ordered set the rows come in log order; without
+// it, a region prefix spanning several regions is visited region by
+// region. The caller holds the view lock.
+func (l *rowLog) scan(q *query, ordered bool, visit func(*Row)) {
+	names := q.dict.nameList()
 	switch {
 	case q.asn != 0:
-		idxs = sh.byASN[q.asn]
-		if q.region != "" {
-			names := q.dict.nameList()
-			for _, i := range idxs {
-				if r := at(sh.rows, int(i)); regionMatch(q.region, names[r.region]) && q.matches(r) {
-					visit(r)
-				}
+		for _, i := range l.byASN[q.asn] {
+			if r := at(l.chunks, int(i)); (q.region == "" || regionMatch(q.region, names[r.region])) && q.matches(r) {
+				visit(r)
 			}
-			return
 		}
 	case q.region != "":
-		idxs = sh.regionLocked(q)
-	default:
-		for c := range sh.rows {
-			for i := range sh.rows[c] {
-				if r := &sh.rows[c][i]; q.matches(r) {
+		var lists [][]uint32
+		for y, name := range names {
+			if idxs, ok := l.byRegion[sym(y)]; ok && regionMatch(q.region, name) {
+				lists = append(lists, idxs)
+			}
+		}
+		if ordered && len(lists) > 1 {
+			merged := slices.Concat(lists...)
+			slices.Sort(merged)
+			lists = [][]uint32{merged}
+		}
+		for _, idxs := range lists {
+			for _, i := range idxs {
+				if r := at(l.chunks, int(i)); q.matches(r) {
 					visit(r)
 				}
 			}
 		}
-		return
-	}
-	for _, i := range idxs {
-		if r := at(sh.rows, int(i)); q.matches(r) {
-			visit(r)
+	default:
+		for c := range l.chunks {
+			for i := range l.chunks[c] {
+				if r := &l.chunks[c][i]; q.matches(r) {
+					visit(r)
+				}
+			}
 		}
 	}
-}
-
-// regionLocked returns the shard's row indexes whose region matches
-// q.region, in index order. The caller holds at least a read lock.
-func (sh *shard) regionLocked(q *query) []uint32 {
-	names := q.dict.nameList()
-	if exact, ok := sh.byRegion[q.regionSym]; ok && !sh.hasDescendantsLocked(q.region, names) {
-		return exact
-	}
-	var out []uint32
-	for y, idxs := range sh.byRegion {
-		if regionMatch(q.region, names[y]) {
-			out = append(out, idxs...)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func (sh *shard) hasDescendantsLocked(prefix string, names []string) bool {
-	for y := range sh.byRegion {
-		if region := names[y]; region != prefix && regionMatch(prefix, region) {
-			return true
-		}
-	}
-	return false
 }
 
 // errArenaFull marks a batch whose IDs would overflow an ID arena's

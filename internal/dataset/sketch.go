@@ -16,9 +16,10 @@ import (
 // matching cells without materializing values.
 //
 // A Store keeps one Sketcher as its aggregation index and folds every
-// committed batch into it; pipeline.RunStreaming feeds one directly, the
-// mode a deployment ingesting archives too large to hold would run in.
-// Both therefore answer from the same cells.
+// stored batch into it, reading it through Store.AggregateCells;
+// pipeline.RunStreaming feeds one directly, the mode a deployment
+// ingesting archives too large to hold would run in. Both therefore
+// answer from the same cells.
 //
 // # Determinism
 //
@@ -30,9 +31,9 @@ import (
 // in any order, by any number of concurrent writers — answer
 // bit-identically.
 //
-// Cells are lock-striped by hash(dataset, region), so concurrent writers
-// for different regions essentially never contend, and all of a record's
-// cells sit behind one stripe lock.
+// Cells are lock-striped by hash(dataset, region), so RunStreaming's
+// concurrent writers for different regions essentially never contend,
+// and all of a record's cells sit behind one stripe lock.
 type Sketcher struct {
 	cutover int
 	alpha   float64
@@ -46,10 +47,10 @@ type sketchStripe struct {
 }
 
 // NewSketcher returns an empty sketcher with the store's default
-// geometry: DefaultShards stripes, DefaultSketchCutover exact values per
+// geometry: sketchStripes stripes, DefaultSketchCutover exact values per
 // cell, and stats.DefaultDDSketchAlpha relative accuracy once promoted.
 func NewSketcher() *Sketcher {
-	return newSketcher(DefaultShards, DefaultSketchCutover, stats.DefaultDDSketchAlpha)
+	return newSketcher(sketchStripes, DefaultSketchCutover, stats.DefaultDDSketchAlpha)
 }
 
 // newSketcher returns an empty sketcher with validated geometry.
@@ -61,17 +62,6 @@ func newSketcher(stripes, cutover int, alpha float64) *Sketcher {
 	return s
 }
 
-// groupByStripe files the index of every record of rs in by under
-// hash(dataset, region) modulo n — its stripe in a Sketcher with n
-// stripes, and its shard in a Store with n shards. The caller makes by,
-// so the map can stay on its stack.
-func groupByStripe(by map[uint64][]int, rs []Record, n int) {
-	for i := range rs {
-		si := fnv64a(rs[i].Dataset, rs[i].Region) % uint64(n)
-		by[si] = append(by[si], i)
-	}
-}
-
 // Ingest validates every record of rs and then folds the batch in,
 // locking each touched stripe once. A batch with an invalid record is
 // rejected whole and leaves the sketcher unchanged.
@@ -81,12 +71,20 @@ func (s *Sketcher) Ingest(rs []Record) error {
 			return fmt.Errorf("dataset: sketching record %d of %d: %w", i+1, len(rs), err)
 		}
 	}
+	s.add(rs)
+	return nil
+}
+
+// add folds valid records in, locking each touched stripe once.
+func (s *Sketcher) add(rs []Record) {
 	byStripe := make(map[uint64][]int)
-	groupByStripe(byStripe, rs, len(s.stripes))
+	for i := range rs {
+		si := fnv64a(rs[i].Dataset, rs[i].Region) % uint64(len(s.stripes))
+		byStripe[si] = append(byStripe[si], i)
+	}
 	for si, idxs := range byStripe {
 		s.fold(si, rs, idxs)
 	}
-	return nil
 }
 
 // fold adds the metric values of rs[i], for every i in idxs, to the

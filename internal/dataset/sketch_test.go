@@ -15,7 +15,7 @@ import (
 // smallSketcher returns a sketcher whose cells promote past cutover
 // values, so a few thousand records exercise the DDSketch path.
 func smallSketcher(cutover int) *Sketcher {
-	return newSketcher(DefaultShards, cutover, stats.DefaultDDSketchAlpha)
+	return newSketcher(sketchStripes, cutover, stats.DefaultDDSketchAlpha)
 }
 
 // quantile asks sk for the q-th percentile of one (dataset, metric) over

@@ -1,11 +1,9 @@
 package dataset
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,11 +17,10 @@ import (
 // that was already applied.
 var ErrDuplicate = errors.New("duplicate record")
 
-// Default store geometry. 32 shards keeps writer contention negligible
-// up to several dozen cores while the fan-out cost of merge-on-read
-// queries stays trivial.
 const (
-	DefaultShards = 32
+	// sketchStripes is the number of lock stripes of a Sketcher's cells,
+	// which pipeline.RunStreaming's concurrent writers fold into.
+	sketchStripes = 32
 	// DefaultSketchCutover is how many values a (dataset, region,
 	// metric) cell holds exactly before promoting to a sketch. Every
 	// laptop-scale experiment in this repo stays below it, so their
@@ -36,12 +33,9 @@ const (
 	idStripeCount = 1 << idStripeBits
 )
 
-// Options configures store geometry and its cell index. The zero value
-// selects all defaults.
+// Options configures the store's cell index. The zero value selects all
+// defaults.
 type Options struct {
-	// Shards is the number of lock stripes of both the records and the
-	// cell index; <= 0 means DefaultShards.
-	Shards int
 	// SketchCutover is the per-cell exact-value budget before sketch
 	// promotion; <= 0 means DefaultSketchCutover.
 	SketchCutover int
@@ -50,29 +44,33 @@ type Options struct {
 	SketchAlpha float64
 }
 
-// Store is an in-memory measurement store, sharded for concurrent
-// ingestion and indexed for region/ISP/time queries.
+// Store is an in-memory measurement store, indexed for region/ISP/time
+// queries, whose readers see every batch whole or not at all.
 //
 // # Architecture
 //
-// Records are striped over Options.Shards shards by hash(dataset,
-// region); each shard has its own mutex, rows, and region/ASN indexes,
-// so writers for different regions never contend and readers fan out
-// across shards and merge (sorting by a global insertion sequence
-// wherever insertion order is part of the contract). A second,
-// independent stripe set enforces (dataset, ID) uniqueness across the
-// whole store and keeps every ID's bytes. A shard stores each record
-// as a pointer-free Row naming its strings and zone by index into the
-// store's dictionary (see the package doc's "Store architecture").
+// Records live in one append-only row log in insertion order, with
+// region, ASN and dataset indexes of log positions. Each record is a
+// pointer-free Row naming its strings and zone by index into the
+// store's dictionary (see the package doc's "Store architecture"). A
+// separate stripe set enforces (dataset, ID) uniqueness across the
+// whole store and keeps every ID's bytes.
 //
-// Beside the record shards sits the store's cell index, a Sketcher with
-// one stripe per shard, striped by the same hash: every committed batch
-// is folded into its per-(dataset, region, metric) cells inside the
-// write fence, before the commit hooks fire. Cells are exact up to
-// Options.SketchCutover values and then promote to an order-independent
-// stats.DDSketch, so Aggregate answers quantile queries without
-// materializing values. Filters the cells cannot express (ASN, time
-// bounds) fall back to an exact scan.
+// Beside the log sits the store's cell index, a Sketcher: every batch
+// is folded into its per-(dataset, region, metric) cells together with
+// its rows. Cells are exact up to Options.SketchCutover values and then
+// promote to an order-independent stats.DDSketch, so Aggregate answers
+// quantile queries without materializing values. Filters the cells
+// cannot express (ASN, time bounds) fall back to an exact scan.
+//
+// A batch is validated and its IDs claimed first, concurrently with
+// other writers; then it takes one ordered step under orderMu: the
+// Ingest hooks (the WAL tee), the append of its rows and cells under
+// viewMu held exclusively, and the Commit hooks. Every read holds viewMu
+// shared for the whole read, so it sees each batch entirely or not at
+// all. Quiesce and hook registration take orderMu, so they fall between
+// batches. No method takes viewMu while holding it: a recursive read
+// lock deadlocks once a writer waits.
 //
 // # Determinism
 //
@@ -86,26 +84,25 @@ type Options struct {
 //
 // The store is safe for concurrent use; reads never block other reads.
 type Store struct {
-	shards  []*shard
-	cells   *Sketcher
-	dict    *dictionary
-	stripes [idStripeCount]idStripe
-
-	// ingestMu fences writers against Quiesce: every mutation holds it
-	// shared for the full validate→hooks→insert→commit sequence, so an
-	// exclusive holder observes the store with no ingestion in flight —
-	// in particular, never between a hook's durable tee and the matching
-	// shard mutation, and never before a committed batch's commit
-	// notifications have fired.
-	ingestMu   sync.RWMutex
+	// orderMu makes a batch's hooks and insert one ordered step, so the
+	// WAL holds batches in the order Select returns them and the Commit
+	// hooks fire in that order.
+	orderMu    sync.Mutex
 	hooks      []hookEntry
 	nextHookID uint64
-	orderMu    sync.Mutex // makes Ingest hooks + sequence reservation one ordered step
-	seq        uint64     // sequence numbers reserved so far
+
+	// viewMu guards rows and cells: writers hold it exclusively to add
+	// a batch, readers shared for a whole read.
+	viewMu sync.RWMutex
+	rows   rowLog
+	cells  *Sketcher
+
+	dict    *dictionary
+	stripes [idStripeCount]idStripe
 }
 
 // IngestHook observes every batch that is about to enter the store —
-// validated and dedup-cleared, before any shard is mutated. A non-nil
+// validated and dedup-cleared, before any row is stored. A non-nil
 // error vetoes the batch: the store is left unchanged (including its
 // dedup set) and the error is returned to the writer. The persistence
 // layer uses this to tee batches durably (WAL append + fsync) ahead of
@@ -113,33 +110,29 @@ type Store struct {
 // recoverable. Hooks must not call back into the store.
 type IngestHook func(rs []Record) error
 
-// BatchNotify observes a batch without the power to veto it. Commit
-// notifications fire after every record of the batch is visible in the
-// shards; abort notifications fire when a later hook in the chain
-// vetoed a batch this observer had already been told about. Notify
-// functions must not call back into the store.
+// BatchNotify observes a stored batch without the power to veto it.
+// Commit notifications fire after every record of the batch is
+// visible. Notify functions may read the store but must not write to
+// it.
 type BatchNotify func(rs []Record)
 
-// Hooks is one observer's set of batch callbacks. Any field may be nil.
+// Hooks is one observer's set of batch callbacks. Either field may be
+// nil.
 //
 // For each batch that clears validation and dedup, the store runs every
 // registered observer's Ingest in registration order; the first error
-// vetoes the batch, the store unwinds (Abort, in reverse order, on the
-// observers that came before the vetoing one) and stays unchanged. If
-// the whole chain accepts, the batch is applied to the shards and then
-// every observer's Commit runs, again in registration order. The entire
-// sequence happens inside the write fence, so Quiesce never observes a
-// batch between its durable tee and its commit notifications. Ingest
-// runs one batch at a time, in the order Select returns the batches.
+// vetoes the batch, the later observers are not run, and the store
+// stays unchanged. If the whole chain accepts, the batch is stored and
+// then every observer's Commit runs, again in registration order. The
+// whole sequence is the store's ordered step, one batch at a time in
+// the order Select returns the batches, so Quiesce never observes a
+// batch between its durable tee and its commit notifications.
 //
 // A write-ahead log registers {Ingest: tee}; a derived-result cache
-// registers {Ingest: markPending, Commit: invalidate, Abort: unmark} —
-// the two coexist on one store, which the old single-slot SetIngestHook
-// could not express.
+// registers {Commit: invalidate}. The two coexist on one store.
 type Hooks struct {
 	Ingest IngestHook
 	Commit BatchNotify
-	Abort  BatchNotify
 }
 
 // hookEntry is one registered observer, tagged for removal.
@@ -153,9 +146,6 @@ func NewStore() *Store { return NewStoreWith(Options{}) }
 
 // NewStoreWith returns an empty store with explicit options.
 func NewStoreWith(o Options) *Store {
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
-	}
 	if o.SketchCutover <= 0 {
 		o.SketchCutover = DefaultSketchCutover
 	}
@@ -163,12 +153,9 @@ func NewStoreWith(o Options) *Store {
 		o.SketchAlpha = stats.DefaultDDSketchAlpha
 	}
 	s := &Store{
-		shards: make([]*shard, o.Shards),
-		cells:  newSketcher(o.Shards, o.SketchCutover, o.SketchAlpha),
-		dict:   newDictionary(),
-	}
-	for i := range s.shards {
-		s.shards[i] = newShard()
+		rows:  newRowLog(),
+		cells: newSketcher(sketchStripes, o.SketchCutover, o.SketchAlpha),
+		dict:  newDictionary(),
 	}
 	for i := range s.stripes {
 		s.stripes[i].arena.limit = maxArenaChunks
@@ -176,84 +163,40 @@ func NewStoreWith(o Options) *Store {
 	return s
 }
 
-// Sketcher returns the store's cell index, for cell-served aggregates
-// such as Sketcher.AggregateCells. The store folds every committed batch
-// into it; callers must only read it, or its answers stop matching the
-// stored records.
-func (s *Store) Sketcher() *Sketcher { return s.cells }
-
 // AddHooks appends an observer to the hook chain and returns a function
-// that removes it again. Both registration and removal wait for
-// in-flight writes to drain, so after AddHooks returns every subsequent
+// that removes it again. Both registration and removal wait for the
+// batch in its ordered step, so after AddHooks returns every subsequent
 // successful Add/AddBatch passes through the observer, and after the
 // remove function returns none do. Recovery installs its WAL tee only
 // after replaying, so replayed batches are not re-teed to the log they
 // came from. The remove function is idempotent.
 func (s *Store) AddHooks(h Hooks) (remove func()) {
-	s.ingestMu.Lock()
+	s.orderMu.Lock()
 	id := s.nextHookID
 	s.nextHookID++
 	s.hooks = append(s.hooks, hookEntry{id: id, h: h})
-	s.ingestMu.Unlock()
+	s.orderMu.Unlock()
 	return func() {
-		s.ingestMu.Lock()
+		s.orderMu.Lock()
 		for i, e := range s.hooks {
 			if e.id == id {
 				s.hooks = append(s.hooks[:i], s.hooks[i+1:]...)
 				break
 			}
 		}
-		s.ingestMu.Unlock()
+		s.orderMu.Unlock()
 	}
 }
 
-// runIngestHooks runs the chain's Ingest phase in registration order,
-// then reserves the batch's sequence block; a veto aborts, in reverse
-// order, the observers that already ran. Callers hold ingestMu shared.
-func (s *Store) runIngestHooks(rs []Record) (uint64, error) {
+// Quiesce runs fn between batches: a writer that has begun its ordered
+// step has also stored its batch and delivered its commit
+// notifications, and new writers block until fn returns. The
+// persistence layer snapshots under Quiesce so the captured record set
+// and the captured WAL offset name the same point in time. fn may read
+// the store but must not write to it.
+func (s *Store) Quiesce(fn func()) {
 	s.orderMu.Lock()
 	defer s.orderMu.Unlock()
-	for i, e := range s.hooks {
-		if e.h.Ingest == nil {
-			continue
-		}
-		if err := e.h.Ingest(rs); err != nil {
-			// Unwind only the observers that were actually told about the
-			// batch: an Ingest-less observer has no in-flight state to
-			// release, and a spurious Abort could corrupt accounting it
-			// keeps for other batches.
-			for j := i - 1; j >= 0; j-- {
-				if s.hooks[j].h.Ingest != nil && s.hooks[j].h.Abort != nil {
-					s.hooks[j].h.Abort(rs)
-				}
-			}
-			return 0, err
-		}
-	}
-	s.seq += uint64(len(rs))
-	return s.seq - uint64(len(rs)), nil
-}
-
-// runCommitHooks fires the chain's Commit phase in registration order,
-// after every record of the batch is visible in the shards. Callers
-// hold ingestMu shared, so Quiesce sees all notifications delivered.
-func (s *Store) runCommitHooks(rs []Record) {
-	for _, e := range s.hooks {
-		if e.h.Commit != nil {
-			e.h.Commit(rs)
-		}
-	}
-}
-
-// Quiesce runs fn while no ingestion is in flight: writers that have
-// cleared the ingest hook chain have also finished mutating shards and
-// delivering their commit notifications, and new writers block until
-// fn returns. The persistence layer snapshots under
-// Quiesce so the captured record set and the captured WAL offset name
-// the same point in time. fn must not write to the store.
-func (s *Store) Quiesce(fn func()) {
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
 	fn()
 }
 
@@ -265,20 +208,17 @@ func (s *Store) Add(r Record) error { return s.AddBatch([]Record{r}) }
 // errors: the whole batch is validated and checked for duplicates
 // (against the store and within itself) before any record is stored, so
 // a mid-batch failure stores no record and claims no ID. A batch that
-// fails validation or the duplicate check leaves the store unchanged. If
-// an ingest hook is installed it runs after the checks and before any
-// shard mutation; a hook error likewise stores and claims nothing, but
+// fails validation or the duplicate check leaves the store unchanged.
+// The hook chain's Ingest phase runs after the checks and before any
+// row is stored; a hook error likewise stores and claims nothing, but
 // the batch's new names stay in the dictionary and its IDs' bytes in
-// their arenas, unreferenced. Records land with consecutive insertion
-// sequence numbers, taken in the hook chain's ordered step, and each
-// destination shard and its cell-index stripe are locked once for the
-// whole batch rather than per record.
+// their arenas, unreferenced. The batch's rows and cells are then added
+// under one exclusive hold of the view lock, so no read sees part of
+// it.
 func (s *Store) AddBatch(rs []Record) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	s.ingestMu.RLock()
-	defer s.ingestMu.RUnlock()
 	type idKey struct{ dataset, id string }
 	seen := make(map[idKey]int, len(rs))
 	hashes := make([]uint64, len(rs))
@@ -303,33 +243,35 @@ func (s *Store) AddBatch(rs []Record) error {
 	}
 
 	// The batch is now validated and its IDs claimed, so the hook chain
-	// sees exactly what the shards are about to absorb; a veto releases
-	// the claims and leaves the store untouched. The sequence block is
-	// contiguous, so the batch keeps its internal order under Select.
-	base, err := s.runIngestHooks(rs)
-	if err != nil {
-		for i := range rs {
-			st := &s.stripes[hashes[i]%idStripeCount]
-			st.mu.Lock()
-			st.release(hashes[i], rows[i].ds, rs[i].ID)
-			st.mu.Unlock()
+	// sees exactly what the log is about to absorb; a veto releases the
+	// claims and leaves the store untouched.
+	s.orderMu.Lock()
+	defer s.orderMu.Unlock()
+	for _, e := range s.hooks {
+		if e.h.Ingest == nil {
+			continue
 		}
-		return fmt.Errorf("dataset: ingest hook: %w", err)
-	}
-
-	byShard := make(map[uint64][]int)
-	groupByStripe(byShard, rs, len(s.shards))
-	for si, idxs := range byShard {
-		sh := s.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			rows[i].seq = base + uint64(i) + 1
-			sh.insertLocked(&rows[i])
+		if err := e.h.Ingest(rs); err != nil {
+			for i := range rs {
+				st := &s.stripes[hashes[i]%idStripeCount]
+				st.mu.Lock()
+				st.release(hashes[i], rows[i].ds, rs[i].ID)
+				st.mu.Unlock()
+			}
+			return fmt.Errorf("dataset: ingest hook: %w", err)
 		}
-		sh.mu.Unlock()
-		s.cells.fold(si, rs, idxs)
 	}
-	s.runCommitHooks(rs)
+	s.viewMu.Lock()
+	for i := range rows {
+		s.rows.append(&rows[i])
+	}
+	s.cells.add(rs)
+	s.viewMu.Unlock()
+	for _, e := range s.hooks {
+		if e.h.Commit != nil {
+			e.h.Commit(rs)
+		}
+	}
 	return nil
 }
 
@@ -385,13 +327,9 @@ func (s *Store) claim(rs []Record, rows []Row, hashes []uint64) error {
 
 // Len returns the number of stored records.
 func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += sh.n
-		sh.mu.RUnlock()
-	}
-	return n
+	s.viewMu.RLock()
+	defer s.viewMu.RUnlock()
+	return s.rows.n
 }
 
 // Datasets returns the distinct dataset names present, sorted.
@@ -405,36 +343,28 @@ func (s *Store) Datasets() []string {
 	return out
 }
 
-// DatasetCounts returns the number of records per dataset name in
-// O(shards) without scanning records.
+// DatasetCounts returns the number of records per dataset name without
+// scanning records.
 func (s *Store) DatasetCounts() map[string]int {
-	counts := map[string]int{}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		names := s.dict.nameList()
-		for d, n := range sh.byDataset {
-			counts[names[d]] += n
-		}
-		sh.mu.RUnlock()
+	s.viewMu.RLock()
+	defer s.viewMu.RUnlock()
+	names := s.dict.nameList()
+	counts := make(map[string]int, len(s.rows.byDataset))
+	for d, n := range s.rows.byDataset {
+		counts[names[d]] = n
 	}
 	return counts
 }
 
 // Regions returns the distinct region codes present, sorted.
 func (s *Store) Regions() []string {
-	set := map[string]bool{}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		names := s.dict.nameList()
-		for r := range sh.byRegion {
-			set[names[r]] = true
-		}
-		sh.mu.RUnlock()
+	s.viewMu.RLock()
+	names := s.dict.nameList()
+	out := make([]string, 0, len(s.rows.byRegion))
+	for r := range s.rows.byRegion {
+		out = append(out, names[r])
 	}
-	out := make([]string, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
+	s.viewMu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -456,7 +386,6 @@ type query struct {
 	hasDS            bool
 	ds               sym
 	region           string
-	regionSym        sym
 	asn              uint32
 	hasFrom, hasTo   bool
 	fromSec, toSec   int64
@@ -468,9 +397,6 @@ func (s *Store) compile(f Filter) *query {
 	if f.Dataset != "" {
 		q.hasDS, q.ds = true, s.dict.lookup(f.Dataset)
 	}
-	if f.RegionPrefix != "" {
-		q.regionSym = s.dict.lookup(f.RegionPrefix)
-	}
 	if !f.From.IsZero() {
 		q.hasFrom, q.fromSec, q.fromNsec = true, f.From.Unix(), uint32(f.From.Nanosecond())
 	}
@@ -480,7 +406,7 @@ func (s *Store) compile(f Filter) *query {
 	return q
 }
 
-// matches checks everything but the region, which the shard scan
+// matches checks everything but the region, which the log scan
 // settles.
 func (q *query) matches(r *Row) bool {
 	return (!q.hasDS || r.ds == q.ds) &&
@@ -505,16 +431,13 @@ func (f Filter) CellIndexed() bool {
 	return f.ASN == 0 && f.From.IsZero() && f.To.IsZero()
 }
 
-// gather passes every stored row matching f to keep, shard by shard
-// under each shard's read lock: the one shard walk behind Select,
+// gather passes every stored row matching f to keep, in log order when
+// ordered is set, under one read lock: the one log walk behind Select,
 // Gather, Values and TimeBounds.
-func (s *Store) gather(f Filter, keep func(*Row)) {
-	q := s.compile(f)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		sh.scanLocked(q, keep)
-		sh.mu.RUnlock()
-	}
+func (s *Store) gather(f Filter, ordered bool, keep func(*Row)) {
+	s.viewMu.RLock()
+	defer s.viewMu.RUnlock()
+	s.rows.scan(s.compile(f), ordered, keep)
 }
 
 // Select returns a copy of all records matching f, in insertion order.
@@ -522,8 +445,7 @@ func (s *Store) gather(f Filter, keep func(*Row)) {
 // and offset (see the package doc's zone rule).
 func (s *Store) Select(f Filter) []Record {
 	var hits []*Row
-	s.gather(f, func(r *Row) { hits = append(hits, r) })
-	slices.SortFunc(hits, func(a, b *Row) int { return cmp.Compare(a.seq, b.seq) })
+	s.gather(f, true, func(r *Row) { hits = append(hits, r) })
 	out := make([]Record, len(hits))
 	s.records(out, hits)
 	return out
@@ -588,15 +510,15 @@ func (v *View) DatasetIndex(r *Row) int {
 	return -1
 }
 
-// Gather returns a view of every record matching f in shard order,
-// which is not insertion order: Select without the copies and the
-// merge by sequence number, for callers whose answer does not depend on
-// record order, such as every (dataset, metric) cell and every window
-// of a windowed score. The view tells rows apart by the given dataset
-// names (View.DatasetIndex).
+// Gather returns a view of every record matching f, not necessarily in
+// insertion order: Select without the copies and without merging a
+// region prefix's rows into log order, for callers whose answer does
+// not depend on record order, such as every (dataset, metric) cell and
+// every window of a windowed score. The view tells rows apart by the
+// given dataset names (View.DatasetIndex).
 func (s *Store) Gather(f Filter, datasets []string) View {
 	v := View{syms: make([]sym, len(datasets))}
-	s.gather(f, func(r *Row) { v.Rows = append(v.Rows, r) })
+	s.gather(f, false, func(r *Row) { v.Rows = append(v.Rows, r) })
 	// Resolved after the scan: the dictionary only grows, so every
 	// dataset the gathered rows carry resolves.
 	for i, d := range datasets {
@@ -608,21 +530,12 @@ func (s *Store) Gather(f Filter, datasets []string) View {
 // Values extracts the metric values of all records matching f, in
 // insertion order.
 func (s *Store) Values(f Filter, m Metric) []float64 {
-	type seqVal struct {
-		seq uint64
-		v   float64
-	}
-	var hits []seqVal
-	s.gather(f, func(r *Row) {
+	var out []float64
+	s.gather(f, true, func(r *Row) {
 		if v, ok := r.Value(m); ok {
-			hits = append(hits, seqVal{r.seq, v})
+			out = append(out, v)
 		}
 	})
-	slices.SortFunc(hits, func(a, b seqVal) int { return cmp.Compare(a.seq, b.seq) })
-	out := make([]float64, len(hits))
-	for i, h := range hits {
-		out[i] = h.v
-	}
 	return out
 }
 
@@ -643,15 +556,23 @@ func (s *Store) Aggregate(f Filter, m Metric, q float64) (float64, int, error) {
 		v, err := stats.PercentileInPlace(vals, q)
 		return v, len(vals), err
 	}
-	a := s.cells.AggregateCells(f.RegionPrefix, []CellQuery{{Dataset: f.Dataset, Metric: m, Q: q}})[0]
+	a := s.AggregateCells(f.RegionPrefix, []CellQuery{{Dataset: f.Dataset, Metric: m, Q: q}})[0]
 	return a.Value, a.Count, a.Err
+}
+
+// AggregateCells is Sketcher.AggregateCells over the store's cell index,
+// under one read lock.
+func (s *Store) AggregateCells(regionPrefix string, qs []CellQuery) []CellAnswer {
+	s.viewMu.RLock()
+	defer s.viewMu.RUnlock()
+	return s.cells.AggregateCells(regionPrefix, qs)
 }
 
 // TimeBounds returns the earliest and latest record timestamps matching
 // f, each in its record's zone. ok is false when nothing matches.
 func (s *Store) TimeBounds(f Filter) (min, max time.Time, ok bool) {
 	var lo, hi *Row
-	s.gather(f, func(r *Row) {
+	s.gather(f, false, func(r *Row) {
 		if lo == nil || r.before(lo.sec, lo.nsec) {
 			lo = r
 		}

@@ -16,7 +16,7 @@ func hookTestRecord(id string) Record {
 
 // TestIngestHookVetoLeavesStoreUnchanged is the contract the
 // persistence layer leans on: a batch whose durable tee fails must not
-// reach the shards, and its (dataset, ID) claims must be released so
+// reach the row log, and its (dataset, ID) claims must be released so
 // the same records can be retried once the WAL recovers.
 func TestIngestHookVetoLeavesStoreUnchanged(t *testing.T) {
 	s := NewStore()
@@ -53,7 +53,7 @@ func TestIngestHookVetoLeavesStoreUnchanged(t *testing.T) {
 
 // TestIngestHookSeesEveryRecord checks completeness: every record that
 // lands in the store passed through the hook first (the veto test above
-// proves "first" — a vetoed batch never reaches the shards).
+// proves "first" — a vetoed batch never reaches the row log).
 func TestIngestHookSeesEveryRecord(t *testing.T) {
 	s := NewStore()
 	var teed []string
@@ -80,8 +80,7 @@ func TestIngestHookSeesEveryRecord(t *testing.T) {
 // TestQuiesceSeesNoInFlightWrites pins the snapshot-consistency
 // invariant: under Quiesce, the number of records the hook has
 // acknowledged equals the number of records visible in the store — a
-// writer is never caught between its durable tee and its shard
-// mutation. Without that guarantee a snapshot could claim a WAL offset
+// writer is never caught between its durable tee and its insert. Without that guarantee a snapshot could claim a WAL offset
 // whose records it does not contain, and compaction would lose them.
 func TestQuiesceSeesNoInFlightWrites(t *testing.T) {
 	s := NewStore()
@@ -143,8 +142,7 @@ func TestQuiesceSeesNoInFlightWrites(t *testing.T) {
 // TestHookChainOrderAndCoexistence pins the multi-observer contract: a
 // WAL-shaped tee and a cache-shaped observer registered on one store
 // both see every batch, Ingest phases run in registration order, and
-// Commit notifications fire only after the batch is fully visible in
-// the shards.
+// Commit notifications fire only after the batch is fully visible.
 func TestHookChainOrderAndCoexistence(t *testing.T) {
 	s := NewStore()
 	var trace []string
@@ -159,7 +157,7 @@ func TestHookChainOrderAndCoexistence(t *testing.T) {
 		},
 		Commit: func(rs []Record) {
 			// The batch must already be queryable when Commit fires.
-			// (Reading shard state from a hook is safe — shard locks are
+			// (Reading the store from a hook is safe — the view lock is
 			// released before notifications run — it is writes that are
 			// forbidden.)
 			trace = append(trace, fmt.Sprintf("cache-commit:%d@len=%d", len(rs), s.Len()))
@@ -178,60 +176,42 @@ func TestHookChainOrderAndCoexistence(t *testing.T) {
 	}
 }
 
-// TestHookChainAbortOnVeto: when a later hook vetoes, observers earlier
-// in the chain that already ran get an Abort so they can unwind
-// whatever their Ingest phase set up, and their Commit never fires.
-func TestHookChainAbortOnVeto(t *testing.T) {
+// TestHookChainVetoStopsChain: when a hook vetoes, the error reaches
+// the writer, the observers after it are not run, no observer's Commit
+// fires, and the store is unchanged.
+func TestHookChainVetoStopsChain(t *testing.T) {
 	s := NewStore()
 	var trace []string
 	s.AddHooks(Hooks{
 		Ingest: func(rs []Record) error { trace = append(trace, "first-ingest"); return nil },
 		Commit: func(rs []Record) { trace = append(trace, "first-commit") },
-		Abort:  func(rs []Record) { trace = append(trace, "first-abort") },
 	})
 	boom := errors.New("tee failed")
 	remove := s.AddHooks(Hooks{Ingest: func(rs []Record) error { return boom }})
+	s.AddHooks(Hooks{
+		Ingest: func(rs []Record) error { trace = append(trace, "last-ingest"); return nil },
+		Commit: func(rs []Record) { trace = append(trace, "last-commit") },
+	})
 
 	if err := s.AddBatch([]Record{hookTestRecord("a")}); !errors.Is(err, boom) {
 		t.Fatalf("AddBatch error = %v, want wrapped %v", err, boom)
 	}
-	if got := fmt.Sprint(trace); got != fmt.Sprint([]string{"first-ingest", "first-abort"}) {
+	if got := fmt.Sprint(trace); got != fmt.Sprint([]string{"first-ingest"}) {
 		t.Fatalf("hook trace = %v", trace)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("vetoed batch reached the shards: len=%d", s.Len())
+	if s.Len() != 0 || len(s.Regions()) != 0 || len(s.DatasetCounts()) != 0 {
+		t.Fatalf("vetoed batch reached the store: len=%d", s.Len())
 	}
 
-	// After removing the vetoing hook the batch lands and the surviving
+	// After removing the vetoing hook the batch lands and every
 	// observer commits.
 	remove()
 	trace = nil
 	if err := s.AddBatch([]Record{hookTestRecord("a")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(trace); got != fmt.Sprint([]string{"first-ingest", "first-commit"}) {
+	if got := fmt.Sprint(trace); got != fmt.Sprint([]string{"first-ingest", "last-ingest", "first-commit", "last-commit"}) {
 		t.Fatalf("hook trace after remove = %v", trace)
-	}
-}
-
-// TestAbortSkipsIngestlessObservers: an observer with no Ingest phase
-// was never told about the batch, so a veto must not send it a
-// spurious Abort (which could corrupt accounting it keeps for other,
-// genuinely in-flight batches).
-func TestAbortSkipsIngestlessObservers(t *testing.T) {
-	s := NewStore()
-	aborts := 0
-	s.AddHooks(Hooks{
-		Commit: func(rs []Record) {},
-		Abort:  func(rs []Record) { aborts++ },
-	})
-	boom := errors.New("tee failed")
-	s.AddHooks(Hooks{Ingest: func(rs []Record) error { return boom }})
-	if err := s.AddBatch([]Record{hookTestRecord("a")}); !errors.Is(err, boom) {
-		t.Fatalf("expected veto, got %v", err)
-	}
-	if aborts != 0 {
-		t.Fatalf("Ingest-less observer got %d aborts, want 0", aborts)
 	}
 }
 

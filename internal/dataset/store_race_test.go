@@ -75,8 +75,7 @@ func TestAddBatchValidatesBeforeMutating(t *testing.T) {
 
 func TestDuplicateAcrossRegionsRejected(t *testing.T) {
 	// The dedup key is (dataset, ID) regardless of region, so the same ID
-	// in another region — which lands in a different shard — must still
-	// be caught.
+	// in another region must still be caught.
 	s := NewStore()
 	if err := s.Add(mkRec("id1", "ndt", "XA-01-001", 1, 1)); err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestDuplicateAcrossRegionsRejected(t *testing.T) {
 // AddBatch and Add writers against Select/Gather/Aggregate/
 // AggregateCells/TimeBounds readers.
 func TestConcurrentBatchesAndQueries(t *testing.T) {
-	s := NewStoreWith(Options{Shards: 8, SketchCutover: 64})
+	s := NewStoreWith(Options{SketchCutover: 64})
 	const (
 		writers = 4
 		batches = 20
@@ -137,7 +136,7 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 					v.DatasetIndex(r)
 				}
 				s.Aggregate(Filter{Dataset: "ndt", RegionPrefix: "XA"}, Download, 95)
-				s.Sketcher().AggregateCells("XA-01", []CellQuery{
+				s.AggregateCells("XA-01", []CellQuery{
 					{Dataset: "ndt", Metric: Download, Q: 95},
 					{Metric: Download, Q: 5},
 				})
@@ -173,7 +172,7 @@ func TestConcurrentBuildDeterministicAggregates(t *testing.T) {
 		records[i] = mkRec(fmt.Sprintf("r%d", i), "ndt", region, uint32(i%4+1), math.Exp(src.NormFloat64()+4))
 	}
 	build := func(workers int) *Store {
-		s := NewStoreWith(Options{Shards: 8, SketchCutover: 50})
+		s := NewStoreWith(Options{SketchCutover: 50})
 		var wg sync.WaitGroup
 		per := n / workers
 		for w := 0; w < workers; w++ {
@@ -284,7 +283,7 @@ func TestSelectPreservesInsertionOrder(t *testing.T) {
 	s := NewStore()
 	var want []string
 	for i := 0; i < 200; i++ {
-		// Spread across regions (hence shards) on purpose.
+		// Spread across regions, whose index lists Select merges.
 		region := fmt.Sprintf("XA-%02d-%03d", i%5+1, i%11+1)
 		id := fmt.Sprintf("r%d", i)
 		if err := s.Add(mkRec(id, "ndt", region, 1, float64(i))); err != nil {
@@ -335,10 +334,104 @@ func TestAggregateNoData(t *testing.T) {
 
 func TestStoreOptionsDefaults(t *testing.T) {
 	s := NewStoreWith(Options{})
-	if len(s.shards) != DefaultShards {
-		t.Errorf("shards = %d, want %d", len(s.shards), DefaultShards)
+	if s.cells.cutover != DefaultSketchCutover || s.cells.alpha != stats.DefaultDDSketchAlpha {
+		t.Errorf("cells: cutover %d, alpha %v; want %d, %v", s.cells.cutover, s.cells.alpha, DefaultSketchCutover, stats.DefaultDDSketchAlpha)
 	}
-	if s2 := NewStoreWith(Options{Shards: 3}); len(s2.shards) != 3 {
-		t.Errorf("shards = %d, want 3", len(s2.shards))
+	if s2 := NewStoreWith(Options{SketchCutover: 3, SketchAlpha: 0.05}); s2.cells.cutover != 3 || s2.cells.alpha != 0.05 {
+		t.Errorf("cells: cutover %d, alpha %v; want 3, 0.05", s2.cells.cutover, s2.cells.alpha)
+	}
+}
+
+// TestReadsSeeWholeBatches: while writers add batches that each put
+// perCell records into every (dataset, region) pair, every read — Len,
+// DatasetCounts, Regions, Select, Gather, Values, TimeBounds, the cell
+// index and Cut — sees a whole number of batches, the same count in
+// every dataset and region.
+func TestReadsSeeWholeBatches(t *testing.T) {
+	const (
+		writers = 2
+		batches = 150
+		perCell = 3
+	)
+	datasets := []string{"ndt", "cloudflare", "ookla"}
+	regions := []string{"XA-01-001", "XA-02-001"}
+	batchLen := perCell * len(datasets) * len(regions)
+	s := NewStore()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				var batch []Record
+				for _, ds := range datasets {
+					for _, region := range regions {
+						for i := 0; i < perCell; i++ {
+							batch = append(batch, mkRec(fmt.Sprintf("w%d-b%d-%s-%d", w, b, region, i), ds, region, 1, float64(i)))
+						}
+					}
+				}
+				if err := s.AddBatch(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	var partial sync.Map
+	whole := func(where string, n int) {
+		if n%batchLen != 0 {
+			if _, seen := partial.LoadOrStore(where, true); !seen {
+				t.Errorf("%s: %d records, not a multiple of %d — partial batch observed", where, n, batchLen)
+			}
+		}
+	}
+	var readers sync.WaitGroup
+	for _, read := range []func(){
+		func() { whole("Len", s.Len()) },
+		func() {
+			total := 0
+			for _, n := range s.DatasetCounts() {
+				whole("DatasetCounts", len(datasets)*n)
+				total += n
+			}
+			whole("DatasetCounts", total)
+			if n := len(s.Regions()); n != 0 && n != len(regions) {
+				whole("Regions", n)
+			}
+		},
+		func() {
+			whole("Select", len(s.Select(Filter{})))
+			whole("Gather", len(datasets)*len(s.Gather(Filter{Dataset: "ookla", RegionPrefix: "XA"}, nil).Rows))
+			whole("Values", len(s.Values(Filter{ASN: 1}, Download)))
+			if _, _, ok := s.TimeBounds(Filter{}); ok {
+				whole("Cut", s.Cut().Len())
+			}
+		},
+		func() {
+			a := s.AggregateCells("XA", []CellQuery{{Metric: Download, Q: 50}, {Dataset: "cloudflare", Metric: Download, Q: 50}})
+			whole("AggregateCells", a[0].Count)
+			whole("AggregateCells", len(datasets)*a[1].Count)
+		},
+	} {
+		readers.Add(1)
+		go func(read func()) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				read()
+			}
+		}(read)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if want := writers * batches * batchLen; s.Len() != want {
+		t.Fatalf("Len = %d, want %d", s.Len(), want)
 	}
 }

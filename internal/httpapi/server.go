@@ -602,7 +602,7 @@ type DatasetCount struct {
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	// One O(shards) pass instead of a per-dataset record scan.
+	// The store's per-dataset counts instead of a record scan.
 	counts := s.store.DatasetCounts()
 	names := make([]string, 0, len(counts))
 	for name := range counts {

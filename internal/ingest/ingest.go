@@ -22,7 +22,7 @@
 //
 // Enqueue returns nil only after the batch has cleared the store's full
 // ingest path: validated, deduplicated, teed to the WAL (fsynced, when
-// the store is WAL-backed), visible in every shard, and commit hooks
+// the store is WAL-backed), visible to every read, and commit hooks
 // fired. An acknowledged batch therefore survives kill-and-restart
 // bit-identically; an errored batch was never applied (AddBatch is
 // atomic per batch). Close mirrors the WAL's own semantics: batches

@@ -338,11 +338,11 @@ func (p *plan) aggregates(vals []cellAggregate) *Aggregates {
 	return agg
 }
 
-// sketched answers every cell over one region subtree from a cell index,
-// in one walk of its cells.
-func (p *plan) sketched(sk *dataset.Sketcher, region string) ([]cellAggregate, error) {
+// sketched takes every cell from the answers to p.cells of one walk of
+// a cell index.
+func (p *plan) sketched(answers []dataset.CellAnswer) ([]cellAggregate, error) {
 	vals := make([]cellAggregate, len(p.cells))
-	for k, a := range sk.AggregateCells(region, p.cells) {
+	for k, a := range answers {
 		if errors.Is(a.Err, stats.ErrNoData) {
 			continue
 		}
@@ -359,7 +359,7 @@ func (p *plan) sketched(sk *dataset.Sketcher, region string) ([]cellAggregate, e
 // the matching records.
 func (p *plan) stored(store *dataset.Store, base dataset.Filter) ([]cellAggregate, error) {
 	if base.CellIndexed() {
-		return p.sketched(store.Sketcher(), base.RegionPrefix)
+		return p.sketched(store.AggregateCells(base.RegionPrefix, p.cells))
 	}
 	base.Dataset = ""
 	v := store.Gather(base, p.names)

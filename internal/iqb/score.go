@@ -138,8 +138,8 @@ func (c Config) read(fn func(*plan) ([]cellAggregate, error)) (*plan, []cellAggr
 // scope: region subtrees, single ISPs, time windows, or any
 // combination.
 //
-// Region-scoped filters are answered from the store's cell index by
-// AggregateSketcher, without materializing record values. Filters the
+// Region-scoped filters are answered from the store's cell index
+// (Store.AggregateCells), without materializing record values. Filters the
 // cells cannot express (ASN, time windows) read the matching records
 // once and gather every (dataset, requirement) cell from that one scan,
 // exactly.
@@ -156,9 +156,9 @@ func (c Config) AggregateFiltered(store *dataset.Store, base dataset.Filter) (*A
 
 // AggregateSketcher computes the Aggregates of one region subtree from a
 // cell index, using the configured percentile and convention, in one
-// walk of its cells: a store's own index (AggregateFiltered) or a
-// standalone sketcher fed without keeping the records
-// (pipeline.RunStreaming). Each aggregate is exact while every
+// walk of its cells: a standalone sketcher fed without keeping the
+// records (pipeline.RunStreaming), as AggregateFiltered reads a store's
+// own index. Each aggregate is exact while every
 // contributing cell is below the cutover and within the DDSketch
 // relative-error bound once any has promoted — deterministic either way,
 // since cell state is a pure function of the ingested multiset.
@@ -166,7 +166,7 @@ func (c Config) AggregateSketcher(sk *dataset.Sketcher, region string) (*Aggrega
 	if sk == nil {
 		return nil, fmt.Errorf("iqb: nil sketcher")
 	}
-	p, vals, err := c.read(func(p *plan) ([]cellAggregate, error) { return p.sketched(sk, region) })
+	p, vals, err := c.read(func(p *plan) ([]cellAggregate, error) { return p.sketched(sk.AggregateCells(region, p.cells)) })
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func (c Config) ScoreSketcher(sk *dataset.Sketcher, region string) (Score, error
 	if sk == nil {
 		return Score{}, fmt.Errorf("iqb: nil sketcher")
 	}
-	p, vals, err := c.read(func(p *plan) ([]cellAggregate, error) { return p.sketched(sk, region) })
+	p, vals, err := c.read(func(p *plan) ([]cellAggregate, error) { return p.sketched(sk.AggregateCells(region, p.cells)) })
 	if err != nil {
 		return Score{}, err
 	}

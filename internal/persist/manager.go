@@ -160,7 +160,7 @@ func Open(dir string, o Options) (*Manager, error) {
 	// (e.g. a scored-region cache) can coexist with the WAL on the same
 	// store. With the growth trigger armed, a commit-phase observer
 	// rides along: it fires after the batch is both durable and
-	// shard-visible, and only checks a couple of counters, so it adds
+	// visible, and only checks a couple of counters, so it adds
 	// nothing measurable to the write path.
 	hooks := dataset.Hooks{Ingest: log.Append}
 	if m.growBytes > 0 {
@@ -273,7 +273,7 @@ func (m *Manager) SnapshotIfGrown() (info SnapshotInfo, cut bool, err error) {
 }
 
 // snapshotLocked is the snapshot body; the caller holds snapMu. The
-// fence only cuts the store and reads the WAL offset, O(shards); the
+// fence only cuts the store and reads the WAL offset, O(1); the
 // records stream from the cut with writers running again.
 func (m *Manager) snapshotLocked() (SnapshotInfo, error) {
 	var (

@@ -6,7 +6,7 @@
 // # Design
 //
 // Every batch entering the store is first framed and appended to the
-// WAL (via the store's ingest hook, before any shard is mutated), so an
+// WAL (via the store's ingest hook, before any row is stored), so an
 // acknowledged write is always recoverable. Batches are encoded in the
 // same NDJSON wire form the dataset codecs use, wrapped in a
 // [length, record-count, CRC32C] frame; segments rotate at a size
@@ -36,15 +36,15 @@
 // covered by the manifest.
 //
 // The cut copies no records. Under Store.Quiesce, with every writer
-// held out, the snapshot takes only a dataset.Cut — each shard's row
-// count, O(shards) — and the WAL offset, so the two describe the same
-// point in time; the fence's hold time is the
-// iqb_persist_snapshot_fence_seconds histogram. Shards are append-only
-// and stored rows never move, so once writers run again the rows below
-// the cut stay exactly the snapshot's records: Cut.Each sorts one
-// 16-byte (sequence, shard, index) reference per record into insertion
-// order and rebuilds the records 4096 at a time through one reused
-// chunk, which the frame encoder writes out.
+// held out, the snapshot takes only a dataset.Cut — the length of the
+// store's row log, O(1) — and the WAL offset, so the two describe the
+// same point in time; the fence's hold time is the
+// iqb_persist_snapshot_fence_seconds histogram. The row log is
+// append-only, in insertion order, and stored rows never move, so once
+// writers run again the rows below the cut stay exactly the snapshot's
+// records: Cut.Each walks them in log order and rebuilds the records
+// 4096 at a time through one reused chunk, which the frame encoder
+// writes out.
 //
 // Recovery streams the manifest's snapshot frame by frame into the
 // store (the body is never held whole in memory, and each frame's

@@ -159,7 +159,7 @@ func TestSnapshotDamageRefusesOpen(t *testing.T) {
 }
 
 // TestSnapshotCutWhileWriting: a writer keeps appending while a
-// snapshot streams, so shard slices grow past the cut. The snapshot
+// snapshot streams, so the store's row log grows past the cut. The snapshot
 // holds exactly the records the WAL held at the cut, and a reopened
 // store selects the same records in the same order as the store that
 // wrote them.

@@ -69,7 +69,7 @@ func TestStreamingScoreAllDeterministicAcrossWorkerCounts(t *testing.T) {
 // regression pin: for a fixed Spec.Seed, pipeline.Run followed by
 // ScoreAll must produce bit-identical scores for every worker count.
 // This exercises the whole shared-nothing ingestion path — per-worker
-// record batches into the sharded store, per-worker Ookla collectors
+// record batches into the store, per-worker Ookla collectors
 // merged after the join — and the store's order-independent aggregation.
 func TestScoreAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := iqb.DefaultConfig()

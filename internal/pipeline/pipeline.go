@@ -174,7 +174,7 @@ type Result struct {
 }
 
 // flushBatch is how many records a worker buffers before handing them to
-// the sink in one call. It amortizes shard locking without letting
+// the sink in one call. It amortizes the store's locking without letting
 // per-worker buffers grow past a few memory pages.
 const flushBatch = 256
 

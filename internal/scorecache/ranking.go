@@ -103,7 +103,7 @@ func (c *Cache) retained(counties []string) []*entry {
 	from := make([]*entry, len(counties))
 	c.mu.Lock()
 	for i, code := range counties {
-		from[i] = c.entries[key{region: code, fromZero: true, toZero: true}]
+		from[i] = c.entries[key{region: code}]
 	}
 	c.mu.Unlock()
 	return from

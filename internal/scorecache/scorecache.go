@@ -16,15 +16,17 @@
 //
 // # Consistency
 //
-// The cache subscribes to the store's ordered hook chain (so it coexists
-// with the persistence layer's WAL tee): the Ingest phase marks the
-// touched regions in-flight before any shard is mutated, and the Commit
-// phase — which the store fires only after the whole batch is visible —
-// clears the mark, bumps the versions, and evicts. A score computed
-// while any overlapping batch was in flight, or across a version change,
-// is served to its requester but never retained, so a cache hit is
-// always a score of a fully applied record multiset. Concurrent cold
-// misses for one key are collapsed into a single computation.
+// The store shows every batch whole or not at all, and a score is one
+// read of it, so every score is of a record multiset that existed. The
+// cache subscribes to the store's ordered hook chain (so it coexists
+// with the persistence layer's WAL tee) with a Commit observer only,
+// which the store fires after the whole batch is visible: it bumps the
+// versions and evicts. A score is retained unless a commit touched its
+// region while it was computed; then it may predate a batch whose
+// eviction has already run, so it is served to its requester but not
+// retained. A score retained before a commit is of the state before
+// the batch, and that commit evicts it. Concurrent cold misses for one
+// key are collapsed into a single computation.
 //
 // # Ranking
 //
@@ -85,9 +87,8 @@ const (
 	Hit Outcome = iota
 	// Miss computed the score and retained it.
 	Miss
-	// MissUncacheable computed the score while an overlapping batch was
-	// in flight (or committed mid-computation); the result was served
-	// but not retained.
+	// MissUncacheable computed the score while a batch touching the
+	// region committed; the result was served but not retained.
 	MissUncacheable
 	// SharedFlight joined another caller's in-progress computation.
 	SharedFlight
@@ -116,7 +117,7 @@ type Stats struct {
 	Entries int `json:"entries"`
 	// Hits and Misses count Score calls served from / computed into the
 	// cache; Uncacheable counts computations that could not be retained
-	// because ingestion was in flight.
+	// because a commit touched their region meanwhile.
 	Hits        uint64 `json:"hits"`
 	Misses      uint64 `json:"misses"`
 	Uncacheable uint64 `json:"uncacheable"`
@@ -141,19 +142,13 @@ type Stats struct {
 // limit.
 const DefaultMaxEntries = 1 << 16
 
-// key identifies one cached score. Zero from/to bounds are encoded via
-// the *Zero flags so the zero time and the Unix epoch cannot collide.
+// key identifies one cached score. The bounds are held in UTC, which
+// drops their zone and monotonic reading, so == compares them by
+// instant, in seconds and nanoseconds, for every year a time.Time
+// holds. A zero bound is unbounded, as in dataset.Filter.
 type key struct {
-	region           string
-	fromZero, toZero bool
-	fromNS, toNS     int64
-}
-
-func boundNS(t time.Time) (bool, int64) {
-	if t.IsZero() {
-		return true, 0
-	}
-	return false, t.UnixNano()
+	region   string
+	from, to time.Time
 }
 
 // entry is one retained score (or its deterministic no-data error).
@@ -202,7 +197,6 @@ type Cache struct {
 	entries    map[key]*entry
 	byRegion   map[string]map[key]struct{} // region -> its keys, for eviction
 	ver        map[string]uint64           // region (incl. ancestors) -> commit version
-	pending    map[string]int              // region (incl. ancestors) -> in-flight batches
 	flights    map[key]*flight
 	stats      Stats
 
@@ -236,18 +230,13 @@ func New(store *dataset.Store, cfg iqb.Config, logger *slog.Logger) (*Cache, err
 		entries:    map[key]*entry{},
 		byRegion:   map[string]map[key]struct{}{},
 		ver:        map[string]uint64{},
-		pending:    map[string]int{},
 		flights:    map[key]*flight{},
 	}
 	c.stats.ConfigHash = hash
 	c.scoreFn = func(region string, from, to time.Time) (iqb.Score, error) {
 		return cfg.ScoreRegion(store, region, from, to)
 	}
-	c.remove = store.AddHooks(dataset.Hooks{
-		Ingest: c.onIngest,
-		Commit: c.onCommit,
-		Abort:  c.onAbort,
-	})
+	c.remove = store.AddHooks(dataset.Hooks{Commit: c.onCommit})
 	return c, nil
 }
 
@@ -305,53 +294,17 @@ func touchedRegions(rs []dataset.Record) map[string]timeRange {
 // windowTouches reports whether a cached [from, to) window (zero bounds
 // unbounded) contains any instant of the batch's span in that region.
 func windowTouches(k key, tr timeRange) bool {
-	if !k.fromZero && tr.max.UnixNano() < k.fromNS {
-		return false
-	}
-	if !k.toZero && tr.min.UnixNano() >= k.toNS {
-		return false
-	}
-	return true
+	return (k.from.IsZero() || !tr.max.Before(k.from)) && (k.to.IsZero() || tr.min.Before(k.to))
 }
 
-// onIngest marks the touched regions in flight before any shard is
-// mutated; scores computed from here on cannot be retained until the
-// batch commits or aborts. It never vetoes.
-func (c *Cache) onIngest(rs []dataset.Record) error {
-	c.mu.Lock()
-	for code := range touchedRegions(rs) {
-		c.pending[code]++
-	}
-	c.mu.Unlock()
-	return nil
-}
-
-// onAbort unwinds onIngest for a batch a later hook vetoed.
-func (c *Cache) onAbort(rs []dataset.Record) {
-	c.mu.Lock()
-	c.decPending(rs)
-	c.mu.Unlock()
-}
-
-func (c *Cache) decPending(rs []dataset.Record) {
-	for code := range touchedRegions(rs) {
-		if c.pending[code]--; c.pending[code] <= 0 {
-			delete(c.pending, code)
-		}
-	}
-}
-
-// onCommit fires once the batch is fully visible in the shards: clear
-// the in-flight marks, bump each touched region's version, and evict
-// exactly the cached windows the batch's timestamps fall into.
+// onCommit fires once the batch is fully visible in the store: bump
+// each touched region's version, and evict exactly the cached windows
+// the batch's timestamps fall into.
 func (c *Cache) onCommit(rs []dataset.Record) {
 	touched := touchedRegions(rs)
 	c.mu.Lock()
 	c.stats.Invalidations++
 	for code, tr := range touched {
-		if c.pending[code]--; c.pending[code] <= 0 {
-			delete(c.pending, code)
-		}
 		c.ver[code]++
 		for k := range c.byRegion[code] {
 			if windowTouches(k, tr) {
@@ -410,10 +363,7 @@ func (c *Cache) ScoreBody(region string, from, to time.Time, enc func(iqb.Score)
 
 // key builds the cache key for a region and window.
 func (c *Cache) key(region string, from, to time.Time) key {
-	k := key{region: region}
-	k.fromZero, k.fromNS = boundNS(from)
-	k.toZero, k.toNS = boundNS(to)
-	return k
+	return key{region: region, from: from.UTC(), to: to.UTC()}
 }
 
 // get is the one cache lookup behind Score, ScoreBody and Ranking: a
@@ -436,7 +386,6 @@ func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
 	f := &flight{done: make(chan struct{})}
 	c.flights[k] = f
 	v0 := c.ver[region]
-	clean0 := c.pending[region] == 0
 	c.mu.Unlock()
 
 	// The flight must resolve even if scoring panics (the HTTP layer
@@ -461,13 +410,11 @@ func (c *Cache) get(k key, from, to time.Time) (result, Outcome) {
 
 	c.mu.Lock()
 	delete(c.flights, k)
-	// Retain only scores provably computed from a fully applied record
-	// multiset: no overlapping batch in flight when the computation
-	// started or finished, and no commit in between. Deterministic
-	// no-data outcomes are retained too (they spare the ranking a rescore
-	// of empty counties); other errors are never retained.
-	cacheable := clean0 && c.pending[region] == 0 && c.ver[region] == v0 &&
-		(err == nil || errors.Is(err, iqb.ErrNoUsableData))
+	// Retain only scores no commit can have evicted already: none
+	// touched the region since v0 was read. Deterministic no-data
+	// outcomes are retained too (they spare the ranking a rescore of
+	// empty counties); other errors are never retained.
+	cacheable := c.ver[region] == v0 && (err == nil || errors.Is(err, iqb.ErrNoUsableData))
 	out := MissUncacheable
 	c.stats.Misses++
 	var kept *entry
@@ -501,7 +448,7 @@ func (c *Cache) evictForSpaceLocked() {
 	var victim *key
 	for k := range c.entries {
 		k := k
-		if !k.fromZero || !k.toZero {
+		if !k.from.IsZero() || !k.to.IsZero() {
 			victim = &k
 			break
 		}
@@ -549,7 +496,7 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 		"Score calls computed into the cache.", nil,
 		sample(func(s Stats) float64 { return float64(s.Misses) }))
 	r.CounterFunc("iqb_scorecache_uncacheable_total",
-		"Computations not retained because ingestion was in flight.", nil,
+		"Computations not retained because a commit touched their region meanwhile.", nil,
 		sample(func(s Stats) float64 { return float64(s.Uncacheable) }))
 	r.CounterFunc("iqb_scorecache_shared_flights_total",
 		"Calls that joined a concurrent computation instead of starting their own.", nil,

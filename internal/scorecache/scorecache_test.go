@@ -222,57 +222,18 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
-// TestInFlightBatchBlocksRetention: a score computed while an
-// overlapping batch is mid-application is served but never retained.
-func TestInFlightBatchBlocksRetention(t *testing.T) {
+// TestVetoedBatchLeavesCacheUntouched: a batch a hook vetoes never
+// reaches the store, so the cache's entries and counters stay as they
+// were and the next read hits.
+func TestVetoedBatchLeavesCacheUntouched(t *testing.T) {
 	s := dataset.NewStore()
 	seedCounty(t, s, "XA-01-001", 15)
 	c := newCache(t, s)
-
-	// A blocking hook registered after the cache: the cache's Ingest
-	// phase (pending mark) has run by the time the batch parks here.
-	hold := make(chan struct{})
-	parked := make(chan struct{})
-	remove := s.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
-		close(parked)
-		<-hold
-		return nil
-	}})
-	defer remove()
-
-	done := make(chan error, 1)
-	go func() {
-		done <- s.AddBatch([]dataset.Record{rec("inflight", "ndt", "XA-01-001", time.Date(2025, 6, 2, 0, 0, 0, 0, time.UTC), 5)})
-	}()
-	<-parked
-
-	// Computed mid-flight: served, not retained.
-	if _, out, err := c.Score("XA-01-001", time.Time{}, time.Time{}); err != nil || out != MissUncacheable {
-		t.Fatalf("mid-flight read: outcome=%v err=%v", out, err)
+	zero := time.Time{}
+	if _, out, err := c.Score("XA-01-001", zero, zero); err != nil || out != Miss {
+		t.Fatalf("first read: outcome=%v err=%v", out, err)
 	}
-	close(hold)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	// After commit: a fresh miss (nothing stale was retained), then hits.
-	if _, out, err := c.Score("XA-01-001", time.Time{}, time.Time{}); err != nil || out != Miss {
-		t.Fatalf("post-commit read: outcome=%v err=%v", out, err)
-	}
-	if _, out, _ := c.Score("XA-01-001", time.Time{}, time.Time{}); out != Hit {
-		t.Fatal("post-commit entry not retained")
-	}
-	if st := c.Stats(); st.Uncacheable == 0 {
-		t.Fatalf("stats did not count the uncacheable compute: %+v", st)
-	}
-}
-
-// TestAbortedBatchUnwindsPending: a batch vetoed by a later hook must
-// not leave the cache permanently convinced ingestion is in flight.
-func TestAbortedBatchUnwindsPending(t *testing.T) {
-	s := dataset.NewStore()
-	seedCounty(t, s, "XA-01-001", 15)
-	c := newCache(t, s)
+	before := c.Stats()
 
 	boom := errors.New("disk full")
 	remove := s.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error { return boom }})
@@ -281,12 +242,127 @@ func TestAbortedBatchUnwindsPending(t *testing.T) {
 	}
 	remove()
 
-	// The abort cleared the pending mark, so a fresh compute is retained.
-	if _, out, err := c.Score("XA-01-001", time.Time{}, time.Time{}); err != nil || out != Miss {
-		t.Fatalf("post-abort read: outcome=%v err=%v", out, err)
+	if after := c.Stats(); after != before {
+		t.Fatalf("vetoed batch changed the cache: %+v, was %+v", after, before)
 	}
-	if _, out, _ := c.Score("XA-01-001", time.Time{}, time.Time{}); out != Hit {
-		t.Fatal("post-abort entry not retained")
+	if _, out, err := c.Score("XA-01-001", zero, zero); err != nil || out != Hit {
+		t.Fatalf("post-veto read: outcome=%v err=%v", out, err)
+	}
+}
+
+// TestRankingRepairsParkedCountyOnce: a batch into a county that waits
+// in a later observer's Ingest hook is not yet visible, so the ranking's
+// rescore of that county is of the store as it is and is retained: a
+// second ranking rescores nothing. The batch's commit evicts the county
+// and the next ranking rescores it exactly once.
+func TestRankingRepairsParkedCountyOnce(t *testing.T) {
+	s := dataset.NewStore()
+	counties := []string{"XA-01-001", "XA-01-002"}
+	for _, county := range counties {
+		seedCounty(t, s, county, 15)
+	}
+	c := newCache(t, s)
+	c.Ranking(counties)
+	// A commit evicts county 001's entry.
+	june2 := time.Date(2025, 6, 2, 0, 0, 0, 0, time.UTC)
+	if err := s.Add(rec("evict", "ndt", "XA-01-001", june2, 150)); err != nil {
+		t.Fatal(err)
+	}
+
+	hold := make(chan struct{})
+	parked := make(chan struct{})
+	remove := s.AddHooks(dataset.Hooks{Ingest: func(rs []dataset.Record) error {
+		close(parked)
+		<-hold
+		return nil
+	}})
+	done := make(chan error, 1)
+	go func() { done <- s.Add(rec("parked", "ndt", "XA-01-001", june2, 5)) }()
+	<-parked
+	var release sync.Once
+	commit := func() {
+		release.Do(func() {
+			close(hold)
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+			remove()
+		})
+	}
+	// A failing check must not leave the batch parked: the cache's
+	// Close would wait for it.
+	defer commit()
+
+	repairs := func(step func()) uint64 {
+		before := c.Stats().RankingRepairs
+		step()
+		return c.Stats().RankingRepairs - before
+	}
+	rank := func() { c.Ranking(counties) }
+	if n := repairs(rank); n != 1 {
+		t.Fatalf("first ranking while parked rescored %d counties, want 1", n)
+	}
+	if n := repairs(rank); n != 0 {
+		t.Fatalf("second ranking while parked rescored %d counties, want 0", n)
+	}
+	if n := repairs(commit); n != 0 {
+		t.Fatalf("commit rescored %d counties", n)
+	}
+	if n := repairs(rank); n != 1 {
+		t.Fatalf("ranking after the commit rescored %d counties, want 1", n)
+	}
+	want, _ := Rank(counties, c.scoreFn, testLogger())
+	if got, _ := c.Ranking(counties); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ranking %v, uncached %v", got, want)
+	}
+}
+
+// TestWindowBeyondUnixNanoRange: a window is keyed and evicted by its
+// bounds' instants for every year a record may carry, including those
+// outside the 1678–2262 span UnixNano holds: a batch into the window
+// evicts it, and the next read equals a fresh score.
+func TestWindowBeyondUnixNanoRange(t *testing.T) {
+	s := dataset.NewStore()
+	county := "XA-01-001"
+	at := time.Date(2250, 6, 1, 0, 0, 0, 0, time.UTC)
+	var batch []dataset.Record
+	for _, ds := range []string{"ndt", "cloudflare", "ookla"} {
+		for i := 0; i < 15; i++ {
+			batch = append(batch, rec(fmt.Sprintf("%s-%d", ds, i), ds, county, at, 200))
+		}
+	}
+	if err := s.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	c := newCache(t, s)
+	from, to := time.Date(2200, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	if _, out, err := c.Score(county, from, to); err != nil || out != Miss {
+		t.Fatalf("first read: outcome=%v err=%v", out, err)
+	}
+	if _, out, _ := c.Score(county, from, to); out != Hit {
+		t.Fatalf("second read outcome = %v, want hit", out)
+	}
+	var bad []dataset.Record
+	for _, ds := range []string{"ndt", "cloudflare", "ookla"} {
+		for i := 0; i < 40; i++ {
+			r := rec(fmt.Sprintf("bad-%s-%d", ds, i), ds, county, at, 1)
+			r.LatencyMS = 900
+			bad = append(bad, r)
+		}
+	}
+	if err := s.AddBatch(bad); err != nil {
+		t.Fatal(err)
+	}
+	got, out, err := c.Score(county, from, to)
+	if err != nil || out != Miss {
+		t.Fatalf("read after a batch into the window: outcome=%v err=%v, want miss", out, err)
+	}
+	fresh, err := iqb.DefaultConfig().ScoreRegion(s, county, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scoreJSON(t, got) != scoreJSON(t, fresh) {
+		t.Fatal("cached score differs from a fresh one")
 	}
 }
 
@@ -524,30 +600,42 @@ func TestWALAndCacheHooksCoexist(t *testing.T) {
 
 // TestCacheNeverServesPartialBatch is the ingest-during-read race test:
 // concurrent writers stream fixed-size batches into counties while
-// readers hammer Score and Ranking. Every batch carries batchSize
-// records per dataset for one county, so any score computed from a
-// partially applied batch would show a per-dataset sample count that is
-// not a multiple of batchSize. Cache hits — and, after the writers
-// drain, every cached answer — must never show one.
+// readers hammer the cache's Score and Ranking and the uncached scoring
+// paths — ScoreRegion over the cell index, ScoreRegion over a window
+// (a record gather) and ScoreWindows. Every batch carries batchSize
+// records per dataset for one county, so a score of a whole number of
+// batches shows, in every dataset cell of the county, the same sample
+// count, a multiple of batchSize. Any score — cache hit, miss or
+// uncached — that shows otherwise read a partial batch. After the
+// writers drain, every cached answer must equal fresh scoring.
 func TestCacheNeverServesPartialBatch(t *testing.T) {
 	const (
 		batchSize = 7
-		batches   = 25
+		batches   = 150
 	)
 	counties := []string{"XA-01-001", "XA-01-002"}
 	datasets := []string{"ndt", "cloudflare", "ookla"}
+	ts := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
+	from, to := ts.Add(-time.Hour), ts.Add(time.Hour)
 
 	s := dataset.NewStore()
 	c := newCache(t, s)
 	cfg := iqb.DefaultConfig()
 
-	checkMultiples := func(sc iqb.Score, where string) {
+	var partial sync.Mutex
+	seen := map[string]int{}
+	check := func(sc iqb.Score, where string) {
 		for _, uc := range sc.UseCases {
 			for _, rq := range uc.Requirements {
 				for _, cell := range rq.Datasets {
-					if cell.Samples%batchSize != 0 {
-						t.Errorf("%s: %s/%s/%s has %d samples, not a multiple of %d — partial batch observed",
-							where, uc.Name, rq.Name, cell.Dataset, cell.Samples, batchSize)
+					if cell.Samples%batchSize != 0 || cell.Samples != rq.Datasets[0].Samples {
+						partial.Lock()
+						if seen[where]++; seen[where] == 1 {
+							t.Errorf("%s: %s/%s: %s has %d samples, %s %d — partial batch observed",
+								where, uc.Name, rq.Name, cell.Dataset, cell.Samples, rq.Datasets[0].Dataset, rq.Datasets[0].Samples)
+						}
+						partial.Unlock()
+						return
 					}
 				}
 			}
@@ -561,7 +649,6 @@ func TestCacheNeverServesPartialBatch(t *testing.T) {
 		writers.Add(1)
 		go func(county string) {
 			defer writers.Done()
-			ts := time.Date(2025, 6, 1, 0, 0, 0, 0, time.UTC)
 			for b := 0; b < batches; b++ {
 				var batch []dataset.Record
 				for _, ds := range datasets {
@@ -576,8 +663,7 @@ func TestCacheNeverServesPartialBatch(t *testing.T) {
 			}
 		}(county)
 	}
-	// Readers: cache hits must never expose a partial batch.
-	for r := 0; r < 4; r++ {
+	reader := func(read func(county string)) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -588,19 +674,44 @@ func TestCacheNeverServesPartialBatch(t *testing.T) {
 				default:
 				}
 				for _, county := range counties {
-					sc, out, err := c.Score(county, time.Time{}, time.Time{})
-					if err != nil {
-						continue
-					}
-					if out == Hit {
-						checkMultiples(sc, "live hit "+county)
-					}
+					read(county)
 				}
-				rows, _ := c.Ranking(counties)
-				_ = rows
 			}
 		}()
 	}
+	reader(func(county string) {
+		if sc, out, err := c.Score(county, time.Time{}, time.Time{}); err == nil {
+			check(sc, "cache "+out.String())
+		}
+		if county == counties[0] {
+			rows, _ := c.Ranking(counties)
+			for _, row := range rows {
+				check(row.Score, "ranking")
+			}
+		}
+	})
+	reader(func(county string) {
+		if sc, err := cfg.ScoreRegion(s, county, time.Time{}, time.Time{}); err == nil {
+			check(sc, "uncached cells")
+		}
+	})
+	reader(func(county string) {
+		if sc, err := cfg.ScoreRegion(s, county, from, to); err == nil {
+			check(sc, "uncached window")
+		}
+	})
+	reader(func(county string) {
+		pts, err := cfg.ScoreWindows(s, county, from, to, time.Hour)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, pt := range pts {
+			if !pt.NoData {
+				check(pt.Score, "uncached windows")
+			}
+		}
+	})
 	writers.Wait()
 	close(stop)
 	readers.Wait()
@@ -613,7 +724,7 @@ func TestCacheNeverServesPartialBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", county, err)
 		}
-		checkMultiples(cached, "final "+county)
+		check(cached, "final "+county)
 		fresh, err := cfg.ScoreRegion(s, county, time.Time{}, time.Time{})
 		if err != nil {
 			t.Fatal(err)
@@ -627,6 +738,9 @@ func TestCacheNeverServesPartialBatch(t *testing.T) {
 		t.Fatalf("final ranking rows=%d omitted=%d", len(rows), omitted)
 	}
 	for _, row := range rows {
-		checkMultiples(row.Score, "final ranking "+row.Region)
+		check(row.Score, "final ranking "+row.Region)
+	}
+	if len(seen) > 0 {
+		t.Logf("partial reads by reader: %v", seen)
 	}
 }
