@@ -383,29 +383,6 @@ func BenchmarkStoreAggregateExact(b *testing.B) {
 	}
 }
 
-// BenchmarkSketcherIngestParallel measures contended streaming ingestion
-// into the lock-striped sketcher in one-record batches, the worst case
-// for its per-batch stripe grouping (RunStreaming's workers hand it
-// 256-record batches). Records spread over regions land in different
-// stripes, so writers should scale with cores instead of serializing on
-// one sketch lock.
-func BenchmarkSketcherIngestParallel(b *testing.B) {
-	recs := benchRecords(1 << 16)
-	sk := dataset.NewSketcher()
-	var next int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := int(atomic.AddInt64(&next, 1)-1) % len(recs)
-			if err := sk.Ingest(recs[i : i+1]); err != nil {
-				// b.Fatal must not run on a RunParallel worker goroutine.
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
 // BenchmarkNDTSimulate measures one simulated NDT test (the pipeline's
 // dominant cost).
 func BenchmarkNDTSimulate(b *testing.B) {

@@ -46,7 +46,10 @@
 // recover the store from snapshot + WAL without re-running the
 // pipeline, tolerating the torn WAL tail a crash mid-append leaves
 // behind; only the synthetic geography is rebuilt, from the seed
-// recorded in the data dir (which overrides -seed). A background
+// recorded in the data dir (which overrides -seed). A data dir whose
+// first boot stopped mid-simulation is refused: remove it and boot
+// again. The pipeline commits its batches in job order, so a first
+// boot's data dir depends on the seed alone. A background
 // snapshotter cuts a fresh snapshot every -snapshot-interval (0
 // disables it) and compacts WAL segments the snapshot covers.
 //
@@ -104,6 +107,18 @@ func main() {
 	}
 }
 
+// errIncompleteFirstBoot marks a data dir that holds records but neither
+// a snapshot nor the META key a first boot writes once its pipeline run
+// completes: a first boot stopped mid-simulation, whose records are a
+// prefix of the world's. Serving it would rank a partial world; remove
+// the dir and boot again.
+var errIncompleteFirstBoot = errors.New("data dir holds an incomplete first boot")
+
+// metaSimulated is the META key a first boot sets once pipeline.Run has
+// returned. Dirs from before the key hold a snapshot, which a first boot
+// cuts only after the run.
+const metaSimulated = "simulated"
+
 // bootOptions configures openWorld.
 type bootOptions struct {
 	dataDir      string
@@ -141,7 +156,8 @@ type world struct {
 // With a data dir: recover the store from snapshot + WAL when the dir
 // holds data (rebuilding only the geography, never re-running the
 // pipeline), or run the pipeline through the WAL on first boot and cut
-// the initial snapshot.
+// the initial snapshot. A dir whose first boot stopped before its
+// pipeline run completed is refused with errIncompleteFirstBoot.
 func openWorld(logger *slog.Logger, spec pipeline.Spec, opts bootOptions) (*world, error) {
 	if opts.dataDir == "" {
 		logger.Info("simulating world (memory-only)", "seed", spec.Seed, "tests_per_county", spec.TestsPerCounty)
@@ -162,6 +178,10 @@ func openWorld(logger *slog.Logger, spec pipeline.Spec, opts bootOptions) (*worl
 		meta, err := mgr.Meta()
 		if err != nil {
 			return nil, errors.Join(err, mgr.Close())
+		}
+		if !rec.FromSnapshot && meta[metaSimulated] != "true" {
+			return nil, errors.Join(fmt.Errorf("%w: %s holds %d WAL records, no snapshot and no %q in its META",
+				errIncompleteFirstBoot, opts.dataDir, rec.WALRecords, metaSimulated), mgr.Close())
 		}
 		if s, ok := meta["seed"]; ok {
 			seed, err := strconv.ParseUint(s, 10, 64)
@@ -195,19 +215,25 @@ func openWorld(logger *slog.Logger, spec pipeline.Spec, opts bootOptions) (*worl
 
 	// First boot of this data dir: simulate through the WAL, so the
 	// store is durable from the very first batch, then snapshot. The
-	// seed is recorded before the run — a crash mid-simulation leaves
-	// WAL records that only that seed's geography can interpret, and a
-	// restart must not rebuild the world from a different -seed flag.
+	// seed is recorded before the run, and metaSimulated once the run
+	// has returned: a crash mid-simulation leaves WAL records of part
+	// of the world and no metaSimulated, and the next boot refuses the
+	// dir rather than serve that part as the world.
 	logger.Info("simulating world into data dir", "dir", opts.dataDir, "seed", spec.Seed, "tests_per_county", spec.TestsPerCounty)
-	if err := mgr.SetMeta(map[string]string{
+	meta := map[string]string{
 		"seed":             strconv.FormatUint(spec.Seed, 10),
 		"tests_per_county": strconv.Itoa(spec.TestsPerCounty),
-	}); err != nil {
+	}
+	if err := mgr.SetMeta(meta); err != nil {
 		return nil, errors.Join(err, mgr.Close())
 	}
 	spec.Store = mgr.Store()
 	res, err := pipeline.Run(context.Background(), spec)
 	if err != nil {
+		return nil, errors.Join(err, mgr.Close())
+	}
+	meta[metaSimulated] = "true"
+	if err := mgr.SetMeta(meta); err != nil {
 		return nil, errors.Join(err, mgr.Close())
 	}
 	info, err := mgr.Snapshot()

@@ -1,19 +1,25 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
 	"iqb/internal/dataset"
 	"iqb/internal/httpapi"
 	"iqb/internal/iqb"
+	"iqb/internal/persist"
 	"iqb/internal/pipeline"
 )
 
@@ -247,5 +253,157 @@ func TestMemoryOnlyBootUnchanged(t *testing.T) {
 	}
 	if w.store.Len() == 0 {
 		t.Fatal("empty store")
+	}
+}
+
+// TestFirstBootBytesIdenticalAcrossWorkerCounts pins that a first boot's
+// data dir is a function of the seed alone: first boots with 1, 2 and 4
+// pipeline workers write the same WAL segments, META and snapshot body
+// byte for byte, and the same MANIFEST apart from its SavedAt.
+func TestFirstBootBytesIdenticalAcrossWorkerCounts(t *testing.T) {
+	var refDir string
+	var ref map[string][]byte
+	for _, workers := range []int{1, 2, 4} {
+		spec := testSpec()
+		// Enough jobs for several WAL frames, so workers interleave.
+		spec.TestsPerCounty = 100
+		spec.Workers = workers
+		dir := t.TempDir()
+		w, err := openWorld(testLogger(), spec, bootOptions{dataDir: dir})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if err := w.mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files := dataDirFiles(t, dir)
+		if ref == nil {
+			refDir, ref = dir, files
+			continue
+		}
+		if len(files) != len(ref) {
+			t.Fatalf("workers=%d wrote %d files, workers=1 wrote %d", workers, len(files), len(ref))
+		}
+		for name, want := range ref {
+			got, ok := files[name]
+			if !ok {
+				t.Fatalf("workers=%d wrote no %s (workers=1 did, in %s)", workers, name, refDir)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("workers=%d: %s differs from the workers=1 boot's", workers, name)
+			}
+		}
+	}
+}
+
+// dataDirFiles reads every file under dir by its slash-separated
+// relative path; MANIFEST.json comes back with its saved_at cleared, the
+// one field a wall clock writes.
+func dataDirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		if rel == "MANIFEST.json" {
+			var m map[string]any
+			if err := json.Unmarshal(body, &m); err != nil {
+				return err
+			}
+			if _, ok := m["saved_at"]; !ok {
+				return fmt.Errorf("MANIFEST.json has no saved_at: %s", body)
+			}
+			delete(m, "saved_at")
+			if body, err = json.Marshal(m); err != nil {
+				return err
+			}
+		}
+		files[filepath.ToSlash(rel)] = body
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestIncompleteFirstBootRefused: a data dir whose first boot stopped
+// mid-simulation — its META and the first 25 of the world's records in
+// the WAL, no snapshot — is refused with errIncompleteFirstBoot rather
+// than served as the world. A dir with a snapshot but no completion key,
+// as first boots wrote before the key existed, still opens.
+func TestIncompleteFirstBootRefused(t *testing.T) {
+	spec := testSpec()
+	res, err := pipeline.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := res.Store.Select(dataset.Filter{})
+	if len(all) <= 25 {
+		t.Fatalf("world holds %d records, want more than 25", len(all))
+	}
+	dir := t.TempDir()
+	mgr, err := persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.SetMeta(map[string]string{
+		"seed":             strconv.FormatUint(spec.Seed, 10),
+		"tests_per_county": strconv.Itoa(spec.TestsPerCounty),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Store().AddBatch(all[:25]); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := openWorld(testLogger(), spec, bootOptions{dataDir: dir})
+	if !errors.Is(err, errIncompleteFirstBoot) {
+		if err == nil {
+			w.mgr.Close()
+		}
+		t.Fatalf("openWorld on a partial first boot = recovered %v, err %v; want errIncompleteFirstBoot",
+			err == nil && w.recovered, err)
+	}
+
+	// A complete first boot, its META rewritten without the key: the
+	// snapshot alone shows the run completed.
+	dir = t.TempDir()
+	w, err = openWorld(testLogger(), spec, bootOptions{dataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := w.mgr.Meta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta[metaSimulated] != "true" {
+		t.Fatalf("first boot META = %v, want %s=true", meta, metaSimulated)
+	}
+	delete(meta, metaSimulated)
+	if err := w.mgr.SetMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err = openWorld(testLogger(), spec, bootOptions{dataDir: dir})
+	if err != nil {
+		t.Fatalf("reopening a dir with a snapshot and no %s: %v", metaSimulated, err)
+	}
+	defer w.mgr.Close()
+	if !w.recovered || w.store.Len() != len(all) {
+		t.Fatalf("reopened dir: recovered=%v with %d records, want true with %d", w.recovered, w.store.Len(), len(all))
 	}
 }

@@ -181,7 +181,7 @@ func TestStoreCellsMatchStandaloneSketcher(t *testing.T) {
 	recs := cellsRecords()
 	for _, cutover := range []int{30, DefaultSketchCutover} {
 		s := cellsWorld(t, Options{SketchCutover: cutover})
-		sk := newSketcher(sketchStripes, cutover, stats.DefaultDDSketchAlpha)
+		sk := newSketcher(cutover, stats.DefaultDDSketchAlpha)
 		rev := slices.Clone(recs)
 		slices.Reverse(rev)
 		for len(rev) > 0 {

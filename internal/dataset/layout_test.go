@@ -39,9 +39,9 @@ func layoutRecord(src *rand.Rand, i int) Record {
 	ids := []string{"r<&>", "r\u2028", "r\"q\\", "r", "", "", "", ""}
 	id := fmt.Sprintf("%s-%d", ids[src.Intn(len(ids))], i)
 	if id[0] == '-' {
-		// A long ID, padded to its length: the entry's 2- or 3-byte
-		// header aside, maxSharedEntry-3 fills a shared chunk's limit.
-		lengths := []int{300, 5 << 10, maxSharedEntry - 3, maxSharedEntry + 1 + src.Intn(100)}
+		// A long ID, padded to its length: the entry's 2-byte length
+		// header aside, maxSharedEntry-2 fills a shared chunk's limit.
+		lengths := []int{300, 5 << 10, maxSharedEntry - 2, maxSharedEntry + 1 + src.Intn(100)}
 		id += strings.Repeat("L", lengths[src.Intn(len(lengths))]-len(id))
 	}
 	datasets := []string{"ndt", "cloudflare", "ookla"}
@@ -278,18 +278,14 @@ func TestIndexOverflowLeavesStoreUnchanged(t *testing.T) {
 	}
 
 	s = NewStore()
-	for i := range s.stripes {
-		s.stripes[i].arena.limit = 0
-	}
+	s.arena.limit = 0
 	if err := s.AddBatch(batch); !errors.Is(err, errArenaFull) {
 		t.Fatalf("AddBatch past the arena limit = %v, want errArenaFull", err)
 	}
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d after a failed batch", s.Len())
 	}
-	for i := range s.stripes {
-		s.stripes[i].arena.limit = maxArenaChunks
-	}
+	s.arena.limit = maxArenaChunks
 	if err := s.AddBatch(batch); err != nil {
 		t.Fatalf("retry with room: %v", err)
 	}
@@ -305,26 +301,25 @@ func TestArenaReadsBackEveryLength(t *testing.T) {
 	lengths := []int{0, 1, 250, 253, 254, 255, 256, 300, 5 << 10, maxSharedEntry - 4, maxSharedEntry - 3,
 		maxSharedEntry - 2, maxSharedEntry, maxSharedEntry + 1, maxArenaChunk, maxArenaChunk + 7}
 	id := func(n, k int) string { return strings.Repeat(string(rune('a'+k%26)), n) }
-	check := func(a *idArena, ref uint32, ds sym, want string) {
+	check := func(a *idArena, ref uint64, want string) {
 		t.Helper()
-		gds, gid := a.entry(ref)
-		if gds != ds || string(gid) != want {
-			t.Fatalf("entry %#x = %d, %d bytes; want %d, %d bytes", ref, gds, len(gid), ds, len(want))
+		if gid := a.entry(ref); string(gid) != want {
+			t.Fatalf("entry %#x = %d bytes; want %d bytes", ref, len(gid), len(want))
 		}
 	}
 	for k, n := range lengths {
 		a := idArena{limit: maxArenaChunks}
-		ref, err := a.add(sym(k), id(n, k))
+		ref, err := a.add(id(n, k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(&a, ref, sym(k), id(n, k))
+		check(&a, ref, id(n, k))
 	}
 	a := idArena{limit: maxArenaChunks}
-	var refs []uint32
+	var refs []uint64
 	for round := 0; round < 3; round++ {
 		for k, n := range lengths {
-			ref, err := a.add(sym(k), id(n, k))
+			ref, err := a.add(id(n, k))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +328,7 @@ func TestArenaReadsBackEveryLength(t *testing.T) {
 	}
 	for i, ref := range refs {
 		k := i % len(lengths)
-		check(&a, ref, sym(k), id(lengths[k], k))
+		check(&a, ref, id(lengths[k], k))
 	}
 }
 
@@ -347,12 +342,7 @@ func TestRejectedBatchInternsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	names, zones := len(s.dict.nameList()), len(s.dict.zoneList())
-	arenas := func() (n int) {
-		for i := range s.stripes {
-			n += len(list(&s.stripes[i].arena.chunks)) + s.stripes[i].arena.pos
-		}
-		return n
-	}
+	arenas := func() int { return len(list(&s.arena.chunks)) + s.arena.pos }
 	before := arenas()
 	fresh := mkRec("b", "cloudflare", "XZ-99", 0, 1)
 	fresh.Tech = "satellite"

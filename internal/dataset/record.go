@@ -17,17 +17,19 @@
 // aggregates from one read, such as every cell and window of a windowed
 // score: it hands out a view of the stored rows (Row: Time, Value), and
 // tells each row's dataset as its position among names the caller
-// gives (View.DatasetIndex). A separate stripe set enforces (dataset, ID)
-// uniqueness, and AddBatch validates and dedup-checks an entire batch
-// before mutating anything, so a mid-batch failure never leaves the
-// store partially updated.
+// gives (View.DatasetIndex). One table of log positions enforces
+// (dataset, ID) uniqueness, and AddBatch validates and dedup-checks an
+// entire batch before mutating anything, so a mid-batch failure never
+// leaves the store partially updated.
 //
 // A batch becomes visible whole: its rows and cells are added under one
 // exclusive hold of the store's view lock, and every read holds that
 // lock shared for the whole read, so no read — Select, Gather, Values,
 // TimeBounds, the cell index, Cut, Len, DatasetCounts, Regions — sees
-// part of a batch. Writers serialize on one ordered step that runs the
-// hook chain around the insert (see Hooks).
+// part of a batch. Writers serialize on one ordered step that checks
+// the batch, runs the hook chain around the insert (see Hooks) and
+// claims its IDs; the view lock and that step's lock are the store's
+// only locks.
 //
 // Stored records hold no pointers, so the garbage collector never scans
 // them:
@@ -44,13 +46,14 @@
 //     duplicate check has passed, so a rejected batch adds none. The
 //     dictionary stays inside the package: callers name datasets by
 //     string.
-//   - The ID arena. An ID's bytes are stored once, in its dedup stripe's
+//   - The ID arena. An ID's bytes are stored once, in the store's one
 //     append-only arena of chunks that never move; a row names them by
-//     stripe and arena reference. The stripe's (dataset, ID) set is an
-//     open-addressing table of arena references, probed under the
-//     stripe lock. IDs of any length fit: a shared chunk is never
-//     smaller than the entry that opens it, and one too long for a
-//     shared chunk gets a chunk of its own.
+//     a 64-bit arena reference. The (dataset, ID) set is one
+//     open-addressing table of log positions, each beside 32 bits of
+//     its entry's hash, read and written only in the ordered step. IDs
+//     of any length fit: a shared chunk is never smaller than the entry
+//     that opens it, and one too long for a shared chunk gets a chunk
+//     of its own.
 //   - The zone rule. UTC and time.Local come back as themselves; any
 //     other location comes back as one shared time.FixedZone per (name,
 //     offset) of the stored instant. A Select'ed time is therefore Equal
@@ -70,13 +73,13 @@
 //
 // # Determinism contract
 //
-// Every aggregate the store serves is a pure function of the record
-// multiset, independent of insertion interleaving: exact paths sort
-// before computing percentiles and the sketch path uses DDSketch, whose
-// bucket-count state is order-independent. A store built by N concurrent
-// writers answers bit-identically to one built serially from the same
-// records — the property the pipeline's fixed-seed reproducibility
-// guarantee is built on.
+// A store holds its batches in the order its writers commit them, so
+// the same batches in the same order build the same store, and the same
+// WAL bytes behind it; the pipeline commits its batches in job order
+// for any worker count. Every aggregate the store serves is moreover a
+// pure function of the record multiset, independent of insertion order:
+// exact paths sort before computing percentiles and the sketch path
+// uses DDSketch, whose bucket-count state is order-independent.
 //
 // # NDJSON codec
 //

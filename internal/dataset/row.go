@@ -30,17 +30,17 @@ var errDictFull = errors.New("dataset: dictionary full")
 // Row is one stored record in the store's pointer-free layout: the time
 // as Unix seconds, nanoseconds and a zone index, the metrics bit for
 // bit (NaN still means missing), the ASN, and dictionary indexes for
-// Dataset, Region, Tech and the zone. The ID lives once, in its dedup
-// stripe's arena. Its place in the store's row log is its insertion
-// order. A Row is 72 bytes and the garbage collector never scans it.
+// Dataset, Region, Tech and the zone. The ID lives once, in the store's
+// ID arena. Its place in the store's row log is its insertion order. A
+// Row is 72 bytes and the garbage collector never scans it.
 //
 // Store.Gather hands out pointers to stored rows; rows never change
 // once stored, and callers must not modify them.
 type Row struct {
 	sec  int64
 	vals [numMetrics]float64
-	// id locates the ID: its stripe in the high 32 bits, its arena
-	// reference in the low 32.
+	// id is the ID's arena reference: its chunk above a 16-bit
+	// position.
 	id               uint64
 	nsec             uint32
 	zone             uint32
@@ -84,12 +84,11 @@ type zoneKey struct {
 // dictionary is a store's append-only table of the Dataset, Region and
 // Tech strings and the time zones its rows name. The name and zone lists
 // are published through atomic pointers, and names are found through a
-// sync.Map, so neither a reader nor a writer interning a name it already
-// holds takes a lock: an entry is published before any row carrying its
-// index is stored, and a published entry never changes. mu serializes
-// adding entries; nothing else is locked while it is held.
+// sync.Map, so a reader takes no lock: an entry is published before any
+// row carrying its index is stored, and a published entry never
+// changes. Entries are added only in the store's ordered step, one
+// writer at a time, which also guards zoneIndex.
 type dictionary struct {
-	mu        sync.Mutex
 	index     sync.Map // string → sym
 	zoneIndex map[zoneKey]uint32
 	names     atomic.Pointer[[]string]
@@ -117,7 +116,7 @@ func list[T any](p *atomic.Pointer[[]T]) []T {
 // publish appends v to the list p points to and returns its index.
 // Readers of the old list read only below its length, so writing past
 // it in a shared backing array races with none of them. Publishers
-// serialize on a lock of their own.
+// must be serialized.
 func publish[T any](p *atomic.Pointer[[]T], v T) int {
 	next := append(list(p), v)
 	p.Store(&next)
@@ -147,11 +146,6 @@ func (d *dictionary) intern(s string) (sym, error) {
 	if y := d.lookup(s); y != noSym {
 		return y, nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if y := d.lookup(s); y != noSym {
-		return y, nil
-	}
 	if len(d.nameList()) >= d.limit {
 		return 0, errDictFull
 	}
@@ -172,8 +166,6 @@ func (d *dictionary) internZone(t time.Time) (uint32, error) {
 	}
 	name, offset := t.Zone()
 	k := zoneKey{name, offset}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if z, ok := d.zoneIndex[k]; ok {
 		return z, nil
 	}

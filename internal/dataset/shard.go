@@ -4,15 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
 // The store keeps its rows in one append-only log in insertion order,
-// guarded by the store's view lock, and stripes only (dataset, ID)
-// uniqueness: ID stripes keyed by hash(dataset, ID) let concurrent
-// writers check and claim IDs before their batches take the store's
-// ordered step, and catch duplicates across regions.
+// guarded by the store's view lock, beside one (dataset, ID) table of
+// log positions and one arena of ID bytes. Writers serialize on the
+// store's ordered step, so the table and the arena's write position
+// need no lock of their own; readers reach an ID's bytes through its
+// row, never through the table.
 
 // fnv64a is the 64-bit FNV-1a hash of a and b separated by a byte, so
 // ("ab","c") and ("a","bc") differ, inlined to keep the per-record
@@ -138,7 +138,7 @@ func (l *rowLog) scan(q *query, ordered bool, visit func(*Row)) {
 	}
 }
 
-// errArenaFull marks a batch whose IDs would overflow an ID arena's
+// errArenaFull marks a batch whose IDs would overflow the ID arena's
 // chunk references.
 var errArenaFull = errors.New("dataset: ID arena full")
 
@@ -151,16 +151,17 @@ const (
 	firstArenaChunk = 256
 	maxArenaChunk   = 1 << 16
 	maxSharedEntry  = maxArenaChunk / 4
-	// maxArenaChunks keeps every reference+1 below tombstone.
-	maxArenaChunks = 1<<16 - 1
+	// maxArenaChunks is what the 48 bits of a reference above its
+	// position can number.
+	maxArenaChunks = 1 << 48
 )
 
-// idArena stores the (dataset, ID) entries of one ID stripe, each as
-// uvarint(dataset sym), uvarint(len(ID)), ID, in append-only chunks
-// that never move. Appends hold the stripe lock; reads take none: the
-// chunk list is published through an atomic pointer, a chunk's slice
-// header never changes once published, and an entry is written before
-// the row naming it is stored.
+// idArena stores the store's IDs, each as uvarint(len(ID)) and the ID,
+// in append-only chunks that never move. Appends run in the store's
+// ordered step; reads take no lock: the chunk list is published through
+// an atomic pointer, a chunk's slice header never changes once
+// published, and an entry is written before the row naming it is
+// stored.
 type idArena struct {
 	chunks atomic.Pointer[[][]byte]
 	// pos is the write position in the last chunk; next is the size of
@@ -171,10 +172,9 @@ type idArena struct {
 }
 
 // add appends one entry and returns its reference.
-func (a *idArena) add(ds sym, id string) (uint32, error) {
-	var hdr [2 * binary.MaxVarintLen64]byte
-	h := binary.PutUvarint(hdr[:], uint64(ds))
-	h += binary.PutUvarint(hdr[h:], uint64(len(id)))
+func (a *idArena) add(id string) (uint64, error) {
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(id)))
 	need := h + len(id)
 	chunks := list(&a.chunks)
 	if len(chunks) == 0 || len(chunks[len(chunks)-1])-a.pos < need {
@@ -191,118 +191,77 @@ func (a *idArena) add(ds sym, id string) (uint32, error) {
 		a.pos = 0
 	}
 	c := len(chunks) - 1
-	ref := uint32(c)<<16 | uint32(a.pos)
+	ref := uint64(c)<<16 | uint64(a.pos)
 	n := copy(chunks[c][a.pos:], hdr[:h])
 	copy(chunks[c][a.pos+n:], id)
 	a.pos += need
 	return ref, nil
 }
 
-// entry decodes the entry at ref.
-func (a *idArena) entry(ref uint32) (sym, []byte) {
+// entry returns the ID at ref.
+func (a *idArena) entry(ref uint64) []byte {
 	b := list(&a.chunks)[ref>>16][ref&0xffff:]
-	ds, n := binary.Uvarint(b)
-	l, m := binary.Uvarint(b[n:])
-	return sym(ds), b[n+m : n+m+int(l)]
+	l, n := binary.Uvarint(b)
+	return b[n : n+int(l)]
 }
 
-// Slot states of an ID table besides a live reference+1.
-const (
-	emptySlot = 0
-	tombstone = ^uint32(0)
-)
-
-// idStripe is one stripe of the store's (dataset, ID) set: an
-// open-addressing table, probed linearly from the entry's hash, of
-// references+1 into the stripe's arena. It holds no pointers.
-type idStripe struct {
-	mu    sync.Mutex
-	arena idArena
-	table []uint32
-	// used counts live slots and tombstones.
-	used int
+// idTable is the store's (dataset, ID) set: an open-addressing table,
+// probed linearly, whose slots hold the high 32 bits of the entry's
+// hash above its row's log position+1 (0 marks an empty slot). The
+// stored hash bits settle most probes without reading a row, and let
+// the table grow without rehashing a single ID. It holds no pointers.
+type idTable struct {
+	slots []uint64
+	n     int
 }
 
-// slotOf returns the table position holding (ds, id), or the empty slot
-// its probe ends at, with found false.
-func (st *idStripe) slotOf(h uint64, ds sym, id string) (pos int, found bool) {
-	if len(st.table) == 0 {
-		return -1, false
+// find reports whether the table holds an entry of hash h that is
+// (dataset, ID) by same, which is given a candidate's log position.
+func (t *idTable) find(h uint64, same func(pos uint32) bool) bool {
+	if len(t.slots) == 0 {
+		return false
 	}
-	mask := len(st.table) - 1
-	for pos = int(h>>idStripeBits) & mask; ; pos = (pos + 1) & mask {
-		switch v := st.table[pos]; v {
-		case emptySlot:
-			return pos, false
-		case tombstone:
-		default:
-			if eds, eid := st.arena.entry(v - 1); eds == ds && string(eid) == id {
-				return pos, true
-			}
+	mask := uint64(len(t.slots) - 1)
+	for i := h >> 32 & mask; t.slots[i] != 0; i = (i + 1) & mask {
+		if v := t.slots[i]; v>>32 == h>>32 && same(uint32(v)-1) {
+			return true
 		}
 	}
+	return false
 }
 
-// has reports whether the stripe holds (ds, id); h is its hash.
-func (st *idStripe) has(h uint64, ds sym, id string) bool {
-	_, found := st.slotOf(h, ds, id)
-	return found
-}
-
-// claim adds (ds, id), which the stripe does not hold, and returns its
-// arena reference; h is its hash and names the dictionary's name list,
-// to rehash by.
-func (st *idStripe) claim(h uint64, ds sym, id string, names []string) (uint32, error) {
-	if 4*(st.used+1) > 3*len(st.table) {
-		st.grow(names)
-	}
-	ref, err := st.arena.add(ds, id)
-	if err != nil {
-		return 0, err
-	}
-	mask := len(st.table) - 1
-	pos := int(h>>idStripeBits) & mask
-	for st.table[pos] != emptySlot {
-		pos = (pos + 1) & mask
-	}
-	st.table[pos] = ref + 1
-	st.used++
-	return ref, nil
-}
-
-// release drops (ds, id) again, after a vetoed batch or a failed claim.
-// Its arena bytes stay, unreferenced.
-func (st *idStripe) release(h uint64, ds sym, id string) {
-	if pos, found := st.slotOf(h, ds, id); found {
-		st.table[pos] = tombstone
-	}
-}
-
-// grow rehashes the live entries into a table at most half full,
-// dropping tombstones.
-func (st *idStripe) grow(names []string) {
-	live := 0
-	for _, v := range st.table {
-		if v != emptySlot && v != tombstone {
-			live++
-		}
+// reserve grows the table, if need be, so n more entries keep it at most
+// three-quarters full.
+func (t *idTable) reserve(n int) {
+	if 4*(t.n+n) <= 3*len(t.slots) {
+		return
 	}
 	size := 16
-	for size < 2*(live+1) {
+	for 4*(t.n+n) > 3*size {
 		size *= 2
 	}
-	table := make([]uint32, size)
-	mask := size - 1
-	for _, v := range st.table {
-		if v == emptySlot || v == tombstone {
-			continue
+	old := t.slots
+	t.slots = make([]uint64, size)
+	for _, v := range old {
+		if v != 0 {
+			t.place(v)
 		}
-		ds, id := st.arena.entry(v - 1)
-		pos := int(fnv64a(names[ds], id)>>idStripeBits) & mask
-		for table[pos] != emptySlot {
-			pos = (pos + 1) & mask
-		}
-		table[pos] = v
 	}
-	st.table, st.used = table, live
+}
+
+// insert adds the entry of hash h at log position pos; the caller has
+// reserved room and checked the table does not hold it.
+func (t *idTable) insert(h uint64, pos uint32) {
+	t.place(h>>32<<32 | uint64(pos+1))
+	t.n++
+}
+
+// place puts slot value v at the end of its probe.
+func (t *idTable) place(v uint64) {
+	mask := uint64(len(t.slots) - 1)
+	i := v >> 32 & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = v
 }

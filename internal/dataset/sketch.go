@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"iqb/internal/stats"
 )
@@ -21,50 +20,39 @@ import (
 // ingesting archives too large to hold would run in. Both therefore
 // answer from the same cells.
 //
+// A Sketcher is one cell map and is not safe for concurrent use: a
+// Store guards its cells with its view lock, and RunStreaming's one
+// committer is the only goroutine that feeds its sketcher.
+//
 // # Determinism
 //
 // Every answer a Sketcher gives is a pure function of the ingested value
 // multiset, never of arrival order: exact percentiles select the order
 // statistics a sort would, and promoted cells are DDSketches, whose
 // bucket-count state is order-independent by construction. Answers are
-// stable across repeated calls, and two sketchers fed the same records —
-// in any order, by any number of concurrent writers — answer
-// bit-identically.
-//
-// Cells are lock-striped by hash(dataset, region), so RunStreaming's
-// concurrent writers for different regions essentially never contend,
-// and all of a record's cells sit behind one stripe lock.
+// stable across repeated calls, and two sketchers fed the same records,
+// in any order and any batches, answer bit-identically.
 type Sketcher struct {
 	cutover int
 	alpha   float64
-	stripes []sketchStripe
-}
-
-// sketchStripe is one lock stripe of a Sketcher's cell map.
-type sketchStripe struct {
-	mu    sync.RWMutex
-	cells map[cellKey]*metricCell
+	cells   map[cellKey]*metricCell
 }
 
 // NewSketcher returns an empty sketcher with the store's default
-// geometry: sketchStripes stripes, DefaultSketchCutover exact values per
-// cell, and stats.DefaultDDSketchAlpha relative accuracy once promoted.
+// geometry: DefaultSketchCutover exact values per cell, and
+// stats.DefaultDDSketchAlpha relative accuracy once promoted.
 func NewSketcher() *Sketcher {
-	return newSketcher(sketchStripes, DefaultSketchCutover, stats.DefaultDDSketchAlpha)
+	return newSketcher(DefaultSketchCutover, stats.DefaultDDSketchAlpha)
 }
 
 // newSketcher returns an empty sketcher with validated geometry.
-func newSketcher(stripes, cutover int, alpha float64) *Sketcher {
-	s := &Sketcher{cutover: cutover, alpha: alpha, stripes: make([]sketchStripe, stripes)}
-	for i := range s.stripes {
-		s.stripes[i].cells = make(map[cellKey]*metricCell)
-	}
-	return s
+func newSketcher(cutover int, alpha float64) *Sketcher {
+	return &Sketcher{cutover: cutover, alpha: alpha, cells: make(map[cellKey]*metricCell)}
 }
 
-// Ingest validates every record of rs and then folds the batch in,
-// locking each touched stripe once. A batch with an invalid record is
-// rejected whole and leaves the sketcher unchanged.
+// Ingest validates every record of rs and then folds the batch in. A
+// batch with an invalid record is rejected whole and leaves the
+// sketcher unchanged.
 func (s *Sketcher) Ingest(rs []Record) error {
 	for i := range rs {
 		if err := rs[i].Validate(); err != nil {
@@ -75,25 +63,9 @@ func (s *Sketcher) Ingest(rs []Record) error {
 	return nil
 }
 
-// add folds valid records in, locking each touched stripe once.
+// add folds the metric values of valid records into their cells.
 func (s *Sketcher) add(rs []Record) {
-	byStripe := make(map[uint64][]int)
 	for i := range rs {
-		si := fnv64a(rs[i].Dataset, rs[i].Region) % uint64(len(s.stripes))
-		byStripe[si] = append(byStripe[si], i)
-	}
-	for si, idxs := range byStripe {
-		s.fold(si, rs, idxs)
-	}
-}
-
-// fold adds the metric values of rs[i], for every i in idxs, to the
-// cells of stripe si. The records must be valid and stripe to si.
-func (s *Sketcher) fold(si uint64, rs []Record, idxs []int) {
-	st := &s.stripes[si]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, i := range idxs {
 		r := &rs[i]
 		for _, m := range AllMetrics() {
 			v, ok := r.Value(m)
@@ -101,10 +73,10 @@ func (s *Sketcher) fold(si uint64, rs []Record, idxs []int) {
 				continue
 			}
 			k := cellKey{dataset: r.Dataset, region: r.Region, metric: m}
-			c := st.cells[k]
+			c := s.cells[k]
 			if c == nil {
 				c = &metricCell{}
-				st.cells[k] = c
+				s.cells[k] = c
 			}
 			c.add(v, s.cutover, s.alpha)
 		}
@@ -112,32 +84,17 @@ func (s *Sketcher) fold(si uint64, rs []Record, idxs []int) {
 }
 
 // Cells reports the number of (dataset, region, metric) cells.
-func (s *Sketcher) Cells() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		n += len(st.cells)
-		st.mu.RUnlock()
-	}
-	return n
-}
+func (s *Sketcher) Cells() int { return len(s.cells) }
 
 // walk calls visit on every cell whose region is regionPrefix or one of
-// its descendants ("" matches every region), under the cell's stripe
-// read lock. Cells arrive in map order, so visit must fold them into
-// order-independent state.
+// its descendants ("" matches every region). Cells arrive in map order,
+// so visit must fold them into order-independent state.
 func (s *Sketcher) walk(regionPrefix string, visit func(cellKey, *metricCell)) {
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		for k, c := range st.cells {
-			if regionPrefix == "" || regionMatch(regionPrefix, k.region) {
-				//iqbvet:ignore maprange visitors fold cells into cellAccums, which are order-independent: exact percentiles select an order statistic, sketch merges are commutative
-				visit(k, c)
-			}
+	for k, c := range s.cells {
+		if regionPrefix == "" || regionMatch(regionPrefix, k.region) {
+			//iqbvet:ignore maprange visitors fold cells into cellAccums, which are order-independent: exact percentiles select an order statistic, sketch merges are commutative
+			visit(k, c)
 		}
-		st.mu.RUnlock()
 	}
 }
 
@@ -198,8 +155,7 @@ func (s *Sketcher) AggregateCells(regionPrefix string, qs []CellQuery) []CellAns
 	return out
 }
 
-// cellKey addresses one cell. Because a Sketcher stripes by
-// hash(dataset, region), every cell lives in exactly one stripe.
+// cellKey addresses one cell.
 type cellKey struct {
 	dataset string
 	region  string
@@ -245,7 +201,7 @@ type cellAccum struct {
 	merged *stats.DDSketch
 }
 
-// add folds one cell in; the caller holds the cell's stripe lock.
+// add folds one cell in.
 func (a *cellAccum) add(c *metricCell, alpha float64) error {
 	a.count += c.count
 	if c.sketch != nil {

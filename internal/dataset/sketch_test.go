@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // smallSketcher returns a sketcher whose cells promote past cutover
 // values, so a few thousand records exercise the DDSketch path.
 func smallSketcher(cutover int) *Sketcher {
-	return newSketcher(sketchStripes, cutover, stats.DefaultDDSketchAlpha)
+	return newSketcher(cutover, stats.DefaultDDSketchAlpha)
 }
 
 // quantile asks sk for the q-th percentile of one (dataset, metric) over
@@ -199,78 +198,8 @@ func TestSketcherIngestOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestSketcherConcurrentIngestQuantile is the race-detector workout for
-// the striped cells: parallel batch writers, one of them on a region no
-// other touches, against AggregateCells, group-by and Cells readers.
-func TestSketcherConcurrentIngestQuantile(t *testing.T) {
-	sk := smallSketcher(32)
-	recs := sketchRecords(4000)
-	const writers = 4
-	var wg sync.WaitGroup
-	errCh := make(chan error, writers+1)
-	per := len(recs) / writers
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(chunk []Record) {
-			defer wg.Done()
-			for len(chunk) > 0 {
-				n := min(len(chunk), 50)
-				if err := sk.Ingest(chunk[:n]); err != nil {
-					errCh <- err
-					return
-				}
-				chunk = chunk[n:]
-			}
-			errCh <- nil
-		}(recs[w*per : (w+1)*per])
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ts := time.Date(2025, 6, 2, 0, 0, 0, 0, time.UTC)
-		batch := make([]Record, 500)
-		for i := range batch {
-			batch[i] = NewRecord("m"+uniq(i), "ookla", "XB-01-001", ts)
-			batch[i].SetValue(Download, float64(i+1))
-		}
-		errCh <- sk.Ingest(batch)
-	}()
-	stop := make(chan struct{})
-	var rwg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		rwg.Add(1)
-		go func() {
-			defer rwg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				quantile(sk, "ndt", "XA", Download, 95)
-				quantile(sk, "cloudflare", "", Latency, 50)
-				sk.Cells()
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	rwg.Wait()
-	for i := 0; i < writers+1; i++ {
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, n, err := quantile(sk, "ookla", "XB", Download, 50); err != nil || n != 500 {
-		t.Errorf("ookla writer's cells: n = %d, err = %v", n, err)
-	}
-	if _, n, err := quantile(sk, "", "XA", Download, 50); err != nil || n != len(recs) {
-		t.Errorf("batch writers' cells: n = %d, want %d, err = %v", n, len(recs), err)
-	}
-}
-
-// BenchmarkSketcherIngest measures one-record batches, the worst case
-// for the per-batch stripe grouping.
+// BenchmarkSketcherIngest measures one-record batches, where the
+// per-batch work weighs most.
 func BenchmarkSketcherIngest(b *testing.B) {
 	sk := NewSketcher()
 	src := rng.New(1)

@@ -17,21 +17,12 @@ import (
 // that was already applied.
 var ErrDuplicate = errors.New("duplicate record")
 
-const (
-	// sketchStripes is the number of lock stripes of a Sketcher's cells,
-	// which pipeline.RunStreaming's concurrent writers fold into.
-	sketchStripes = 32
-	// DefaultSketchCutover is how many values a (dataset, region,
-	// metric) cell holds exactly before promoting to a sketch. Every
-	// laptop-scale experiment in this repo stays below it, so their
-	// aggregates are bit-identical to a full scan; production-scale
-	// cells promote and become O(buckets).
-	DefaultSketchCutover = 1024
-
-	// idStripeBits is log2 of the number of (dataset, ID) stripes.
-	idStripeBits  = 6
-	idStripeCount = 1 << idStripeBits
-)
+// DefaultSketchCutover is how many values a (dataset, region, metric)
+// cell holds exactly before promoting to a sketch. Every laptop-scale
+// experiment in this repo stays below it, so their aggregates are
+// bit-identical to a full scan; production-scale cells promote and
+// become O(buckets).
+const DefaultSketchCutover = 1024
 
 // Options configures the store's cell index. The zero value selects all
 // defaults.
@@ -52,9 +43,9 @@ type Options struct {
 // Records live in one append-only row log in insertion order, with
 // region, ASN and dataset indexes of log positions. Each record is a
 // pointer-free Row naming its strings and zone by index into the
-// store's dictionary (see the package doc's "Store architecture"). A
-// separate stripe set enforces (dataset, ID) uniqueness across the
-// whole store and keeps every ID's bytes.
+// store's dictionary (see the package doc's "Store architecture"). One
+// table of log positions enforces (dataset, ID) uniqueness across the
+// whole store, and one arena keeps every ID's bytes.
 //
 // Beside the log sits the store's cell index, a Sketcher: every batch
 // is folded into its per-(dataset, region, metric) cells together with
@@ -63,26 +54,35 @@ type Options struct {
 // quantile queries without materializing values. Filters the cells
 // cannot express (ASN, time bounds) fall back to an exact scan.
 //
-// A batch is validated and its IDs claimed first, concurrently with
-// other writers; then it takes one ordered step under orderMu: the
-// Ingest hooks (the WAL tee), the append of its rows and cells under
-// viewMu held exclusively, and the Commit hooks. Every read holds viewMu
-// shared for the whole read, so it sees each batch entirely or not at
-// all. Quiesce and hook registration take orderMu, so they fall between
-// batches. No method takes viewMu while holding it: a recursive read
-// lock deadlocks once a writer waits.
+// The store has two locks. A batch is validated, hashed and laid out as
+// rows with no lock held; then it takes one ordered step under orderMu,
+// one writer at a time: the duplicate check against the store, the
+// dictionary and arena work that can fail on a full index, the Ingest
+// hooks (the WAL tee), the ID claims, the append of its rows and cells
+// under viewMu held exclusively, and the Commit hooks. Every error
+// AddBatch can return is decided before the hooks run, so a veto has
+// nothing to undo. The ID table, the dictionary's zone map and the
+// arena's write position are touched only in the ordered step and need
+// no lock of their own. Every read holds viewMu shared for the whole
+// read, so it sees each batch entirely or not at all. Quiesce and hook
+// registration take orderMu, so they fall between batches. No method
+// takes viewMu while holding it: a recursive read lock deadlocks once a
+// writer waits.
 //
 // # Determinism
 //
-// Every aggregate the store serves is a pure function of the record
-// multiset, never of arrival order: exact percentiles select the order
-// statistics a sort would, and the sketch path uses DDSketch, whose
-// bucket-count state is order-independent by construction. Concurrent
-// writers — any number of them, interleaved any way — therefore produce
-// a store whose Aggregate answers are bit-identical.
-// The pipeline's fixed-seed determinism guarantee leans on this.
+// Batches enter the store in the order their writers take the ordered
+// step, and Select, Cut and the WAL a hook tees see them in that order,
+// so one writer adding the same batches builds the same store and logs
+// the same bytes; pipeline.Run commits its batches in job order for
+// this. Every aggregate the store serves is moreover a pure function of
+// the record multiset, never of insertion order: exact percentiles
+// select the order statistics a sort would, and the sketch path uses
+// DDSketch, whose bucket-count state is order-independent by
+// construction.
 //
-// The store is safe for concurrent use; reads never block other reads.
+// The store is safe for concurrent use: concurrent writers are
+// serialized, and reads never block other reads.
 type Store struct {
 	// orderMu makes a batch's hooks and insert one ordered step, so the
 	// WAL holds batches in the order Select returns them and the Commit
@@ -91,20 +91,24 @@ type Store struct {
 	hooks      []hookEntry
 	nextHookID uint64
 
+	// The ID table, the arena's write state and the dictionary's
+	// writes are the ordered step's alone.
+	ids   idTable
+	arena idArena
+	dict  *dictionary
+
 	// viewMu guards rows and cells: writers hold it exclusively to add
 	// a batch, readers shared for a whole read.
 	viewMu sync.RWMutex
 	rows   rowLog
 	cells  *Sketcher
-
-	dict    *dictionary
-	stripes [idStripeCount]idStripe
 }
 
 // IngestHook observes every batch that is about to enter the store —
-// validated and dedup-cleared, before any row is stored. A non-nil
-// error vetoes the batch: the store is left unchanged (including its
-// dedup set) and the error is returned to the writer. The persistence
+// validated, dedup-cleared and with room in every index, before any row
+// is stored. A non-nil error vetoes the batch: the store is left
+// unchanged (including its dedup set) and the error is returned to the
+// writer. The persistence
 // layer uses this to tee batches durably (WAL append + fsync) ahead of
 // the in-memory mutation, so an acknowledged write is always
 // recoverable. Hooks must not call back into the store.
@@ -152,15 +156,12 @@ func NewStoreWith(o Options) *Store {
 	if o.SketchAlpha <= 0 {
 		o.SketchAlpha = stats.DefaultDDSketchAlpha
 	}
-	s := &Store{
-		rows:  newRowLog(),
-		cells: newSketcher(sketchStripes, o.SketchCutover, o.SketchAlpha),
+	return &Store{
+		arena: idArena{limit: maxArenaChunks},
 		dict:  newDictionary(),
+		rows:  newRowLog(),
+		cells: newSketcher(o.SketchCutover, o.SketchAlpha),
 	}
-	for i := range s.stripes {
-		s.stripes[i].arena.limit = maxArenaChunks
-	}
-	return s
 }
 
 // AddHooks appends an observer to the hook chain and returns a function
@@ -208,13 +209,14 @@ func (s *Store) Add(r Record) error { return s.AddBatch([]Record{r}) }
 // errors: the whole batch is validated and checked for duplicates
 // (against the store and within itself) before any record is stored, so
 // a mid-batch failure stores no record and claims no ID. A batch that
-// fails validation or the duplicate check leaves the store unchanged.
-// The hook chain's Ingest phase runs after the checks and before any
-// row is stored; a hook error likewise stores and claims nothing, but
-// the batch's new names stay in the dictionary and its IDs' bytes in
-// their arenas, unreferenced. The batch's rows and cells are then added
-// under one exclusive hold of the view lock, so no read sees part of
-// it.
+// fails validation or the duplicate check leaves the store unchanged. A
+// batch that would overflow the dictionary or the ID arena fails before
+// the hook chain runs, as does one the hook chain's Ingest phase vetoes;
+// either stores and claims nothing, but the batch's new names may stay
+// in the dictionary and its IDs' bytes in the arena, unreferenced. The
+// batch's rows and cells are then added under one exclusive hold of the
+// view lock, so no read sees part of it. Concurrent callers are
+// serialized.
 func (s *Store) AddBatch(rs []Record) error {
 	if len(rs) == 0 {
 		return nil
@@ -233,33 +235,48 @@ func (s *Store) AddBatch(rs []Record) error {
 			return fmt.Errorf("dataset: record %d of %d: %w %s/%s within batch (first at record %d)", i+1, len(rs), ErrDuplicate, r.Dataset, r.ID, first+1)
 		}
 		seen[k] = i
-		// The low idStripeBits pick the ID stripe, the bits above them
-		// the slot in the stripe's table.
 		hashes[i] = fnv64a(r.Dataset, r.ID)
 		rows[i] = newRow(r)
 	}
-	if err := s.claim(rs, rows, hashes); err != nil {
-		return err
-	}
 
-	// The batch is now validated and its IDs claimed, so the hook chain
-	// sees exactly what the log is about to absorb; a veto releases the
-	// claims and leaves the store untouched.
 	s.orderMu.Lock()
 	defer s.orderMu.Unlock()
+	// The duplicate check only looks names up: a dataset the dictionary
+	// has never held owns no stored ID, so a duplicate batch interns
+	// nothing. Writers hold orderMu, so the log's rows hold still.
+	var last lastName
+	for i := range rs {
+		ds, _ := last.resolve(rs[i].Dataset, s.dict.find)
+		if ds != noSym && s.ids.find(hashes[i], func(pos uint32) bool {
+			r := at(s.rows.chunks, int(pos))
+			return r.ds == ds && string(s.id(r)) == rs[i].ID
+		}) {
+			return fmt.Errorf("dataset: record %d of %d: %w %s/%s", i+1, len(rs), ErrDuplicate, rs[i].Dataset, rs[i].ID)
+		}
+	}
+	if err := s.dict.fill(rows, rs); err != nil {
+		return err
+	}
+	for i := range rs {
+		ref, err := s.arena.add(rs[i].ID)
+		if err != nil {
+			return err
+		}
+		rows[i].id = ref
+	}
+	// The hook chain sees exactly what the log is about to absorb, and
+	// nothing after it can fail.
 	for _, e := range s.hooks {
 		if e.h.Ingest == nil {
 			continue
 		}
 		if err := e.h.Ingest(rs); err != nil {
-			for i := range rs {
-				st := &s.stripes[hashes[i]%idStripeCount]
-				st.mu.Lock()
-				st.release(hashes[i], rows[i].ds, rs[i].ID)
-				st.mu.Unlock()
-			}
 			return fmt.Errorf("dataset: ingest hook: %w", err)
 		}
+	}
+	s.ids.reserve(len(rs))
+	for i := range rs {
+		s.ids.insert(hashes[i], uint32(s.rows.n+i))
 	}
 	s.viewMu.Lock()
 	for i := range rows {
@@ -271,56 +288,6 @@ func (s *Store) AddBatch(rs []Record) error {
 		if e.h.Commit != nil {
 			e.h.Commit(rs)
 		}
-	}
-	return nil
-}
-
-// claim checks every (dataset, ID) of rs against the store and, when
-// none is held, interns the batch's names into rows and claims every ID,
-// setting each row's ID reference. It locks every involved stripe in
-// ascending order (deadlock-free against other batches) for the whole
-// check and claim, so a failing batch is invisible to concurrent
-// writers: there are no transient reservations to roll back or collide
-// with. The check only looks names up: a dataset the dictionary has
-// never held owns no stored ID, so a duplicate batch interns nothing.
-func (s *Store) claim(rs []Record, rows []Row, hashes []uint64) error {
-	var involved [idStripeCount]bool
-	for _, h := range hashes {
-		involved[h%idStripeCount] = true
-	}
-	for si := range involved {
-		if involved[si] {
-			s.stripes[si].mu.Lock()
-		}
-	}
-	defer func() {
-		for si := range involved {
-			if involved[si] {
-				s.stripes[si].mu.Unlock()
-			}
-		}
-	}()
-	var last lastName
-	for i := range rs {
-		ds, _ := last.resolve(rs[i].Dataset, s.dict.find)
-		if ds != noSym && s.stripes[hashes[i]%idStripeCount].has(hashes[i], ds, rs[i].ID) {
-			return fmt.Errorf("dataset: record %d of %d: %w %s/%s", i+1, len(rs), ErrDuplicate, rs[i].Dataset, rs[i].ID)
-		}
-	}
-	if err := s.dict.fill(rows, rs); err != nil {
-		return err
-	}
-	names := s.dict.nameList()
-	for i := range rs {
-		si := hashes[i] % idStripeCount
-		ref, err := s.stripes[si].claim(hashes[i], rows[i].ds, rs[i].ID, names)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				s.stripes[hashes[j]%idStripeCount].release(hashes[j], rows[j].ds, rs[j].ID)
-			}
-			return err
-		}
-		rows[i].id = si<<32 | uint64(ref)
 	}
 	return nil
 }
@@ -482,11 +449,8 @@ func (s *Store) records(out []Record, rows []*Row) {
 	}
 }
 
-// id returns the bytes of a stored row's ID, in its stripe's arena.
-func (s *Store) id(r *Row) []byte {
-	_, id := s.stripes[r.id>>32].arena.entry(uint32(r.id))
-	return id
-}
+// id returns the bytes of a stored row's ID, in the store's arena.
+func (s *Store) id(r *Row) []byte { return s.arena.entry(r.id) }
 
 // View is what Gather returns: the matching rows, and which of the
 // datasets Gather was asked about each row belongs to.

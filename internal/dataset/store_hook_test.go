@@ -16,8 +16,8 @@ func hookTestRecord(id string) Record {
 
 // TestIngestHookVetoLeavesStoreUnchanged is the contract the
 // persistence layer leans on: a batch whose durable tee fails must not
-// reach the row log, and its (dataset, ID) claims must be released so
-// the same records can be retried once the WAL recovers.
+// reach the row log, and must claim no (dataset, ID), so the same
+// records can be retried once the WAL recovers.
 func TestIngestHookVetoLeavesStoreUnchanged(t *testing.T) {
 	s := NewStore()
 	if err := s.Add(hookTestRecord("pre")); err != nil {
@@ -37,8 +37,8 @@ func TestIngestHookVetoLeavesStoreUnchanged(t *testing.T) {
 		t.Fatalf("store has %d records after vetoed writes, want 1", got)
 	}
 
-	// The veto must have released the ID claims: the same records
-	// succeed once the hook is removed.
+	// The veto must have claimed no ID: the same records succeed once
+	// the hook is removed.
 	remove()
 	if err := s.AddBatch(batch); err != nil {
 		t.Fatalf("retry after veto: %v", err)

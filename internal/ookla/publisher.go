@@ -67,9 +67,8 @@ type RawSample struct {
 	// Seq optionally orders samples within an aggregation group. Publish
 	// sums group statistics in ascending Seq order, so producers that tag
 	// samples with a deterministic sequence (the pipeline uses its job
-	// IDs) get bit-identical aggregates no matter how samples were
-	// interleaved across collectors. Untagged samples (Seq zero) keep
-	// their arrival order.
+	// IDs) get bit-identical aggregates whatever order they add them in.
+	// Untagged samples (Seq zero) keep their arrival order.
 	Seq int
 }
 
@@ -97,17 +96,6 @@ func (p *Publisher) Add(s RawSample) error {
 
 // Len reports queued samples.
 func (p *Publisher) Len() int { return len(p.samples) }
-
-// Merge appends every sample queued in other. Pipelines run one
-// publisher per worker, lock-free, and merge after the workers join;
-// the Seq ordering inside Publish makes the merge order irrelevant to
-// the published aggregates.
-func (p *Publisher) Merge(other *Publisher) {
-	if other == nil {
-		return
-	}
-	p.samples = append(p.samples, other.samples...)
-}
 
 // quarterOf formats a time as "2025Q2".
 func quarterOf(t time.Time) string {
@@ -159,8 +147,8 @@ func (p *Publisher) Publish(minSamples int) ([]dataset.Record, error) {
 		if len(g) < minSamples {
 			continue
 		}
-		// Deterministic aggregation order regardless of collector
-		// interleaving; stable so untagged samples keep arrival order.
+		// Deterministic aggregation order regardless of arrival order;
+		// stable so untagged samples keep arrival order.
 		sort.SliceStable(g, func(i, j int) bool { return g[i].Seq < g[j].Seq })
 		downs := make([]float64, len(g))
 		ups := make([]float64, len(g))

@@ -1,10 +1,13 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 
+	"iqb/internal/dataset"
 	"iqb/internal/iqb"
 )
 
@@ -12,10 +15,10 @@ import (
 // twin of TestScoreAllDeterministicAcrossWorkerCounts: for a fixed
 // Spec.Seed, RunStreaming followed by ScoreAll must produce
 // bit-identical scores for every worker count.
-// This exercises every worker folding its batches into one shared,
-// lock-striped Sketcher in whatever order the scheduler interleaves
-// them, which only the cells' order independence (exact order statistics
-// below the cutover, DDSketches above it) makes invisible to scoring.
+// This exercises workers simulating chunks of the schedule in parallel
+// and the one committer folding each chunk into the Sketcher in
+// schedule order, so the sketcher sees the same batches whatever the
+// worker count.
 func TestStreamingScoreAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := iqb.DefaultConfig()
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -68,9 +71,10 @@ func TestStreamingScoreAllDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestScoreAllDeterministicAcrossWorkerCounts is the determinism
 // regression pin: for a fixed Spec.Seed, pipeline.Run followed by
 // ScoreAll must produce bit-identical scores for every worker count.
-// This exercises the whole shared-nothing ingestion path — per-worker
-// record batches into the store, per-worker Ookla collectors
-// merged after the join — and the store's order-independent aggregation.
+// This exercises the whole ingestion path — chunks simulated in
+// parallel, committed to the store in schedule order, the Ookla
+// aggregates published from samples queued in that order — and the
+// store's aggregation.
 func TestScoreAllDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg := iqb.DefaultConfig()
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -122,6 +126,52 @@ func TestScoreAllDeterministicAcrossWorkerCounts(t *testing.T) {
 			if o.isps[i].ASN != ref.isps[i].ASN || o.isps[i].Score.IQB != ref.isps[i].Score.IQB {
 				t.Errorf("ISP rank %d differs across worker counts: AS%d (%v) vs AS%d (%v)",
 					i, ref.isps[i].ASN, ref.isps[i].Score.IQB, o.isps[i].ASN, o.isps[i].Score.IQB)
+			}
+		}
+	}
+}
+
+// TestSinkBatchesIdenticalAcrossWorkerCounts pins the commit order: for
+// a fixed Spec.Seed, fanOut hands sink the same batches, record for
+// record and in the same order, whatever the worker count. A store fed
+// by sink therefore holds its records in one order, and a WAL that tees
+// the store logs the same bytes.
+func TestSinkBatchesIdenticalAcrossWorkerCounts(t *testing.T) {
+	var ref []string
+	for _, w := range []int{1, 2, 4} {
+		spec := smallSpec()
+		// Enough jobs for several batches, so workers interleave.
+		spec.TestsPerCounty = 120
+		spec.Workers = w
+		world, err := BuildWorld(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var batches []string
+		err = fanOut(context.Background(), world, spec, func(rs []dataset.Record) error {
+			var b bytes.Buffer
+			if err := dataset.WriteNDJSON(&b, rs); err != nil {
+				return err
+			}
+			mu.Lock()
+			batches = append(batches, b.String())
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if ref == nil {
+			ref = batches
+			continue
+		}
+		if len(batches) != len(ref) {
+			t.Fatalf("workers=%d: %d sink batches, %d with 1 worker", w, len(batches), len(ref))
+		}
+		for i := range ref {
+			if batches[i] != ref[i] {
+				t.Fatalf("workers=%d: sink batch %d of %d differs from the 1-worker run", w, i+1, len(ref))
 			}
 		}
 	}

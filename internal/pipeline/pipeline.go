@@ -6,14 +6,13 @@
 // publisher — and score every region with the IQB framework.
 //
 // Execution is deterministic for a fixed Spec: every job derives its own
-// random stream from the spec seed, Ookla aggregation orders samples by
-// job ID before summing, and the cell index both Run's store and
-// RunStreaming's sketcher aggregate from is order-independent by
-// construction — so ScoreAll output is bit-identical for any Workers
-// value. Run and RunStreaming share one worker fan-out: workers buffer
-// records and flush them to a sink in batches, and each worker queues
-// raw Ookla samples on its own collector, merged only after the workers
-// join.
+// random stream from the spec seed, and Run and RunStreaming share one
+// fan-out whose workers simulate fixed chunks of the job schedule in
+// parallel while one committer hands each chunk's records to the sink
+// in schedule order, then the Ookla aggregates. The sink therefore sees
+// the same batches in the same order for any Workers value: Run's store
+// holds its records in one order, a durable store's WAL and snapshot
+// bytes depend on the seed alone, and ScoreAll output is bit-identical.
 package pipeline
 
 import (
@@ -173,15 +172,21 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// flushBatch is how many records a worker buffers before handing them to
-// the sink in one call. It amortizes the store's locking without letting
-// per-worker buffers grow past a few memory pages.
-const flushBatch = 256
+// chunkJobs is how many consecutive jobs of the schedule one worker
+// simulates as a unit, and the store receives as one batch (about
+// two-thirds of them: Ookla jobs yield raw samples, not records).
+// aheadChunks is how many simulated chunks may wait for the committer
+// beyond the one each worker has in hand, bounding what a slow chunk
+// holds back.
+const (
+	chunkJobs   = 256
+	aheadChunks = 4
+)
 
 // Run executes the full pipeline into a record store, Spec.Store or a
-// fresh one. Determinism for a fixed Spec.Seed is unaffected by Workers:
-// see fanOut for the ingestion side, and the store's aggregates are pure
-// functions of the record multiset.
+// fresh one. For a fixed Spec.Seed the store receives the same batches
+// in the same order whatever Spec.Workers is (see fanOut), so its
+// records, and the WAL of a durable store, depend on the seed alone.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
 	world, err := BuildWorld(spec)
 	if err != nil {
@@ -206,102 +211,126 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}, nil
 }
 
-// fanOut runs the spec's deterministic job schedule on Spec.Workers
-// workers and hands every record to sink, the one step Run and
-// RunStreaming differ in. Ingestion is shared-nothing until the join:
-// each worker buffers up to flushBatch records per sink call and queues
-// raw Ookla samples on its own collector. After the workers join, the
-// collectors merge and publish, and the aggregates go to sink as one
-// final batch. sink must be safe for concurrent use. The first error
-// stops the run; the remaining jobs are drained unrun.
+// chunk is one chunkJobs run of the schedule and what simulating it
+// produced. done closes once the rest is set.
+type chunk struct {
+	jobs []job
+	recs []dataset.Record
+	raws []ookla.RawSample
+	err  error
+	done chan struct{}
+}
+
+// simulate runs the chunk's jobs in order, stopping at the first error.
+func (c *chunk) simulate(world *World, spec Spec) {
+	defer close(c.done)
+	for _, j := range c.jobs {
+		rec, raw, err := produceRecord(world, spec, j)
+		if err != nil {
+			c.err = err
+			return
+		}
+		if raw != nil {
+			c.raws = append(c.raws, *raw)
+		} else {
+			c.recs = append(c.recs, rec)
+		}
+	}
+}
+
+// fanOut runs the spec's deterministic job schedule and hands every
+// record to sink, the one step Run and RunStreaming differ in. The
+// schedule is cut into chunks of chunkJobs consecutive jobs, which
+// Spec.Workers workers simulate in parallel, claiming them in schedule
+// order. The calling goroutine is the one committer: it waits for each
+// chunk in schedule order, queues its raw Ookla samples on the
+// publisher and passes its records to sink as one batch (an empty chunk
+// makes no call). Workers run at most aheadChunks chunks past the
+// committer. After the last chunk the publisher's aggregates go to sink
+// as the final batch. sink is never called concurrently and must not
+// keep the slice. The first error in schedule order, or ctx's
+// cancellation, stops the run; the chunks not yet claimed stay unrun.
 //
-// The records sink sees do not depend on Workers: every job derives its
-// own random stream from its job ID, and Ookla aggregation orders
-// samples by job ID. Only their grouping into batches does, which an
-// order-independent sink cannot observe.
+// Nothing sink sees depends on Workers: every job derives its own
+// random stream from its job ID, and the batches and their order are
+// the schedule's.
 func fanOut(ctx context.Context, world *World, spec Spec, sink func([]dataset.Record) error) error {
 	// Deterministic job list: per county, per dataset, a Poisson-ish
 	// schedule of tests across the window, biased toward evening hours
 	// because measurement volume follows usage.
 	jobs := buildJobs(world, spec)
+	chunks := make([]chunk, (len(jobs)+chunkJobs-1)/chunkJobs)
+	for i := range chunks {
+		chunks[i] = chunk{jobs: jobs[i*chunkJobs : min((i+1)*chunkJobs, len(jobs))], done: make(chan struct{})}
+	}
 
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	jobCh := make(chan job)
+	// A worker takes a window slot before claiming the next chunk and
+	// the committer frees it once that chunk is committed, so claims
+	// stay within workers+aheadChunks of the commit point. Claims are in
+	// order: when the committer waits on chunk i, chunk i is claimed or
+	// a slot is free for it.
+	window := make(chan struct{}, workers+aheadChunks)
+	stop := make(chan struct{})
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	var failed atomic.Bool
-	fail := func(err error) {
-		failed.Store(true)
-		errOnce.Do(func() { firstErr = err })
-	}
-
-	pubs := make([]*ookla.Publisher, workers)
-	for w := 0; w < workers; w++ {
-		pubs[w] = ookla.NewPublisher()
+	for range workers {
 		wg.Add(1)
-		go func(pub *ookla.Publisher) {
+		go func() {
 			defer wg.Done()
-			buf := make([]dataset.Record, 0, flushBatch)
-			flush := func() error {
-				if len(buf) == 0 {
-					return nil
+			for {
+				select {
+				case window <- struct{}{}:
+				case <-stop:
+					return
 				}
-				err := sink(buf)
-				buf = buf[:0]
+				i := int(next.Add(1)) - 1
+				if i >= len(chunks) {
+					return
+				}
+				chunks[i].simulate(world, spec)
+			}
+		}()
+	}
+	err := commit(ctx, chunks, window, spec.OoklaMinGroup, sink)
+	close(stop)
+	wg.Wait()
+	return err
+}
+
+// commit is fanOut's committer: it sinks each chunk in order, then the
+// Ookla aggregates.
+func commit(ctx context.Context, chunks []chunk, window <-chan struct{}, minGroup int, sink func([]dataset.Record) error) error {
+	publisher := ookla.NewPublisher()
+	for i := range chunks {
+		c := &chunks[i]
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if c.err != nil {
+			return c.err
+		}
+		for _, raw := range c.raws {
+			if err := publisher.Add(raw); err != nil {
 				return err
 			}
-			for j := range jobCh {
-				if failed.Load() {
-					continue // drain so the feeder never blocks
-				}
-				rec, raw, err := produceRecord(world, spec, j)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				if raw != nil {
-					if err := pub.Add(*raw); err != nil {
-						fail(err)
-					}
-					continue
-				}
-				buf = append(buf, rec)
-				if len(buf) >= flushBatch {
-					if err := flush(); err != nil {
-						fail(err)
-					}
-				}
-			}
-			if err := flush(); err != nil {
-				fail(err)
-			}
-		}(pubs[w])
-	}
-
-feed:
-	for _, j := range jobs {
-		select {
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break feed
-		case jobCh <- j:
 		}
+		if len(c.recs) > 0 {
+			if err := sink(c.recs); err != nil {
+				return err
+			}
+		}
+		*c = chunk{}
+		<-window
 	}
-	close(jobCh)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-
-	publisher := ookla.NewPublisher()
-	for _, pub := range pubs {
-		publisher.Merge(pub)
-	}
-	aggregates, err := publisher.Publish(spec.OoklaMinGroup)
+	aggregates, err := publisher.Publish(minGroup)
 	if err != nil {
 		return fmt.Errorf("pipeline: publishing ookla aggregates: %w", err)
 	}

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"iqb/internal/cfspeed"
@@ -32,10 +31,10 @@ type StreamingResult struct {
 // index — the mode a production deployment ingesting archives too large
 // to hold would use. It shares Run's fan-out, so the job schedule,
 // subscriber draws and simulated tests are identical for the same spec;
-// only the sink differs: every worker folds its batches into one
-// shared, lock-striped Sketcher instead of a Store. That sketcher holds
-// exactly the cells a default-geometry Store would, so ScoreAll answers
-// bit-identically to Result.ScoreAll, for any Workers value.
+// only the sink differs: the committer folds each batch into one
+// Sketcher instead of a Store. That sketcher holds exactly the cells a
+// default-geometry Store would, so ScoreAll answers bit-identically to
+// Result.ScoreAll, for any Workers value.
 func RunStreaming(ctx context.Context, spec Spec) (*StreamingResult, error) {
 	world, err := BuildWorld(spec)
 	if err != nil {
@@ -45,14 +44,11 @@ func RunStreaming(ctx context.Context, spec Spec) (*StreamingResult, error) {
 	started := time.Now()
 
 	sketch := dataset.NewSketcher()
-	var mu sync.Mutex
 	ingested := map[string]int{}
 	err = fanOut(ctx, world, spec, func(rs []dataset.Record) error {
 		if err := sketch.Ingest(rs); err != nil {
 			return err
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		for i := range rs {
 			ingested[rs[i].Dataset]++
 		}
