@@ -272,7 +272,8 @@ func benchRecords(n int) []dataset.Record {
 }
 
 // BenchmarkStoreAddBatch measures batched ingestion into the store —
-// the pipeline's write path (workers flush in batches of 256).
+// the pipeline's write path (its committer adds one batch per chunk of
+// 256 jobs).
 func BenchmarkStoreAddBatch(b *testing.B) {
 	recs := benchRecords(10000)
 	b.ResetTimer()

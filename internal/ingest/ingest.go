@@ -312,6 +312,15 @@ func (ing *Ingester) drainer() {
 // batch. A merged failure falls back to per-batch commits so only the
 // offending batch errors.
 func (ing *Ingester) commitGroup(group []*batch, records int) {
+	// The round is counted before any ack wakes its writer, so a writer
+	// whose Enqueue has returned finds its drain in Stats and /metrics.
+	ing.drains.Add(1)
+	ing.drainSize.Observe(float64(records))
+	if int64(records) > ing.maxDrain.Load() {
+		// Only the drainer writes maxDrain; the load/store pair
+		// cannot lose an update.
+		ing.maxDrain.Store(int64(records))
+	}
 	var err error
 	if len(group) == 1 {
 		err = ing.store.AddBatch(group[0].rs)
@@ -335,13 +344,6 @@ func (ing *Ingester) commitGroup(group []*batch, records int) {
 				ing.ack(b, ing.store.AddBatch(b.rs))
 			}
 		}
-	}
-	ing.drains.Add(1)
-	ing.drainSize.Observe(float64(records))
-	if int64(records) > ing.maxDrain.Load() {
-		// Only the drainer writes maxDrain; the load/store pair
-		// cannot lose an update.
-		ing.maxDrain.Store(int64(records))
 	}
 }
 
